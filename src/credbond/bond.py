@@ -15,6 +15,7 @@ from . import analytics, model
 from .errors import BelowBarrier, DegenerateVariance, DomainError, InvalidTenor
 
 _MIN_VARIANCE = 1e-16
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -42,15 +43,41 @@ class BondPriceResult:
     total_variance: float
 
 
+def _checked_variance(t: float, T1: float, T: float,
+                      params: model.ModelParams) -> float:
+    """cum_variance(t, T1, T), rejecting one too small to divide by."""
+    variance = model.cum_variance(t, T1, T, params)
+    if variance <= _MIN_VARIANCE:
+        raise DegenerateVariance(
+            f"variance over [{t}, {T1}] is numerically zero")
+    return variance
+
+
+def _d(ratio: float, variance: float) -> float:
+    return (math.log(ratio) - 0.5 * variance) / math.sqrt(variance)
+
+
 def d_fn(ratio: float, t: float, T1: float, T: float,
          params: model.ModelParams) -> float:
     """(ln ratio - I/2) / sqrt(I) with I = cum_variance(t, T1, T)."""
     if not ratio > 0.0:
         raise DomainError(f"ratio must be positive, got {ratio}")
-    variance = model.cum_variance(t, T1, T, params)
-    if variance <= _MIN_VARIANCE:
-        raise DegenerateVariance("variance over [t, T1] is numerically zero")
-    return (math.log(ratio) - 0.5 * variance) / math.sqrt(variance)
+    return _d(ratio, _checked_variance(t, T1, T, params))
+
+
+def _survival(u: float, variance: float) -> tuple[float, float]:
+    """W and dW/du at u = ln(x/B) >= 0 for a variance I > _MIN_VARIANCE.
+
+    W = N(d1) - e^u N(d2) with d1, d2 = (+-u - I/2) / sqrt(I).  Since
+    e^u phi(d2) = phi(d1), the slope is dW/du = 2 phi(d1)/sqrt(I) - e^u N(d2).
+    """
+    root = math.sqrt(variance)
+    d1 = (u - 0.5 * variance) / root
+    d2 = (-u - 0.5 * variance) / root
+    tail = math.exp(u) * analytics.norm_cdf(d2)
+    w = analytics.norm_cdf(d1) - tail
+    slope = 2.0 * math.exp(-0.5 * d1 * d1) / (_SQRT_2PI * root) - tail
+    return min(1.0, max(0.0, w)), slope
 
 
 def survival_curve(x: float, t: float, T1: float, T: float,
@@ -65,10 +92,8 @@ def survival_curve(x: float, t: float, T1: float, T: float,
         raise DomainError(f"x={x} is below the barrier {b}")
     if x == b:
         return 0.0
-    d1 = d_fn(x / b, t, T1, T, params)
-    d2 = d_fn(b / x, t, T1, T, params)
-    w = analytics.norm_cdf(d1) - (x / b) * analytics.norm_cdf(d2)
-    return min(1.0, max(0.0, w))
+    variance = _checked_variance(t, T1, T, params)
+    return _survival(math.log(x / b), variance)[0]
 
 
 def survival_w(x: float, t: float, spec: BondSpec,
@@ -94,8 +119,8 @@ def bond_price(state: model.MarketState, spec: BondSpec,
         raise BelowBarrier(
             f"V/Z={x} at or below barrier {params.barrier_b}; position is "
             "defaulted and worth R*Z")
-    w = survival_w(x, state.t, spec, params)
-    total_variance = model.cum_variance(state.t, T, T, params)
+    total_variance = _checked_variance(state.t, T, T, params)
+    w = _survival(math.log(x / params.barrier_b), total_variance)[0]
     recovery = params.recovery_r
     price = (recovery + (1.0 - recovery) * w) * z
     return BondPriceResult(price=price, z=z, x=x, w=w,

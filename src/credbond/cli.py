@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import click
@@ -53,13 +53,29 @@ class RunConfig:
             self.verify = VerifySettings()
 
 
+# The engines' own minimums, checked at load so that a bad setting is a
+# config error naming its field.
+_VERIFY_MINIMUMS = {"paths": 1, "steps_per_year": 50, "grid_nx": 4,
+                    "grid_nt": 1, "workers": 1}
+
+
 def _require(section: dict, path: str, key: str, kind=float):
     if key not in section:
         raise ConfigError(f"{path}.{key}: missing required field")
     value = section[key]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}.{key}: expected a finite number, got {value!r}")
     return kind(value)
+
+
+def _check_verify(settings: VerifySettings) -> None:
+    for key, least in _VERIFY_MINIMUMS.items():
+        value = getattr(settings, key)
+        if value < least:
+            raise ConfigError(
+                f"verify.{key}: must be at least {least}, got {value}")
 
 
 def _section(doc: dict, name: str, required: bool = True) -> Optional[dict]:
@@ -126,17 +142,12 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"option: {exc}")
 
     verify = VerifySettings()
-    v = _section(doc, "verify", required=False)
-    if v is not None:
-        verify = VerifySettings(
-            paths=int(_require(v, "verify", "paths")) if "paths" in v else verify.paths,
-            steps_per_year=int(_require(v, "verify", "steps_per_year"))
-            if "steps_per_year" in v else verify.steps_per_year,
-            seed=int(_require(v, "verify", "seed")) if "seed" in v else verify.seed,
-            grid_nx=int(_require(v, "verify", "grid_nx")) if "grid_nx" in v else verify.grid_nx,
-            grid_nt=int(_require(v, "verify", "grid_nt")) if "grid_nt" in v else verify.grid_nt,
-            workers=int(_require(v, "verify", "workers")) if "workers" in v else verify.workers,
-        )
+    v = _section(doc, "verify", required=False) or {}
+    for setting in fields(VerifySettings):
+        if setting.name in v:
+            setattr(verify, setting.name,
+                    _require(v, "verify", setting.name, int))
+    _check_verify(verify)
     return RunConfig(model=params, bond=bond_spec, state=state,
                      option=option_spec, verify=verify)
 
@@ -167,17 +178,20 @@ def price_instrument(cfg: RunConfig, instrument: str) -> dict:
         price = res.price
         diagnostics.update(z=res.z, x=state.v / res.z, L=res.boundary_l,
                            d_values=res.dvalues)
-    else:  # puttable / callable
+    else:  # puttable / callable: straight bond -+ the embedded option
         spec = _need_option(cfg, instrument)
         straight = bond_mod.bond_price(state, bond_spec, params)
-        if instrument == "puttable":
-            price = options.puttable_bond_price(state, spec, bond_spec, params)
-        else:
-            price = options.callable_bond_price(state, spec, bond_spec, params)
+        price = straight.price
         diagnostics.update(z=straight.z, x=straight.x, w=straight.w,
                            total_variance=straight.total_variance)
         if state.t <= spec.expiry_T1:
-            diagnostics["L"] = options.find_boundary_l(spec, bond_spec, params)
+            if instrument == "puttable":
+                res = options.put_price(state, spec, bond_spec, params)
+                price = straight.price + res.price
+            else:
+                res = options.call_price(state, spec, bond_spec, params)
+                price = straight.price - res.price
+            diagnostics["L"] = res.boundary_l
     return {"instrument": instrument, "price": price,
             "diagnostics": diagnostics, "config_echo": _echo(cfg)}
 
@@ -278,7 +292,9 @@ def _verify_fd(cfg: RunConfig) -> list[dict]:
         spec = cfg.option
         T1 = spec.expiry_T1
         if state.t < T1:
-            L = options.find_boundary_l(spec, bond_spec, params)
+            pres = options.put_price(state, spec, bond_spec, params)
+            cres = options.call_price(state, spec, bond_spec, params)
+            L = pres.boundary_l
             e, recov = spec.exercise_e, params.recovery_r
 
             def w_rem(x):
@@ -293,8 +309,6 @@ def _verify_fd(cfg: RunConfig) -> list[dict]:
                                     params, grid=grid)
             csol = oracles.cn_solve(call_pay, lambda t: 0.0, state.t, T1, T,
                                     params, grid=grid, far_value=1.0 - e)
-            pres = options.put_price(state, spec, bond_spec, params)
-            cres = options.call_price(state, spec, bond_spec, params)
             x0 = state.v / pres.z
             fd_put = float(psol.interpolate(x0, state.t)) * pres.z
             fd_call = float(csol.interpolate(x0, state.t)) * cres.z
@@ -408,7 +422,7 @@ def cmd_price(instrument: str, config_path: str, json_indent: int) -> None:
         doc = price_instrument(cfg, instrument)
     except ConfigError as exc:
         _fail_config(exc)
-    except _DOMAIN_ERRORS as exc:
+    except CredBondError as exc:
         _fail_domain(exc)
     click.echo(json.dumps(doc, indent=json_indent, sort_keys=True))
 
@@ -428,7 +442,7 @@ def cmd_sweep(instrument: str, config_path: str, axis: str,
         rows = sweep_rows(cfg, instrument, axis, lo, hi, n)
     except ConfigError as exc:
         _fail_config(exc)
-    except _DOMAIN_ERRORS as exc:
+    except CredBondError as exc:
         _fail_domain(exc)
     click.echo(f"{axis},price,z,x,w,note")
     for row in rows:
@@ -461,10 +475,11 @@ def cmd_verify(config_path: str, suite: str, seed: Optional[int],
             cfg.verify.steps_per_year = steps_per_year
         if workers is not None:
             cfg.verify.workers = workers
+        _check_verify(cfg.verify)
         report = run_verify(cfg, suite)
     except ConfigError as exc:
         _fail_config(exc)
-    except _DOMAIN_ERRORS as exc:
+    except CredBondError as exc:
         _fail_domain(exc)
     click.echo(json.dumps(report, indent=2, sort_keys=True))
     if not report["pass"]:

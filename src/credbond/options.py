@@ -2,7 +2,7 @@
 
 Both options expire at T1 with strike K = E * Z(r, T1) and knock out
 worthless on default.  In numeraire coordinates the exercise region is
-separated by the constant boundary L > B solving R + (1-R) W(L) = E, and
+separated by the constant boundary L >= B solving R + (1-R) W(L) = E, and
 the prices are combinations of univariate and bivariate normal CDFs whose
 arguments are the d-values collected in OptionPriceResult.
 """
@@ -10,11 +10,26 @@ arguments are the d-values collected in OptionPriceResult.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
+from scipy.special import ndtri as _ndtri
+
 from . import analytics, model
-from .bond import BondSpec, d_fn, survival_curve
-from .errors import BelowBarrier, InvalidExercise, InvalidTenor
+from .bond import (
+    _MIN_VARIANCE,
+    BondSpec,
+    _checked_variance,
+    _d,
+    _survival,
+    survival_curve,
+)
+from .errors import BelowBarrier, InvalidExercise, InvalidTenor, NoConvergence
+
+# The boundary solve stops once its step or residual is this close to zero
+# (relative to u for the step); both are then at roundoff.
+_ROUNDOFF = 4.0 * sys.float_info.epsilon
+_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -52,38 +67,59 @@ def _validate(spec: OptionSpec, bond: BondSpec, params: model.ModelParams) -> No
 
 def find_boundary_l(spec: OptionSpec, bond: BondSpec,
                     params: model.ModelParams) -> float:
-    """Boundary L > B with R + (1-R) W(L) = E, W over the remaining life [T1, T].
+    """Boundary L >= B with R + (1-R) W(L) = E, W over the remaining life [T1, T].
 
-    Unique by strict monotonicity of W in x.
+    With I = cum_variance(T1, T, T), W rises strictly in u = ln(x/B) from 0
+    at u = 0 to 1 at u = 80 sqrt(I), so the root is unique in that bracket.
+    Newton's method in u, with the closed-form slope dW/du, finds it; a step
+    that would leave the bracket bisects it instead, and the iteration stops
+    once the step or the residual is down to roundoff.  When no variance
+    remains (I <= 1e-16), W = 1 everywhere above the barrier and L = B.
     """
     _validate(spec, bond, params)
     b = params.barrier_b
     recovery = params.recovery_r
     target = (spec.exercise_e - recovery) / (1.0 - recovery)
-    T1, T = spec.expiry_T1, bond.maturity_T
-    remaining = model.cum_variance(T1, T, T, params)
-
-    def gap(u: float) -> float:
-        return survival_curve(b * math.exp(u), T1, T, T, params) - target
-
-    hi = 80.0 * math.sqrt(remaining)
-    root = analytics.find_root(gap, 0.0, hi, tol=1e-15)
-    return b * math.exp(root)
+    T = bond.maturity_T
+    remaining = model.cum_variance(spec.expiry_T1, T, T, params)
+    if remaining <= _MIN_VARIANCE:
+        return b
+    root = math.sqrt(remaining)
+    lo, hi = 0.0, 80.0 * root
+    # W ~ 2 N(u / sqrt(I)) - 1 while I is small: the first guess
+    u = min(root * _ndtri(0.5 + 0.5 * target), hi)
+    for _ in range(_MAX_STEPS):
+        w, slope = _survival(u, remaining)
+        gap = w - target
+        if gap < 0.0:
+            lo = u
+        else:
+            hi = u
+        if abs(gap) <= _ROUNDOFF:
+            return b * math.exp(u)
+        step = gap / slope if slope > 0.0 else math.inf
+        if abs(step) <= _ROUNDOFF * u:
+            return b * math.exp(u - step)
+        u = u - step if lo < u - step < hi else 0.5 * (lo + hi)
+    raise NoConvergence(f"boundary solve did not converge in {_MAX_STEPS} steps")
 
 
 def _d_arguments(x: float, boundary_l: float, t: float, T1: float, T: float,
                  params: model.ModelParams) -> dict[str, float]:
+    # the ratios are written so that L = B gives b2 = b3 = b1 exactly
     b = params.barrier_b
+    total = _checked_variance(t, T, T, params)
+    first = _checked_variance(t, T1, T, params)
     return {
-        "a": d_fn(x / b, t, T, T, params),
-        "a_tilde": d_fn(b / x, t, T, T, params),
-        "b1": d_fn(x / b, t, T1, T, params),
-        "b2": d_fn(x / boundary_l, t, T1, T, params),
-        "b3": d_fn(boundary_l * x / (b * b), t, T1, T, params),
-        "b1_tilde": d_fn(b / x, t, T1, T, params),
-        "b2_tilde": d_fn(b * b / (boundary_l * x), t, T1, T, params),
-        "b3_tilde": d_fn(boundary_l / x, t, T1, T, params),
-        "delta_bar": model.delta_bar(t, T1, T, params),
+        "a": _d(x / b, total),
+        "a_tilde": _d(b / x, total),
+        "b1": _d(x / b, first),
+        "b2": _d(x / boundary_l, first),
+        "b3": _d((boundary_l / b) * (x / b), first),
+        "b1_tilde": _d(b / x, first),
+        "b2_tilde": _d((b / boundary_l) * (b / x), first),
+        "b3_tilde": _d(boundary_l / x, first),
+        "delta_bar": min(1.0, math.sqrt(first / total)),
     }
 
 
@@ -105,9 +141,13 @@ def _entry(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
 def _expiry_payoff(x: float, boundary_l: float, spec: OptionSpec,
                    bond: BondSpec, params: model.ModelParams,
                    call: bool) -> float:
-    # Terminal condition at t = T1 in numeraire units.
-    w_rem = survival_curve(x, spec.expiry_T1, bond.maturity_T, bond.maturity_T,
-                           params)
+    # Terminal condition at t = T1 in numeraire units; x > B here, where
+    # W = 1 once no variance remains.
+    T = bond.maturity_T
+    remaining = model.cum_variance(spec.expiry_T1, T, T, params)
+    w_rem = 1.0
+    if remaining > _MIN_VARIANCE:
+        w_rem = _survival(math.log(x / params.barrier_b), remaining)[0]
     recovery = params.recovery_r
     intrinsic = spec.exercise_e - recovery - (1.0 - recovery) * w_rem
     if call:

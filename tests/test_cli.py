@@ -6,7 +6,12 @@ import pytest
 from click.testing import CliRunner
 
 from credbond.cli import load_config, main
-from credbond.errors import ConfigError
+from credbond.errors import (
+    ConfigError,
+    DegenerateVariance,
+    NoBracket,
+    NoConvergence,
+)
 
 BENCH_DOC = {
     "model": {"theta": 1.0, "mu": 0.05, "s_r": 0.01, "s_V": 0.2, "rho": -0.3,
@@ -70,6 +75,28 @@ class TestLoadConfig:
         path = make_config(tmp_path, lambda d: d.pop("option"))
         assert load_config(path).option is None
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "mu", float("nan")),
+        ("model", "s_r", float("inf")),
+        ("state", "r", float("-inf")),
+    ])
+    def test_non_finite_field_named(self, tmp_path, section, key, value):
+        path = make_config(tmp_path, lambda d: d[section].update({key: value}))
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            load_config(path)
+        result = runner.invoke(main, ["price", "bond", "--config", path])
+        assert result.exit_code == 2, result.output
+        assert f"{section}.{key}" in result.output
+
+    @pytest.mark.parametrize("key,value", [
+        ("grid_nx", 2), ("grid_nt", 0), ("paths", 0), ("steps_per_year", 10),
+        ("workers", 0),
+    ])
+    def test_verify_settings_below_engine_minimum(self, tmp_path, key, value):
+        path = make_config(tmp_path, lambda d: d["verify"].update({key: value}))
+        with pytest.raises(ConfigError, match=f"verify.{key}"):
+            load_config(path)
+
 
 class TestPrice:
     def test_bond_price_json(self, config_path):
@@ -104,6 +131,36 @@ class TestPrice:
         result = runner.invoke(main, ["price", "bond", "--config", path])
         assert result.exit_code == 3
         assert "BelowBarrier" in result.output
+
+    @pytest.mark.parametrize("error", [DegenerateVariance, NoBracket,
+                                       NoConvergence])
+    @pytest.mark.parametrize("command", ["price", "verify"])
+    def test_other_library_error_exit_3(self, config_path, monkeypatch,
+                                        error, command):
+        import credbond.cli as cli_mod
+
+        def failing(*args):
+            raise error("forced")
+
+        monkeypatch.setattr(cli_mod, "price_instrument", failing)
+        monkeypatch.setattr(cli_mod, "run_verify", failing)
+        args = ["bond"] if command == "price" else []
+        result = runner.invoke(main, [command, *args, "--config", config_path])
+        assert result.exit_code == 3, result.output
+        assert error.__name__ in result.output
+
+    def test_zero_remaining_variance_prices(self, tmp_path):
+        def mutate(d):
+            d["model"]["s_V"] = 0.0
+            d["option"]["expiry_T1"] = 2.0 * (1.0 - 1e-6)
+        path = make_config(tmp_path, mutate)
+        for name in ("put-option", "call-option", "puttable", "callable"):
+            result = runner.invoke(main, ["price", name, "--config", path])
+            assert result.exit_code == 0, result.output
+            doc = json.loads(result.output)
+            assert doc["diagnostics"]["L"] == 0.6
+            if name == "put-option":
+                assert doc["price"] == 0.0
 
     def test_unknown_instrument_rejected(self, config_path):
         result = runner.invoke(main, ["price", "swap", "--config", config_path])
@@ -176,6 +233,25 @@ class TestVerify:
         one = runner.invoke(main, base + ["--workers", "1"])
         four = runner.invoke(main, base + ["--workers", "4"])
         assert one.output == four.output
+
+    @pytest.mark.parametrize("key,value", [
+        ("grid_nx", 2), ("paths", 0), ("steps_per_year", 10),
+    ])
+    def test_engine_minimum_exit_2(self, tmp_path, key, value):
+        path = make_config(tmp_path, lambda d: d["verify"].update({key: value}))
+        result = runner.invoke(main, ["verify", "--config", path,
+                                      "--suite", "all"])
+        assert result.exit_code == 2, result.output
+        assert f"verify.{key}" in result.output
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--paths", "0"), ("--steps-per-year", "10"), ("--workers", "0"),
+    ])
+    def test_override_below_engine_minimum_exit_2(self, config_path, flag,
+                                                   value):
+        result = runner.invoke(main, ["verify", "--config", config_path,
+                                      "--suite", "mc-spot", flag, value])
+        assert result.exit_code == 2, result.output
 
     def test_failure_exit_4(self, tmp_path, monkeypatch):
         # force a failing check to exercise the exit-code path

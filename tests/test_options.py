@@ -1,8 +1,11 @@
 """Unit tests for the bond option closed forms and embedded-option composites."""
 
 import math
+import sys
 
+import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from credbond import (
     BondSpec,
@@ -17,9 +20,11 @@ from credbond import (
     put_price,
     puttable_bond_price,
 )
-from credbond.bond import survival_curve
+from credbond import bond as bond_mod
+from credbond import cli, options
+from credbond.bond import d_fn, survival_curve
 from credbond.errors import BelowBarrier, InvalidExercise, InvalidTenor
-from credbond.model import zcb_price
+from credbond.model import cum_variance, delta_bar, zcb_price
 
 BENCH = ModelParams(theta=1.0, mu=0.05, s_r=0.01, s_V=0.2, rho=-0.3,
                     barrier_b=0.6, recovery_r=0.4)
@@ -144,3 +149,129 @@ class TestComposites:
         straight = bond_price(st, BOND, BENCH)
         value = puttable_bond_price(st, OPT, BOND, BENCH)
         assert value == pytest.approx(OPT.exercise_e * straight.z, abs=1e-12)
+
+
+def _box_case(rng, limit):
+    """(params, option, bond) drawn over the whole box, pinned at one limit."""
+    theta = 10.0 ** rng.uniform(-1.3, 0.5)
+    s_v = rng.uniform(0.05, 0.6)
+    rho = rng.uniform(-1.0, 1.0)
+    recovery = rng.uniform(0.0, 0.8)
+    share = rng.uniform(0.05, 0.95)
+    maturity = rng.uniform(0.25, 10.0)
+    expiry = maturity * rng.uniform(0.1, 0.9)
+    if limit == "theta->0":
+        theta = 1e-8
+    elif limit == "|rho|->1":
+        rho = math.copysign(1.0 - 1e-9, rho)
+    elif limit == "E->R+":
+        share = 1e-9 * rng.uniform(1.0, 10.0)
+    elif limit == "E->1-":
+        share = 1.0 - 10.0 ** rng.uniform(-6.0, -2.0)
+    elif limit == "T1->T":
+        expiry = maturity * (1.0 - 10.0 ** rng.uniform(-6.0, -3.0))
+    params = ModelParams(theta=theta, mu=rng.uniform(0.0, 0.1),
+                         s_r=rng.uniform(0.002, 0.05), s_V=s_v, rho=rho,
+                         barrier_b=rng.uniform(0.3, 0.95), recovery_r=recovery)
+    spec = OptionSpec(expiry_T1=expiry,
+                      exercise_e=recovery + (1.0 - recovery) * share)
+    return params, spec, BondSpec(maturity_T=maturity)
+
+
+BOX_LIMITS = ("interior", "theta->0", "|rho|->1", "E->R+", "E->1-", "T1->T")
+_BOX_RNG = np.random.default_rng(2203)
+BOX_CASES = [_box_case(_BOX_RNG, limit)
+             for _ in range(40) for limit in BOX_LIMITS]
+
+
+def _reference_l(spec, bond, params):
+    """brentq on survival_curve in u = ln(x/B), as tight as brentq allows."""
+    b, T1, T = params.barrier_b, spec.expiry_T1, bond.maturity_T
+    target = ((spec.exercise_e - params.recovery_r)
+              / (1.0 - params.recovery_r))
+    hi = 80.0 * math.sqrt(cum_variance(T1, T, T, params))
+    u = brentq(lambda u: survival_curve(b * math.exp(u), T1, T, T, params)
+               - target, 0.0, hi, xtol=1e-300, rtol=4.0 * sys.float_info.epsilon,
+               maxiter=500)
+    return b * math.exp(u)
+
+
+class TestBoundarySolve:
+    def test_matches_bracketed_reference(self):
+        eps = sys.float_info.epsilon
+        for params, spec, bond in BOX_CASES:
+            L = find_boundary_l(spec, bond, params)
+            ref = _reference_l(spec, bond, params)
+            # no solve in doubles pins u = ln(L/B) closer than the roundoff
+            # of W over its slope; that band exceeds 1e-14 only as E -> 1
+            T1, T = spec.expiry_T1, bond.maturity_T
+            slope = (survival_curve(ref * (1.0 + 1e-6), T1, T, T, params)
+                     - survival_curve(ref, T1, T, T, params)) / 1e-6
+            tol = max(1e-14, 16.0 * eps / slope)
+            assert abs(L - ref) <= tol * ref, (params, spec, bond, L, ref)
+
+    def test_few_kernel_evaluations(self, monkeypatch):
+        calls = []
+
+        def counted(u, variance):
+            calls.append(u)
+            return bond_mod._survival(u, variance)
+
+        monkeypatch.setattr(options, "_survival", counted)
+        for params, spec, bond in BOX_CASES:
+            calls.clear()
+            find_boundary_l(spec, bond, params)
+            assert len(calls) <= 12, (params, spec, bond, len(calls))
+
+    def test_d_arguments_match_d_fn(self):
+        for params, spec, bond in BOX_CASES[:60]:
+            b = params.barrier_b
+            L = find_boundary_l(spec, bond, params)
+            T1, T = spec.expiry_T1, bond.maturity_T
+            for x in (b * (1.0 + 1e-6), 0.5 * (b + L), L, 2.0 * L):
+                t = 0.3 * T1
+                d = options._d_arguments(x, L, t, T1, T, params)
+                ratios = {"b1": x / b, "b2": x / L, "b3": (L / b) * (x / b),
+                          "b1_tilde": b / x, "b2_tilde": (b / L) * (b / x),
+                          "b3_tilde": L / x}
+                assert d["a"] == d_fn(x / b, t, T, T, params)
+                assert d["a_tilde"] == d_fn(b / x, t, T, T, params)
+                for name, ratio in ratios.items():
+                    assert d[name] == d_fn(ratio, t, T1, T, params), name
+                assert d["delta_bar"] == delta_bar(t, T1, T, params)
+
+    def test_composites_price_straight_and_option_once(self):
+        for instrument, pricer, sign in (("puttable", put_price, 1.0),
+                                         ("callable", call_price, -1.0)):
+            for v in (0.62, 1.0, 1.6):
+                st = MarketState(0.05, v, 0.3)
+                cfg = cli.RunConfig(model=BENCH, bond=BOND, state=st,
+                                    option=OPT)
+                doc = cli.price_instrument(cfg, instrument)
+                straight = bond_price(st, BOND, BENCH).price
+                option = pricer(st, OPT, BOND, BENCH)
+                assert doc["price"] == straight + sign * option.price
+                assert doc["diagnostics"]["L"] == option.boundary_l
+
+
+class TestZeroRemainingVariance:
+    """s_V = 0 and T1 -> T leave no variance after expiry: W = 1 above B."""
+
+    PARAMS = ModelParams(theta=1.0, mu=0.05, s_r=0.01, s_V=0.0, rho=-0.3,
+                         barrier_b=0.6, recovery_r=0.4)
+    SPEC = OptionSpec(expiry_T1=2.0 * (1.0 - 1e-6), exercise_e=0.9)
+
+    def test_boundary_is_barrier(self):
+        assert find_boundary_l(self.SPEC, BOND, self.PARAMS) == 0.6
+
+    def test_prices(self):
+        for v in (0.62, 1.0, 1.6):
+            for t in (0.0, 1.0, self.SPEC.expiry_T1):
+                st = MarketState(0.05, v, t)
+                z = zcb_price(0.05, t, 2.0, self.PARAMS)
+                assert put_price(st, self.SPEC, BOND, self.PARAMS).price == 0.0
+                call = call_price(st, self.SPEC, BOND, self.PARAMS).price
+                assert 0.0 <= call <= (1.0 - self.SPEC.exercise_e) * z
+                if t < self.SPEC.expiry_T1:
+                    gap = put_call_parity_gap(st, self.SPEC, BOND, self.PARAMS)
+                    assert abs(gap) <= 1e-9 * z
