@@ -1,16 +1,14 @@
 """Special functions and root finding shared by the pricing modules.
 
-Univariate/bivariate standard normal CDFs, a bracketed root finder and
-adaptive quadrature.  All functions here are pure and thread-safe.
+Univariate/bivariate standard normal CDFs and a bracketed root finder.
+All functions here are pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Callable
 
-from scipy import integrate as _integrate
 from scipy import optimize as _optimize
 from scipy.special import ndtr as _ndtr
 
@@ -157,27 +155,3 @@ def find_root(
     if not res.converged:
         raise NoConvergence("bracketed solve did not converge in 200 iterations")
     return float(root)
-
-
-def integrate(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-) -> float:
-    """Adaptive quadrature of f over [lo, hi] to absolute error <= tol."""
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
-    if lo > hi:
-        raise DomainError("integration interval must have lo <= hi")
-    if lo == hi:
-        return 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _integrate.IntegrationWarning)
-        out = _integrate.quad(f, lo, hi, epsabs=tol, epsrel=1e-13,
-                              limit=200, full_output=1)
-    value, abserr = out[0], out[1]
-    if len(out) > 3 or abserr > max(tol, 1e-13 * abs(value)):
-        raise NoConvergence(
-            f"quadrature error estimate {abserr} above requested tolerance {tol}")
-    return float(value)

@@ -11,6 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from scipy.special import ndtr
+
 from . import analytics, model
 from .errors import BelowBarrier, DegenerateVariance, DomainError, InvalidTenor
 
@@ -23,13 +26,11 @@ class BondSpec:
     """Zero-coupon bond terms: maturity in years, unit face value."""
 
     maturity_T: float
-    face: float = 1.0
 
     def __post_init__(self) -> None:
+        model._check_finite(self)
         if not self.maturity_T > 0.0:
             raise ValueError(f"maturity_T must be positive, got {self.maturity_T}")
-        if self.face != 1.0:
-            raise ValueError("face value is fixed at 1")
 
 
 @dataclass(frozen=True)
@@ -66,11 +67,15 @@ def d_fn(ratio: float, t: float, T1: float, T: float,
 
 
 def _survival(u: float, variance: float) -> tuple[float, float]:
-    """W and dW/du at u = ln(x/B) >= 0 for a variance I > _MIN_VARIANCE.
+    """W and dW/du at u = ln(x/B) >= 0 for a variance I.
 
     W = N(d1) - e^u N(d2) with d1, d2 = (+-u - I/2) / sqrt(I).  Since
     e^u phi(d2) = phi(d1), the slope is dW/du = 2 phi(d1)/sqrt(I) - e^u N(d2).
+    Once no variance remains (I <= _MIN_VARIANCE) a firm above the barrier
+    (u > 0) cannot reach it: W = 1 and the slope is 0.
     """
+    if variance <= _MIN_VARIANCE:
+        return 1.0, 0.0
     root = math.sqrt(variance)
     d1 = (u - 0.5 * variance) / root
     d2 = (-u - 0.5 * variance) / root
@@ -96,6 +101,28 @@ def survival_curve(x: float, t: float, T1: float, T: float,
     return _survival(math.log(x / b), variance)[0]
 
 
+def _unit_value(x, t: float, T: float, params: model.ModelParams) -> np.ndarray:
+    """Straight-bond value in units of Z, R + (1-R) W(x) over [t, T], elementwise.
+
+    The array form of survival_curve: W = 0 at or below the barrier, and
+    W = 1 above it once no variance remains.
+    """
+    x = np.asarray(x, dtype=float)
+    b = params.barrier_b
+    variance = model.cum_variance(t, T, T, params)
+    above = x > b
+    if variance <= _MIN_VARIANCE:
+        w = above.astype(float)
+    else:
+        u = np.log(x / b)
+        root = math.sqrt(variance)
+        d1 = (u - 0.5 * variance) / root
+        d2 = (-u - 0.5 * variance) / root
+        w = np.where(above, np.clip(ndtr(d1) - np.exp(u) * ndtr(d2), 0.0, 1.0),
+                     0.0)
+    return params.recovery_r + (1.0 - params.recovery_r) * w
+
+
 def survival_w(x: float, t: float, spec: BondSpec,
                params: model.ModelParams) -> float:
     """No-default probability of the straight bond, strictly increasing in x."""
@@ -119,7 +146,7 @@ def bond_price(state: model.MarketState, spec: BondSpec,
         raise BelowBarrier(
             f"V/Z={x} at or below barrier {params.barrier_b}; position is "
             "defaulted and worth R*Z")
-    total_variance = _checked_variance(state.t, T, T, params)
+    total_variance = model.cum_variance(state.t, T, T, params)
     w = _survival(math.log(x / params.barrier_b), total_variance)[0]
     recovery = params.recovery_r
     price = (recovery + (1.0 - recovery) * w) * z

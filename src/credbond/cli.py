@@ -294,17 +294,14 @@ def _verify_fd(cfg: RunConfig) -> list[dict]:
         if state.t < T1:
             pres = options.put_price(state, spec, bond_spec, params)
             cres = options.call_price(state, spec, bond_spec, params)
-            L = pres.boundary_l
-            e, recov = spec.exercise_e, params.recovery_r
+            L, e = pres.boundary_l, spec.exercise_e
 
-            def w_rem(x):
-                return np.array([bond_mod.survival_curve(v, T1, T, T, params)
-                                 for v in np.atleast_1d(x)])
+            def put_pay(x):
+                return (e - bond_mod._unit_value(x, T1, T, params)) * (x < L)
 
-            put_pay = lambda x: ((e - recov - (1 - recov) * w_rem(x))  # noqa: E731
-                                 * (np.atleast_1d(x) < L))
-            call_pay = lambda x: ((recov + (1 - recov) * w_rem(x) - e)  # noqa: E731
-                                  * (np.atleast_1d(x) > L))
+            def call_pay(x):
+                return (bond_mod._unit_value(x, T1, T, params) - e) * (x > L)
+
             psol = oracles.cn_solve(put_pay, lambda t: 0.0, state.t, T1, T,
                                     params, grid=grid)
             csol = oracles.cn_solve(call_pay, lambda t: 0.0, state.t, T1, T,
@@ -337,12 +334,8 @@ def _verify_mc_forward(cfg: RunConfig) -> list[dict]:
                              lambda x: np.ones_like(x), params, v.paths,
                              seed=v.seed, rebate=params.recovery_r,
                              workers=v.workers)
-    err = abs(est.mean * res.z - res.price)
-    tol = 3.0 * est.std_error * res.z
-    checks = [{"name": "mc-forward straight bond |diff| <= 3 se",
-               "closed_form": res.price, "oracle": est.mean * res.z,
-               "tolerance": tol, "error": err, "pass": bool(err <= tol)}]
-    return checks
+    return [_check("mc-forward straight bond |diff| <= 3 se", res.price,
+                   est.mean * res.z, 3.0 * est.std_error * res.z)]
 
 
 def _verify_mc_spot(cfg: RunConfig) -> list[dict]:
@@ -352,11 +345,8 @@ def _verify_mc_spot(cfg: RunConfig) -> list[dict]:
     est = oracles.mc_spot(state, bond_spec, None, params, v.paths,
                           steps_per_year=v.steps_per_year, seed=v.seed,
                           workers=v.workers)
-    err = abs(est.mean - res.price)
-    tol = 3.0 * est.std_error
-    return [{"name": "mc-spot straight bond |diff| <= 3 se",
-             "closed_form": res.price, "oracle": est.mean,
-             "tolerance": tol, "error": err, "pass": bool(err <= tol)}]
+    return [_check("mc-spot straight bond |diff| <= 3 se", res.price,
+                   est.mean, 3.0 * est.std_error)]
 
 
 def _verify_parity(cfg: RunConfig) -> list[dict]:
@@ -371,10 +361,7 @@ def _verify_parity(cfg: RunConfig) -> list[dict]:
             z = model.zcb_price(st.r, st.t, bond_spec.maturity_T, params)
         except _DOMAIN_ERRORS:
             continue
-        checks.append({"name": f"parity gap at v={st.v}",
-                       "closed_form": 0.0, "oracle": gap,
-                       "tolerance": 1e-9 * z, "error": abs(gap),
-                       "pass": bool(abs(gap) <= 1e-9 * z)})
+        checks.append(_check(f"parity gap at v={st.v}", 0.0, gap, 1e-9 * z))
     return checks
 
 

@@ -21,6 +21,16 @@ from .errors import DegenerateVariance, InvalidTenor
 _SMALL_THETA_TAU = 0.05
 
 
+def _check_finite(spec) -> None:
+    """Reject a NaN or infinite field of a parameter dataclass."""
+    # getattr, not vars(): building the instance __dict__ would slow every
+    # later attribute read of the hot pricing paths
+    for name in spec.__dataclass_fields__:
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Market and credit constants of the two-factor model.
@@ -41,6 +51,7 @@ class ModelParams:
     recovery_r: float
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if not self.theta > 0.0:
             raise ValueError(f"theta must be positive, got {self.theta}")
         if self.s_r < 0.0 or self.s_V < 0.0:
@@ -64,6 +75,7 @@ class MarketState:
     t: float
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if not self.v > 0.0:
             raise ValueError(f"firm value must be positive, got {self.v}")
 

@@ -22,6 +22,7 @@ from .bond import (
     _checked_variance,
     _d,
     _survival,
+    _unit_value,
     survival_curve,
 )
 from .errors import BelowBarrier, InvalidExercise, InvalidTenor, NoConvergence
@@ -40,6 +41,7 @@ class OptionSpec:
     exercise_e: float
 
     def __post_init__(self) -> None:
+        model._check_finite(self)
         if not self.expiry_T1 > 0.0:
             raise ValueError(f"expiry_T1 must be positive, got {self.expiry_T1}")
 
@@ -123,90 +125,70 @@ def _d_arguments(x: float, boundary_l: float, t: float, T1: float, T: float,
     }
 
 
-def _entry(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
-           params: model.ModelParams) -> tuple[float, float, float]:
+def _put_block(e: float, recovery: float, dl: float, a: float, b1: float,
+               b2: float, b3: float) -> float:
+    n, n2 = analytics.norm_cdf, analytics.binorm_cdf
+    return ((e - recovery) * (n(b1) - n(b2))
+            - (1.0 - recovery) * (n2(a, b1, dl) - n2(a, b2, dl)
+                                  + n2(a, -b1, -dl) - n2(a, -b3, -dl)))
+
+
+def _call_block(e: float, recovery: float, dl: float, a: float, b1: float,
+                b2: float, b3: float) -> float:
+    n, n2 = analytics.norm_cdf, analytics.binorm_cdf
+    return ((recovery - e) * n(b2)
+            + (1.0 - recovery) * (n2(a, b2, dl) + n2(a, -b3, -dl)))
+
+
+def _option_price(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
+                  params: model.ModelParams, call: bool) -> OptionPriceResult:
+    """z f(a, b1, b2, b3) - (v/B) f(a~, b1~, b2~, b3~) for the put or call block f.
+
+    The tilde arguments are the d-values at the image point B^2/x.
+    """
     _validate(spec, bond, params)
     if state.t > spec.expiry_T1:
         raise InvalidTenor(
             f"t={state.t} is after option expiry {spec.expiry_T1}")
     z = model.zcb_price(state.r, state.t, bond.maturity_T, params)
     x = state.v / z
-    if x <= params.barrier_b:
-        raise BelowBarrier(
-            f"V/Z={x} at or below barrier {params.barrier_b}")
+    b = params.barrier_b
+    if x <= b:
+        raise BelowBarrier(f"V/Z={x} at or below barrier {b}")
     boundary_l = find_boundary_l(spec, bond, params)
-    return z, x, boundary_l
-
-
-def _expiry_payoff(x: float, boundary_l: float, spec: OptionSpec,
-                   bond: BondSpec, params: model.ModelParams,
-                   call: bool) -> float:
-    # Terminal condition at t = T1 in numeraire units; x > B here, where
-    # W = 1 once no variance remains.
-    T = bond.maturity_T
-    remaining = model.cum_variance(spec.expiry_T1, T, T, params)
-    w_rem = 1.0
-    if remaining > _MIN_VARIANCE:
-        w_rem = _survival(math.log(x / params.barrier_b), remaining)[0]
-    recovery = params.recovery_r
-    intrinsic = spec.exercise_e - recovery - (1.0 - recovery) * w_rem
-    if call:
-        return -intrinsic if x > boundary_l else 0.0
-    return intrinsic if x < boundary_l else 0.0
+    e = spec.exercise_e
+    if state.t == spec.expiry_T1:
+        # the payoff at T1 in numeraire units against the bond's value there
+        value = float(_unit_value(x, spec.expiry_T1, bond.maturity_T, params))
+        if call:
+            payoff = value - e if x > boundary_l else 0.0
+        else:
+            payoff = e - value if x < boundary_l else 0.0
+        return OptionPriceResult(price=payoff * z, boundary_l=boundary_l,
+                                 dvalues={}, z=z)
+    d = _d_arguments(x, boundary_l, state.t, spec.expiry_T1, bond.maturity_T,
+                     params)
+    block = _call_block if call else _put_block
+    recovery, dl = params.recovery_r, d["delta_bar"]
+    z_block = block(e, recovery, dl, d["a"], d["b1"], d["b2"], d["b3"])
+    v_block = block(e, recovery, dl, d["a_tilde"], d["b1_tilde"],
+                    d["b2_tilde"], d["b3_tilde"])
+    price = z * z_block - (state.v / b) * v_block
+    if -1e-12 < price < 0.0:
+        price = 0.0
+    return OptionPriceResult(price=price, boundary_l=boundary_l, dvalues=d, z=z)
 
 
 def put_price(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
               params: model.ModelParams) -> OptionPriceResult:
     """Knock-out put on the credit-risky bond, strike E*Z(r, T1), expiry T1."""
-    z, x, boundary_l = _entry(state, spec, bond, params)
-    if state.t == spec.expiry_T1:
-        payoff = _expiry_payoff(x, boundary_l, spec, bond, params, call=False)
-        return OptionPriceResult(price=payoff * z, boundary_l=boundary_l,
-                                 dvalues={}, z=z)
-    d = _d_arguments(x, boundary_l, state.t, spec.expiry_T1, bond.maturity_T,
-                     params)
-    n, n2 = analytics.norm_cdf, analytics.binorm_cdf
-    e, recovery, b = spec.exercise_e, params.recovery_r, params.barrier_b
-    dl = d["delta_bar"]
-    z_block = ((e - recovery) * (n(d["b1"]) - n(d["b2"]))
-               - (1.0 - recovery) * (n2(d["a"], d["b1"], dl)
-                                     - n2(d["a"], d["b2"], dl)
-                                     + n2(d["a"], -d["b1"], -dl)
-                                     - n2(d["a"], -d["b3"], -dl)))
-    v_block = ((e - recovery) * (n(d["b1_tilde"]) - n(d["b2_tilde"]))
-               - (1.0 - recovery) * (n2(d["a_tilde"], d["b1_tilde"], dl)
-                                     - n2(d["a_tilde"], d["b2_tilde"], dl)
-                                     + n2(d["a_tilde"], -d["b1_tilde"], -dl)
-                                     - n2(d["a_tilde"], -d["b3_tilde"], -dl)))
-    price = z * z_block - (state.v / b) * v_block
-    if -1e-12 < price < 0.0:
-        price = 0.0
-    return OptionPriceResult(price=price, boundary_l=boundary_l, dvalues=d, z=z)
+    return _option_price(state, spec, bond, params, call=False)
 
 
 def call_price(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
                params: model.ModelParams) -> OptionPriceResult:
     """Knock-out call on the credit-risky bond, strike E*Z(r, T1), expiry T1."""
-    z, x, boundary_l = _entry(state, spec, bond, params)
-    if state.t == spec.expiry_T1:
-        payoff = _expiry_payoff(x, boundary_l, spec, bond, params, call=True)
-        return OptionPriceResult(price=payoff * z, boundary_l=boundary_l,
-                                 dvalues={}, z=z)
-    d = _d_arguments(x, boundary_l, state.t, spec.expiry_T1, bond.maturity_T,
-                     params)
-    n, n2 = analytics.norm_cdf, analytics.binorm_cdf
-    e, recovery, b = spec.exercise_e, params.recovery_r, params.barrier_b
-    dl = d["delta_bar"]
-    z_block = ((recovery - e) * n(d["b2"])
-               + (1.0 - recovery) * (n2(d["a"], d["b2"], dl)
-                                     + n2(d["a"], -d["b3"], -dl)))
-    v_block = ((recovery - e) * n(d["b2_tilde"])
-               + (1.0 - recovery) * (n2(d["a_tilde"], d["b2_tilde"], dl)
-                                     + n2(d["a_tilde"], -d["b3_tilde"], -dl)))
-    price = z * z_block - (state.v / b) * v_block
-    if -1e-12 < price < 0.0:
-        price = 0.0
-    return OptionPriceResult(price=price, boundary_l=boundary_l, dvalues=d, z=z)
+    return _option_price(state, spec, bond, params, call=True)
 
 
 def put_call_parity_gap(state: model.MarketState, spec: OptionSpec,

@@ -18,12 +18,18 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
-from scipy.special import ndtr
 
 from . import model
-from .bond import BondSpec
+from .bond import _MIN_VARIANCE, BondSpec, _unit_value
 from .options import OptionSpec
-from .errors import ResolutionError, SeedError, StepError
+from .errors import (
+    BelowBarrier,
+    DegenerateVariance,
+    InvalidTenor,
+    ResolutionError,
+    SeedError,
+    StepError,
+)
 
 _CHUNK = 8192
 _DOMAIN_WIDTH_SIGMAS = 8.0
@@ -73,25 +79,29 @@ def cn_solve(
     bond_T: float,
     params: model.ModelParams,
     grid: GridConfig | None = None,
-    far_value: Optional[Callable[[float], float] | float] = None,
-    rannacher: bool = True,
+    far_value: Optional[float] = None,
 ) -> GridSolution:
     """Backward Crank-Nicolson solve of the reduced PDE on [t0, t1].
 
     The grid spans [B, B * exp(8 * sqrt(I_total))] in x with Dirichlet data on
-    both ends; far_value defaults to the terminal payoff's value at the far
-    node.  When rannacher is set the first step after the terminal condition
-    is replaced by two half-sized fully-implicit steps.
+    both ends; the far value is constant in time and defaults to the terminal
+    payoff's value at the far node.  Rannacher smoothing is always on: the
+    first step after the terminal condition is replaced by two half-sized
+    fully-implicit steps.
     """
     if grid is None:
         grid = GridConfig()
     if grid.nx < 4 or grid.nt < 1:
         raise ResolutionError(f"grid {grid.nx}x{grid.nt} too coarse")
     if not t0 < t1 <= bond_T:
-        raise ValueError(f"need t0 < t1 <= bond_T, got {t0}, {t1}, {bond_T}")
+        raise InvalidTenor(f"need t0 < t1 <= bond_T, got {t0}, {t1}, {bond_T}")
 
     b = params.barrier_b
     total_var = model.cum_variance(t0, bond_T, bond_T, params)
+    if total_var <= _MIN_VARIANCE:
+        # the grid width 8 sqrt(I) would be below roundoff
+        raise DegenerateVariance(
+            f"variance over [{t0}, {bond_T}] is numerically zero")
     width = _DOMAIN_WIDTH_SIGMAS * math.sqrt(total_var)
     y = np.linspace(math.log(b), math.log(b) + width, grid.nx + 1)
     h = y[1] - y[0]
@@ -110,13 +120,7 @@ def cn_solve(
     terminal = np.broadcast_to(terminal, x_nodes.shape).copy()
     terminal[0] = boundary_value_at_B(t1)
     values[grid.nt] = terminal
-
-    if far_value is None:
-        far = lambda t: terminal[-1]  # noqa: E731
-    elif callable(far_value):
-        far = far_value
-    else:
-        far = lambda t, v=float(far_value): v  # noqa: E731
+    far = terminal[-1] if far_value is None else float(far_value)
 
     def step(u_later: np.ndarray, t_lo: float, t_hi: float,
              implicit_weight: float) -> np.ndarray:
@@ -128,7 +132,7 @@ def cn_solve(
 
         u_new = np.empty_like(u_later)
         u_new[0] = boundary_value_at_B(t_lo)
-        u_new[-1] = far(t_lo)
+        u_new[-1] = far
 
         explicit = 1.0 - implicit_weight
         interior = u_later[1:-1]
@@ -147,7 +151,7 @@ def cn_solve(
 
     for n in range(grid.nt - 1, -1, -1):
         t_lo, t_hi = times[n], times[n + 1]
-        if rannacher and n == grid.nt - 1:
+        if n == grid.nt - 1:
             mid = 0.5 * (t_lo + t_hi)
             u = step(values[n + 1], mid, t_hi, implicit_weight=1.0)
             u = step(u, t_lo, mid, implicit_weight=1.0)
@@ -230,7 +234,7 @@ def mc_forward(
     if n_paths <= 0:
         raise SeedError("n_paths must be positive")
     if not x0 > params.barrier_b:
-        raise ValueError(f"x0={x0} must exceed the barrier {params.barrier_b}")
+        raise BelowBarrier(f"x0={x0} must exceed the barrier {params.barrier_b}")
     grid_t = np.linspace(t, horizon, n_steps + 1)
     step_vars = np.array([
         model.cum_variance(grid_t[i], grid_t[i + 1], bond_T, params)
@@ -260,18 +264,6 @@ def mc_forward(
         return float(value.sum()), float((value * value).sum())
 
     return _reduce_chunks(run_chunk, n_paths, workers, seed)
-
-
-def _vector_bond_value(x: np.ndarray, t: float, bond_T: float,
-                       params: model.ModelParams) -> np.ndarray:
-    # numeraire-units straight bond value R + (1-R)*W(x, t), vectorized
-    variance = model.cum_variance(t, bond_T, bond_T, params)
-    b = params.barrier_b
-    sd = math.sqrt(variance)
-    d1 = (np.log(x / b) - 0.5 * variance) / sd
-    d2 = (np.log(b / x) - 0.5 * variance) / sd
-    w = np.clip(ndtr(d1) - (x / b) * ndtr(d2), 0.0, 1.0)
-    return params.recovery_r + (1.0 - params.recovery_r) * w
 
 
 def mc_spot(
@@ -313,7 +305,7 @@ def mc_spot(
     horizon = T if kind == "bond" else option.expiry_T1
     span = horizon - state.t
     if span <= 0.0:
-        raise ValueError("evaluation time must precede the simulation horizon")
+        raise InvalidTenor("evaluation time must precede the simulation horizon")
     n_steps = max(1, math.ceil(span * steps_per_year))
     dt = span / n_steps
     theta, mu, s_r, s_v, rho = (params.theta, params.mu, params.s_r,
@@ -373,7 +365,7 @@ def mc_spot(
             else:
                 z_t1 = np.exp(ab[-1] - bb[-1] * r[alive])
                 x = np.exp(lnv[alive]) / z_t1
-                c_unit = _vector_bond_value(x, horizon, T, params)
+                c_unit = _unit_value(x, horizon, T, params)
                 e = option.exercise_e
                 if kind == "put":
                     pay = np.maximum(e - c_unit, 0.0)

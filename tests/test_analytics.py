@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from credbond.analytics import SATURATION, binorm_cdf, find_root, integrate, norm_cdf
+from credbond.analytics import SATURATION, binorm_cdf, find_root, norm_cdf
 from credbond.errors import DomainError, NoBracket
+from quadrature import integrate
 
 
 class TestNormCdf:

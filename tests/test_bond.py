@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from credbond import BondSpec, MarketState, ModelParams, bond_price, survival_w
-from credbond.bond import d_fn, survival_curve
+from credbond.bond import _survival, _unit_value, d_fn, survival_curve
 from credbond.errors import (
     BelowBarrier,
     DegenerateVariance,
@@ -25,7 +25,8 @@ class TestBondSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             BondSpec(maturity_T=0.0)
-        with pytest.raises(ValueError):
+        # the face value is always 1, so there is no field to set
+        with pytest.raises(TypeError):
             BondSpec(maturity_T=2.0, face=100.0)
 
 
@@ -114,3 +115,57 @@ class TestBondPrice:
         v = BENCH.barrier_b * z * (1.0 + 1e-10)
         res = bond_price(MarketState(0.05, v, 0.0), BOND, BENCH)
         assert res.price == pytest.approx(BENCH.recovery_r * z, rel=1e-6)
+
+
+class TestUnitValue:
+    """The array bond value R + (1-R) W that the option payoffs at T1 use."""
+
+    CASES = [
+        (BENCH, 0.0, 2.0), (BENCH, 1.0, 2.0), (BENCH, 1.99, 2.0),
+        (ModelParams(1e-8, 0.05, 0.01, 0.2, -0.3, 0.6, 0.4), 0.0, 2.0),
+        (ModelParams(1.0, 0.05, 0.2, 0.2, 1.0 - 1e-9, 0.6, 0.4), 0.5, 2.0),
+        (ModelParams(1.0, 0.05, 0.2, 0.2, -1.0 + 1e-9, 0.6, 0.4), 0.5, 2.0),
+        (ModelParams(0.05, 0.05, 0.02, 0.3, 0.9, 0.3025, 0.1), 0.0, 10.0),
+    ]
+
+    @pytest.mark.parametrize("params,t,T", CASES)
+    def test_matches_survival_curve(self, params, t, T):
+        b, recovery = params.barrier_b, params.recovery_r
+        xs = np.geomspace(b * (1.0 + 1e-9), 50.0 * b, 300)
+        ref = np.array([recovery + (1.0 - recovery)
+                        * survival_curve(x, t, T, T, params) for x in xs])
+        assert np.max(np.abs(_unit_value(xs, t, T, params) - ref)) <= 1e-15
+
+    def test_recovery_at_and_below_barrier(self):
+        p = ModelParams(1.0, 0.05, 0.01, 0.2, -0.3, 0.3025, 0.4)
+        below = np.exp(np.log(0.3025))
+        assert below < 0.3025
+        xs = np.array([0.1, below, 0.3025])
+        assert np.all(_unit_value(xs, 0.0, 2.0, p) == p.recovery_r)
+
+    def test_one_above_barrier_without_variance(self):
+        p = ModelParams(1.0, 0.05, 0.01, 0.0, -0.3, 0.6, 0.4)
+        xs = np.array([0.5, 0.6, 0.6 * (1.0 + 1e-12), 1.0, 40.0])
+        values = _unit_value(xs, 2.0 * (1.0 - 1e-9), 2.0, p)
+        assert list(values) == [0.4, 0.4, 1.0, 1.0, 1.0]
+
+
+class TestZeroVarianceBond:
+    """s_V = 0 and t -> T leave no variance: W = 1 above the barrier."""
+
+    PARAMS = ModelParams(theta=1.0, mu=0.05, s_r=0.01, s_V=0.0, rho=-0.3,
+                         barrier_b=0.6, recovery_r=0.4)
+
+    def test_kernel_at_zero_variance(self):
+        # a variance that rounds to 0 must not divide by zero
+        assert _survival(1e-12, 0.0) == (1.0, 0.0)
+        assert _survival(1.0, 1e-16) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("v", [0.62, 1.0, 1.6])
+    def test_price_is_discount_bond(self, v):
+        t = 2.0 - 2e-9
+        res = bond_price(MarketState(0.05, v, t), BOND, self.PARAMS)
+        z = zcb_price(0.05, t, 2.0, self.PARAMS)
+        assert res.w == 1.0
+        assert res.price == z
+        assert self.PARAMS.recovery_r * z < res.price <= z

@@ -162,6 +162,17 @@ class TestPrice:
             if name == "put-option":
                 assert doc["price"] == 0.0
 
+    def test_zero_variance_straight_bond_prices(self, tmp_path):
+        def mutate(d):
+            d["model"]["s_V"] = 0.0
+            d["state"]["t"] = 1.999999998
+        path = make_config(tmp_path, mutate)
+        for name in ("bond", "puttable", "callable"):
+            result = runner.invoke(main, ["price", name, "--config", path])
+            assert result.exit_code == 0, result.output
+            doc = json.loads(result.output)
+            assert doc["price"] == doc["diagnostics"]["z"]
+
     def test_unknown_instrument_rejected(self, config_path):
         result = runner.invoke(main, ["price", "swap", "--config", config_path])
         assert result.exit_code != 0
@@ -252,6 +263,34 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--config", config_path,
                                       "--suite", "mc-spot", flag, value])
         assert result.exit_code == 2, result.output
+
+    @pytest.mark.parametrize("suite,state,model,error", [
+        ("fd", {"t": 2.0}, {}, "InvalidTenor"),
+        ("mc-spot", {"t": 2.0}, {}, "InvalidTenor"),
+        ("mc-forward", {"t": 2.0, "v": 0.5}, {}, "BelowBarrier"),
+        ("fd", {"t": 1.999999998}, {"s_V": 0.0}, "DegenerateVariance"),
+    ])
+    def test_oracle_domain_error_exit_3(self, tmp_path, suite, state, model,
+                                        error):
+        def mutate(d):
+            d["state"].update(state)
+            d["model"].update(model)
+        path = make_config(tmp_path, mutate)
+        result = runner.invoke(main, ["verify", "--config", path,
+                                      "--suite", suite])
+        assert result.exit_code == 3, result.output
+        assert error in result.output
+
+    def test_fd_suite_with_grid_start_below_barrier(self, tmp_path):
+        # exp(ln B) rounds to just below B = 0.3025, the grid's first node
+        def mutate(d):
+            d["model"]["barrier_b"] = 0.3025
+            d["verify"].update(grid_nx=800, grid_nt=800)
+        path = make_config(tmp_path, mutate)
+        result = runner.invoke(main, ["verify", "--config", path,
+                                      "--suite", "fd"])
+        assert result.exit_code == 0, result.output
+        assert len(json.loads(result.output)["checks"]) == 3
 
     def test_failure_exit_4(self, tmp_path, monkeypatch):
         # force a failing check to exercise the exit-code path

@@ -1,13 +1,13 @@
 """Unit tests for the rate model and the forward-measure variance structure."""
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from credbond import ModelParams
-from credbond.analytics import integrate
+from credbond import BondSpec, MarketState, ModelParams, OptionSpec
 from credbond.errors import DegenerateVariance, InvalidTenor
 from credbond.model import (
     abar,
@@ -17,6 +17,7 @@ from credbond.model import (
     sigma_x2,
     zcb_price,
 )
+from quadrature import integrate
 
 BENCH = ModelParams(theta=1.0, mu=0.05, s_r=0.01, s_V=0.2, rho=-0.3,
                     barrier_b=0.6, recovery_r=0.4)
@@ -47,6 +48,18 @@ class TestValidation:
     def test_boundary_rho_allowed(self):
         params(rho=-1.0)
         params(rho=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("spec,name", [
+        pytest.param(spec, f.name, id=f"{type(spec).__name__}.{f.name}")
+        for spec in (BENCH, MarketState(r=0.05, v=1.0, t=0.0),
+                     BondSpec(maturity_T=2.0),
+                     OptionSpec(expiry_T1=1.0, exercise_e=0.9))
+        for f in dataclasses.fields(spec)
+    ])
+    def test_rejects_non_finite_field(self, spec, name, value):
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(spec, **{name: value})
 
 
 class TestDiscountBond:

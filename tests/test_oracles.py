@@ -15,7 +15,13 @@ from credbond import (
     mc_spot,
 )
 from credbond.bond import survival_curve
-from credbond.errors import ResolutionError, SeedError, StepError
+from credbond.errors import (
+    BelowBarrier,
+    InvalidTenor,
+    ResolutionError,
+    SeedError,
+    StepError,
+)
 
 BENCH = ModelParams(theta=1.0, mu=0.05, s_r=0.01, s_V=0.2, rho=-0.3,
                     barrier_b=0.6, recovery_r=0.4)
@@ -54,7 +60,7 @@ class TestCnSolve:
                      grid=GridConfig(nx=2, nt=10))
 
     def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidTenor):
             cn_solve(unit_payoff, lambda t: 0.0, 1.0, 1.0, 2.0, BENCH)
 
     def test_second_order_convergence(self):
@@ -97,7 +103,7 @@ class TestMcForward:
             mc_forward(1.1, 0.0, 2.0, 2.0, unit_payoff, BENCH, 0)
 
     def test_rejects_start_below_barrier(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BelowBarrier):
             mc_forward(0.5, 0.0, 2.0, 2.0, unit_payoff, BENCH, 100)
 
 
