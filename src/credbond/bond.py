@@ -33,6 +33,11 @@ class BondSpec:
             raise ValueError(f"maturity_T must be positive, got {self.maturity_T}")
 
 
+def _direct(fn, *args):
+    """fn(*args): how one price evaluates the inputs a sweep memoizes."""
+    return fn(*args)
+
+
 @dataclass(frozen=True)
 class BondPriceResult:
     """Price plus diagnostic intermediates of the straight-bond formula."""
@@ -45,17 +50,20 @@ class BondPriceResult:
 
 
 def _checked_variance(t: float, T1: float, T: float,
-                      params: model.ModelParams) -> float:
-    """cum_variance(t, T1, T), rejecting one too small to divide by."""
-    variance = model.cum_variance(t, T1, T, params)
+                      params: model.ModelParams, ev=_direct) -> float:
+    """cum_variance(t, T1, T), rejecting one too small to divide by; ev
+    evaluates cum_variance."""
+    variance = ev(model.cum_variance, t, T1, T, params)
     if variance <= _MIN_VARIANCE:
         raise DegenerateVariance(
             f"variance over [{t}, {T1}] is numerically zero")
     return variance
 
 
-def _d(ratio: float, variance: float) -> float:
-    return (math.log(ratio) - 0.5 * variance) / math.sqrt(variance)
+def _d(ratio, half_variance, root, log=math.log):
+    # (ln ratio - I/2) / sqrt(I), given I/2 and sqrt(I); log is math.log for
+    # one price and numpy's for a sweep
+    return (log(ratio) - half_variance) / root
 
 
 def d_fn(ratio: float, t: float, T1: float, T: float,
@@ -63,7 +71,8 @@ def d_fn(ratio: float, t: float, T1: float, T: float,
     """(ln ratio - I/2) / sqrt(I) with I = cum_variance(t, T1, T)."""
     if not ratio > 0.0:
         raise DomainError(f"ratio must be positive, got {ratio}")
-    return _d(ratio, _checked_variance(t, T1, T, params))
+    variance = _checked_variance(t, T1, T, params)
+    return _d(ratio, 0.5 * variance, math.sqrt(variance))
 
 
 def _survival(u: float, variance: float) -> tuple[float, float]:
@@ -102,25 +111,28 @@ def survival_curve(x: float, t: float, T1: float, T: float,
 
 
 def _unit_value(x, t: float, T: float, params: model.ModelParams) -> np.ndarray:
-    """Straight-bond value in units of Z, R + (1-R) W(x) over [t, T], elementwise.
+    """Straight-bond value in units of Z, R + (1-R) W(x) over [t, T], elementwise."""
+    variance = model.cum_variance(t, T, T, params)
+    return _bond_units(x, params.barrier_b, params.recovery_r, variance)[0]
 
-    The array form of survival_curve: W = 0 at or below the barrier, and
-    W = 1 above it once no variance remains.
+
+def _bond_units(x, b, recovery, variance) -> tuple[np.ndarray, np.ndarray]:
+    """(R + (1-R) W, W) elementwise, with x, B, R and the variance I broadcast.
+
+    The array form of _survival: W = 0 at or below the barrier, and W = 1
+    above it where no variance remains (I <= _MIN_VARIANCE).
     """
     x = np.asarray(x, dtype=float)
-    b = params.barrier_b
-    variance = model.cum_variance(t, T, T, params)
-    above = x > b
-    if variance <= _MIN_VARIANCE:
-        w = above.astype(float)
-    else:
-        u = np.log(x / b)
-        root = math.sqrt(variance)
-        d1 = (u - 0.5 * variance) / root
-        d2 = (-u - 0.5 * variance) / root
-        w = np.where(above, np.clip(ndtr(d1) - np.exp(u) * ndtr(d2), 0.0, 1.0),
-                     0.0)
-    return params.recovery_r + (1.0 - params.recovery_r) * w
+    live = variance > _MIN_VARIANCE
+    variance = np.where(live, variance, 1.0)  # any positive stand-in
+    u = np.log(x / b)
+    root = np.sqrt(variance)
+    d1 = (u - 0.5 * variance) / root
+    d2 = (-u - 0.5 * variance) / root
+    w = np.minimum(1.0, np.maximum(0.0, ndtr(d1) - np.exp(u) * ndtr(d2)))
+    w = np.where(live, w, 1.0)
+    w = np.where(x > b, w, 0.0)
+    return recovery + (1.0 - recovery) * w, w
 
 
 def survival_w(x: float, t: float, spec: BondSpec,
@@ -131,22 +143,34 @@ def survival_w(x: float, t: float, spec: BondSpec,
     return survival_curve(x, t, spec.maturity_T, spec.maturity_T, params)
 
 
-def bond_price(state: model.MarketState, spec: BondSpec,
-               params: model.ModelParams) -> BondPriceResult:
-    """Straight-bond price C = [R + (1-R) W(V/Z, t)] * Z(r, t)."""
+def _bond_inputs(state: model.MarketState, spec: BondSpec,
+                 params: model.ModelParams, ev=_direct):
+    """(z, x, variance over [t, T]) of a straight-bond price, None at maturity.
+
+    Raises as bond_price does; ev evaluates z and the variance.
+    """
     T = spec.maturity_T
     if state.t > T:
         raise InvalidTenor(f"t={state.t} is after maturity {T}")
     if state.t == T:
-        return BondPriceResult(price=1.0, z=1.0, x=state.v, w=1.0,
-                               total_variance=0.0)
-    z = model.zcb_price(state.r, state.t, T, params)
+        return None
+    z = ev(model.zcb_price, state.r, state.t, T, params)
     x = state.v / z
     if x <= params.barrier_b:
         raise BelowBarrier(
             f"V/Z={x} at or below barrier {params.barrier_b}; position is "
             "defaulted and worth R*Z")
-    total_variance = model.cum_variance(state.t, T, T, params)
+    return z, x, ev(model.cum_variance, state.t, T, T, params)
+
+
+def bond_price(state: model.MarketState, spec: BondSpec,
+               params: model.ModelParams) -> BondPriceResult:
+    """Straight-bond price C = [R + (1-R) W(V/Z, t)] * Z(r, t)."""
+    inputs = _bond_inputs(state, spec, params)
+    if inputs is None:
+        return BondPriceResult(price=1.0, z=1.0, x=state.v, w=1.0,
+                               total_variance=0.0)
+    z, x, total_variance = inputs
     w = _survival(math.log(x / params.barrier_b), total_variance)[0]
     recovery = params.recovery_r
     price = (recovery + (1.0 - recovery) * w) * z

@@ -243,27 +243,114 @@ def _with_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
                      verify=cfg.verify)
 
 
+class _Memo(dict):
+    """fn(*args) evaluated once per distinct (fn, args), over one sweep.
+
+    Arguments are told apart by identity, which costs less than hashing the
+    parameter records: _with_axis rebuilds only the record an axis changes,
+    so the points of a sweep share every unchanged input object.  Each entry
+    keeps its arguments alive, so no id is reused while the memo lives.
+    """
+
+    def __call__(self, fn, *args):
+        key = (fn, *map(id, args))
+        entry = self.get(key)
+        if entry is None:
+            entry = self[key] = (fn(*args), args)
+        return entry[0]
+
+
+def _sweep_job(cfg: RunConfig, instrument: str, memo: _Memo):
+    """The checked scalar inputs of one sweep point, for the array pass.
+
+    (z, x, straight, option): straight = (B, R, variance over [t, T]) for the
+    straight bond in bond/puttable/callable; option = (v, B, R, E, L, total,
+    first) for an option priced by its closed form; each None where the
+    point has no such part.  None for a point that price_instrument prices
+    alone: a zero-coupon bond, a bond at maturity, or an option at its
+    expiry payoff.  Raises what price_instrument raises, in the same order.
+    """
+    params, state, bond_spec = cfg.model, cfg.state, cfg.bond
+    if instrument == "zcb":
+        return None
+    spec = None if instrument == "bond" else _need_option(cfg, instrument)
+    straight = None
+    if instrument not in ("put-option", "call-option"):
+        inputs = bond_mod._bond_inputs(state, bond_spec, params, memo)
+        if inputs is None:
+            return None
+        z, x, variance = inputs
+        straight = (params.barrier_b, params.recovery_r, variance)
+        if spec is None or state.t > spec.expiry_T1:
+            return z, x, straight, None
+    z, x, boundary_l, variances = options._option_inputs(
+        state, spec, bond_spec, params, memo)
+    if variances is None:
+        return None
+    return z, x, straight, (state.v, params.barrier_b, params.recovery_r,
+                            spec.exercise_e, boundary_l, *variances)
+
+
+def _sweep_prices(instrument: str, jobs: list) -> tuple[list, list]:
+    """Price and straight-bond W of each _sweep_job job, in one array pass."""
+    z, x = np.array([job[:2] for job in jobs]).T
+    price, w = np.zeros(len(jobs)), [None] * len(jobs)
+    if jobs[0][2] is not None:  # every job, or none, has a straight bond
+        b, recovery, variance = np.array([job[2] for job in jobs]).T
+        units, w = bond_mod._bond_units(x, b, recovery, variance)
+        price, w = units * z, w.tolist()
+    priced = [i for i, job in enumerate(jobs) if job[3] is not None]
+    if priced:
+        v, b, recovery, e, boundary_l, total, first = np.array(
+            [jobs[i][3] for i in priced]).T
+        d = options._d_arguments(x[priced], boundary_l, b, total, first,
+                                 options._Array)
+        option = options._option_value(
+            instrument in ("call-option", "callable"), z[priced], v, b, e,
+            recovery, d, options._Array)
+        price[priced] += -option if instrument == "callable" else option
+    return price.tolist(), w
+
+
+def _row(value: float, price: float, z=None, x=None, w=None) -> list[str]:
+    return [repr(value), repr(price), "" if z is None else repr(z),
+            "" if x is None else repr(x), "" if w is None else repr(w), ""]
+
+
 def sweep_rows(cfg: RunConfig, instrument: str, axis: str,
                lo: float, hi: float, n: int) -> list[list[str]]:
-    """CSV rows (axis_value, price, z, x, w, note) for a parameter sweep."""
+    """CSV rows (axis_value, price, z, x, w, note) for a parameter sweep.
+
+    Each point is checked, and its z, variances and boundary L found, on the
+    scalar path, each once per distinct input; then all the points are priced
+    in one array pass.  Rows and notes are those of price_instrument point by
+    point, prices and w to 1e-15 Z.
+    """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     if n < 2:
         raise ConfigError("sweep needs n >= 2 points")
-    rows = []
-    for value in np.linspace(lo, hi, n):
-        value = float(value)
+    memo = _Memo()
+    rows, jobs, slots = [], [], []
+    for value in np.linspace(lo, hi, n).tolist():
         try:
             point = _with_axis(cfg, axis, value)
-            doc = price_instrument(point, instrument)
-            diag = doc["diagnostics"]
-            rows.append([repr(value), repr(doc["price"]),
-                         repr(diag.get("z", "")) if "z" in diag else "",
-                         repr(diag["x"]) if "x" in diag else "",
-                         repr(diag["w"]) if "w" in diag else "", ""])
+            job = _sweep_job(point, instrument, memo)
+            if job is None:
+                doc = price_instrument(point, instrument)
+                diag = doc["diagnostics"]
+                rows.append(_row(value, doc["price"], diag.get("z"),
+                                 diag.get("x"), diag.get("w")))
+            else:
+                jobs.append(job)
+                slots.append((len(rows), value))
+                rows.append(None)
         except (CredBondError, ValueError) as exc:
-            rows.append([repr(value), "", "", "", "",
-                         type(exc).__name__])
+            rows.append([repr(value), "", "", "", "", type(exc).__name__])
+    if jobs:
+        for (i, value), job, price, w in zip(slots, jobs,
+                                             *_sweep_prices(instrument, jobs)):
+            rows[i] = _row(value, price, job[0], job[1], w)
     return rows
 
 

@@ -13,6 +13,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+from scipy.special import ndtr as _ndtr
 from scipy.special import ndtri as _ndtri
 
 from . import analytics, model
@@ -21,6 +23,7 @@ from .bond import (
     BondSpec,
     _checked_variance,
     _d,
+    _direct,
     _survival,
     _unit_value,
     survival_curve,
@@ -31,6 +34,57 @@ from .errors import BelowBarrier, InvalidExercise, InvalidTenor, NoConvergence
 # (relative to u for the step); both are then at roundoff.
 _ROUNDOFF = 4.0 * sys.float_info.epsilon
 _MAX_STEPS = 200
+# A price this little below zero is roundoff of a zero price.
+_CLAMP = 1e-12
+
+
+def _binorm_each(a, b, rho):
+    """binorm_cdf at each (a, b, rho) of three sequences."""
+    return map(analytics.binorm_cdf, a, b, rho)
+
+
+def _binorm_stacked(a, b, rho):
+    """binorm_cdf_array at each (a, b, rho) of three sequences of arrays."""
+    return analytics.binorm_cdf_array(np.array(a), np.array(b), np.array(rho))
+
+
+class _Scalar:
+    """What one price evaluates with: math and the scalar CDFs.
+
+    The CDFs are looked up on analytics at each price, so that a tracer that
+    wraps them there sees every call.
+    """
+
+    log, sqrt, minimum = math.log, math.sqrt, min
+
+    @staticmethod
+    def pair(block, near, image):
+        """The block at x and at the image point."""
+        n = analytics.norm_cdf
+        return block(*near, n, _binorm_each), block(*image, n, _binorm_each)
+
+    @staticmethod
+    def clamp(price):
+        return 0.0 if -_CLAMP < price < 0.0 else price
+
+
+class _Array:
+    """What a sweep evaluates with: numpy, elementwise over its points.
+
+    Every per-point input is an array over the points, all of one shape.
+    """
+
+    log, sqrt, minimum = np.log, np.sqrt, np.minimum
+
+    @staticmethod
+    def pair(block, near, image):
+        """The block at x and at the image point, stacked in one evaluation."""
+        return block(*np.array((near, image)).swapaxes(0, 1), _ndtr,
+                     _binorm_stacked)
+
+    @staticmethod
+    def clamp(price):
+        return np.where((-_CLAMP < price) & (price < 0.0), 0.0, price)
 
 
 @dataclass(frozen=True)
@@ -106,76 +160,103 @@ def find_boundary_l(spec: OptionSpec, bond: BondSpec,
     raise NoConvergence(f"boundary solve did not converge in {_MAX_STEPS} steps")
 
 
-def _d_arguments(x: float, boundary_l: float, t: float, T1: float, T: float,
-                 params: model.ModelParams) -> dict[str, float]:
-    # the ratios are written so that L = B gives b2 = b3 = b1 exactly
-    b = params.barrier_b
-    total = _checked_variance(t, T, T, params)
-    first = _checked_variance(t, T1, T, params)
-    return {
-        "a": _d(x / b, total),
-        "a_tilde": _d(b / x, total),
-        "b1": _d(x / b, first),
-        "b2": _d(x / boundary_l, first),
-        "b3": _d((boundary_l / b) * (x / b), first),
-        "b1_tilde": _d(b / x, first),
-        "b2_tilde": _d((b / boundary_l) * (b / x), first),
-        "b3_tilde": _d(boundary_l / x, first),
-        "delta_bar": min(1.0, math.sqrt(first / total)),
-    }
+def _option_inputs(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
+                   params: model.ModelParams, ev=_direct):
+    """(z, x, L, (total, first)) of one option price, checked.
 
-
-def _put_block(e: float, recovery: float, dl: float, a: float, b1: float,
-               b2: float, b3: float) -> float:
-    n, n2 = analytics.norm_cdf, analytics.binorm_cdf
-    return ((e - recovery) * (n(b1) - n(b2))
-            - (1.0 - recovery) * (n2(a, b1, dl) - n2(a, b2, dl)
-                                  + n2(a, -b1, -dl) - n2(a, -b3, -dl)))
-
-
-def _call_block(e: float, recovery: float, dl: float, a: float, b1: float,
-                b2: float, b3: float) -> float:
-    n, n2 = analytics.norm_cdf, analytics.binorm_cdf
-    return ((recovery - e) * n(b2)
-            + (1.0 - recovery) * (n2(a, b2, dl) + n2(a, -b3, -dl)))
-
-
-def _option_price(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
-                  params: model.ModelParams, call: bool) -> OptionPriceResult:
-    """z f(a, b1, b2, b3) - (v/B) f(a~, b1~, b2~, b3~) for the put or call block f.
-
-    The tilde arguments are the d-values at the image point B^2/x.
+    The variances over [t, T] and [t, T1] are None where no variance remains
+    before expiry (t = T1, or within roundoff of it): the price is then the
+    payoff at T1.  ev evaluates z, L and the variances.
     """
     _validate(spec, bond, params)
     if state.t > spec.expiry_T1:
         raise InvalidTenor(
             f"t={state.t} is after option expiry {spec.expiry_T1}")
-    z = model.zcb_price(state.r, state.t, bond.maturity_T, params)
+    T1, T = spec.expiry_T1, bond.maturity_T
+    z = ev(model.zcb_price, state.r, state.t, T, params)
     x = state.v / z
     b = params.barrier_b
     if x <= b:
         raise BelowBarrier(f"V/Z={x} at or below barrier {b}")
-    boundary_l = find_boundary_l(spec, bond, params)
-    e = spec.exercise_e
-    if state.t == spec.expiry_T1:
-        # the payoff at T1 in numeraire units against the bond's value there
-        value = float(_unit_value(x, spec.expiry_T1, bond.maturity_T, params))
-        if call:
-            payoff = value - e if x > boundary_l else 0.0
-        else:
-            payoff = e - value if x < boundary_l else 0.0
-        return OptionPriceResult(price=payoff * z, boundary_l=boundary_l,
+    boundary_l = ev(find_boundary_l, spec, bond, params)
+    first = ev(model.cum_variance, state.t, T1, T, params)
+    if first <= _MIN_VARIANCE:
+        return z, x, boundary_l, None
+    total = _checked_variance(state.t, T, T, params, ev)
+    return z, x, boundary_l, (total, first)
+
+
+def _expiry_payoff(x: float, boundary_l: float, spec: OptionSpec,
+                   bond: BondSpec, params: model.ModelParams,
+                   call: bool) -> float:
+    # in numeraire units against the bond's value at T1
+    value = float(_unit_value(x, spec.expiry_T1, bond.maturity_T, params))
+    if call:
+        return value - spec.exercise_e if x > boundary_l else 0.0
+    return spec.exercise_e - value if x < boundary_l else 0.0
+
+
+def _d_arguments(x, boundary_l, b, total, first, k=_Scalar) -> dict:
+    """The d-values at x and (tilde) at the image point B^2/x, and delta_bar.
+
+    total and first are the variances over [t, T] and [t, T1]; k is _Scalar
+    for one price or _Array for arrays of points.
+    """
+    half_t, root_t = 0.5 * total, k.sqrt(total)
+    half_f, root_f = 0.5 * first, k.sqrt(first)
+    log = k.log
+    # the ratios are written so that L = B gives b2 = b3 = b1 exactly
+    return {
+        "a": _d(x / b, half_t, root_t, log),
+        "a_tilde": _d(b / x, half_t, root_t, log),
+        "b1": _d(x / b, half_f, root_f, log),
+        "b2": _d(x / boundary_l, half_f, root_f, log),
+        "b3": _d((boundary_l / b) * (x / b), half_f, root_f, log),
+        "b1_tilde": _d(b / x, half_f, root_f, log),
+        "b2_tilde": _d((b / boundary_l) * (b / x), half_f, root_f, log),
+        "b3_tilde": _d(boundary_l / x, half_f, root_f, log),
+        "delta_bar": k.minimum(1.0, k.sqrt(first / total)),
+    }
+
+
+def _put_block(e, recovery, dl, a, b1, b2, b3, n, n2):
+    # n is the normal CDF, n2 the bivariate one at a sequence of arguments
+    p1, p2, p3, p4 = n2((a, a, a, a), (b1, b2, -b1, -b3), (dl, dl, -dl, -dl))
+    return ((e - recovery) * (n(b1) - n(b2))
+            - (1.0 - recovery) * (p1 - p2 + p3 - p4))
+
+
+def _call_block(e, recovery, dl, a, b1, b2, b3, n, n2):
+    p2, p3 = n2((a, a), (b2, -b3), (dl, -dl))
+    return (recovery - e) * n(b2) + (1.0 - recovery) * (p2 + p3)
+
+
+def _option_value(call: bool, z, v, b, e, recovery, d: dict, k=_Scalar):
+    """z f(a, b1, b2, b3) - (v/B) f(a~, b1~, b2~, b3~) for the put or call block f.
+
+    The tilde arguments are the d-values at the image point B^2/x.  A price
+    within roundoff below zero is 0.
+    """
+    dl = d["delta_bar"]
+    z_block, v_block = k.pair(
+        _call_block if call else _put_block,
+        (e, recovery, dl, d["a"], d["b1"], d["b2"], d["b3"]),
+        (e, recovery, dl, d["a_tilde"], d["b1_tilde"], d["b2_tilde"],
+         d["b3_tilde"]))
+    return k.clamp(z * z_block - (v / b) * v_block)
+
+
+def _option_price(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
+                  params: model.ModelParams, call: bool) -> OptionPriceResult:
+    z, x, boundary_l, variances = _option_inputs(state, spec, bond, params)
+    if variances is None:
+        price = _expiry_payoff(x, boundary_l, spec, bond, params, call) * z
+        return OptionPriceResult(price=price, boundary_l=boundary_l,
                                  dvalues={}, z=z)
-    d = _d_arguments(x, boundary_l, state.t, spec.expiry_T1, bond.maturity_T,
-                     params)
-    block = _call_block if call else _put_block
-    recovery, dl = params.recovery_r, d["delta_bar"]
-    z_block = block(e, recovery, dl, d["a"], d["b1"], d["b2"], d["b3"])
-    v_block = block(e, recovery, dl, d["a_tilde"], d["b1_tilde"],
-                    d["b2_tilde"], d["b3_tilde"])
-    price = z * z_block - (state.v / b) * v_block
-    if -1e-12 < price < 0.0:
-        price = 0.0
+    b = params.barrier_b
+    d = _d_arguments(x, boundary_l, b, *variances)
+    price = _option_value(call, z, state.v, b, spec.exercise_e,
+                          params.recovery_r, d)
     return OptionPriceResult(price=price, boundary_l=boundary_l, dvalues=d, z=z)
 
 
@@ -201,16 +282,18 @@ def put_call_parity_gap(state: model.MarketState, spec: OptionSpec,
     x > B, and is validated against the finite-difference oracle in tests
     before being used as a check.
     """
-    put = put_price(state, spec, bond, params)
-    call = call_price(state, spec, bond, params)
-    z = put.z
-    x = state.v / z
+    z, x, boundary_l, variances = _option_inputs(state, spec, bond, params)
     T1, T = spec.expiry_T1, bond.maturity_T
+    # raises DegenerateVariance where no variance remains before T1, which
+    # is where variances is None
     w1 = survival_curve(x, state.t, T1, T, params)
     w_full = survival_curve(x, state.t, T, T, params)
-    e, recovery = spec.exercise_e, params.recovery_r
+    b, e, recovery = params.barrier_b, spec.exercise_e, params.recovery_r
+    d = _d_arguments(x, boundary_l, b, *variances)
+    put, call = (_option_value(c, z, state.v, b, e, recovery, d)
+                 for c in (False, True))
     synthetic = z * ((e - recovery) * w1 - (1.0 - recovery) * w_full)
-    return put.price - call.price - synthetic
+    return put - call - synthetic
 
 
 def puttable_bond_price(state: model.MarketState, spec: OptionSpec,

@@ -2,11 +2,18 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from credbond.analytics import SATURATION, binorm_cdf, find_root, norm_cdf
+from credbond.analytics import (
+    SATURATION,
+    binorm_cdf,
+    binorm_cdf_array,
+    find_root,
+    norm_cdf,
+)
 from credbond.errors import DomainError, NoBracket
 from quadrature import integrate
 
@@ -74,6 +81,60 @@ class TestBinormCdf:
     def test_invalid_rho(self):
         with pytest.raises(DomainError):
             binorm_cdf(0.0, 0.0, 1.5)
+
+
+# each branch edge of |rho| from both sides, the |rho| -> 1 limit and
+# |rho| = 1, with interior values of every branch
+ARRAY_RHOS = sorted(
+    {s * (edge + d) for edge in (0.3, 0.75, 0.925) for d in (-1e-12, 0.0, 1e-12)
+     for s in (1.0, -1.0)}
+    | {s * v for v in (0.0, 0.1, 0.5, 0.85, 0.95, 0.999, 1.0 - 1e-9, 1.0)
+       for s in (1.0, -1.0)})
+
+
+class TestBinormCdfArray:
+    """The array form against scalar binorm_cdf, element by element."""
+
+    RHOS = ARRAY_RHOS
+
+    @staticmethod
+    def _arguments():
+        rng = np.random.default_rng(20040)
+        edges = [SATURATION, -SATURATION, SATURATION - 1e-9,
+                 -SATURATION + 1e-9, 39.0, -39.0, 0.0, math.inf, -math.inf]
+        return np.concatenate([rng.uniform(-7.0, 7.0, 16), edges])
+
+    def test_matches_scalar_on_grid(self):
+        args = self._arguments()
+        a, b, rho = (g.ravel() for g in np.meshgrid(args, args, self.RHOS,
+                                                    indexing="ij"))
+        # one call holds every branch: a mixed-branch array
+        got = binorm_cdf_array(a, b, rho)
+        ref = np.array([binorm_cdf(*abr) for abr in zip(a, b, rho)])
+        assert np.max(np.abs(got - ref)) <= 1e-15
+
+    def test_single_branch_arrays_and_broadcasting(self):
+        args = self._arguments()
+        for rho in self.RHOS:
+            got = binorm_cdf_array(args[:, None], args[None, :], rho)
+            assert got.shape == (len(args), len(args))
+            ref = np.array([[binorm_cdf(x, y, rho) for y in args]
+                            for x in args])
+            assert np.max(np.abs(got - ref)) <= 1e-15, rho
+        assert binorm_cdf_array(0.3, -0.2, 0.5).shape == ()
+
+    @pytest.mark.parametrize("a,b,rho", [
+        (math.nan, 0.0, 0.5), (0.0, math.nan, 0.5), (0.0, 0.0, math.nan),
+        (0.0, 0.0, 1.5), (0.0, 0.0, -1.0 - 1e-12),
+    ])
+    def test_invalid_rejected(self, a, b, rho):
+        with pytest.raises(DomainError):
+            binorm_cdf(a, b, rho)
+        # alone and among valid elements
+        with pytest.raises(DomainError):
+            binorm_cdf_array(a, b, rho)
+        with pytest.raises(DomainError):
+            binorm_cdf_array([0.1, a, 0.2], [0.3, b, -0.1], [0.5, rho, 0.95])
 
 
 class TestFindRoot:

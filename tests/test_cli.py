@@ -1,13 +1,19 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from credbond import BondSpec, MarketState, ModelParams, OptionSpec, cli
 from credbond.cli import load_config, main
 from credbond.errors import (
     ConfigError,
+    CredBondError,
     DegenerateVariance,
     NoBracket,
     NoConvergence,
@@ -173,6 +179,19 @@ class TestPrice:
             doc = json.loads(result.output)
             assert doc["price"] == doc["diagnostics"]["z"]
 
+    @pytest.mark.parametrize("name", ["put-option", "call-option",
+                                      "puttable", "callable"])
+    def test_roundoff_before_expiry_prices_as_at_expiry(self, tmp_path, name):
+        prices = []
+        for t in (math.nextafter(1.0, 0.0), 1.0):
+            path = make_config(tmp_path, lambda d: d["state"].update(t=t))
+            result = runner.invoke(main, ["price", name, "--config", path])
+            assert result.exit_code == 0, result.output
+            doc = json.loads(result.output)
+            prices.append((doc["price"], doc["diagnostics"]["z"]))
+        (price, z), (at_expiry, _) = prices
+        assert abs(price - at_expiry) <= 1e-15 * z
+
     def test_unknown_instrument_rejected(self, config_path):
         result = runner.invoke(main, ["price", "swap", "--config", config_path])
         assert result.exit_code != 0
@@ -215,6 +234,86 @@ class TestSweep:
                                       "--axis", "V", "--lo", "0.7",
                                       "--hi", "1.3", "--n", "1"])
         assert result.exit_code == 2
+
+
+def _per_point_rows(cfg, instrument, axis, lo, hi, n):
+    """A sweep as price_instrument prices it, one point at a time."""
+    rows = []
+    for value in np.linspace(lo, hi, n).tolist():
+        try:
+            doc = cli.price_instrument(cli._with_axis(cfg, axis, value),
+                                       instrument)
+        except (CredBondError, ValueError) as exc:
+            rows.append([repr(value), "", "", "", "", type(exc).__name__])
+            continue
+        diag = doc["diagnostics"]
+        rows.append([repr(value), repr(doc["price"])]
+                    + [repr(diag[k]) if k in diag else "" for k in "zxw"]
+                    + [""])
+    return rows
+
+
+# Sweep ranges at the BENCH_DOC config (B = 0.6, R = 0.4, E = 0.9, T1 = 1,
+# T = 2, v = 1): each crosses the barrier, T1 and T, E outside (R, 1),
+# |rho| > 1, s_V = 0 or R >= 1, and its edges can fall on those points.
+SWEEP_RANGES = {
+    "r": (-0.5, 0.5, [0.0]),
+    "V": (0.01, 3.0, [0.6 * 0.9048718709532549]),
+    "t": (0.0, 2.5, [1.0, math.nextafter(1.0, 0.0), 2.0]),
+    "E": (0.0, 1.5, [0.4, 1.0]),
+    "B": (0.05, 1.5, [1.0]),
+    "R": (-0.5, 1.5, [0.0, 1.0]),
+    "rho": (-1.5, 1.5, [-1.0, 1.0]),
+    "s_V": (-0.2, 0.8, [0.0]),
+}
+
+
+@st.composite
+def _sweeps(draw):
+    axis = draw(st.sampled_from(cli.SWEEP_AXES))
+    lo, hi, points = SWEEP_RANGES[axis]
+    end = st.one_of(st.floats(lo, hi), st.sampled_from(points))
+    return (draw(st.sampled_from(cli.INSTRUMENTS)), axis, draw(end),
+            draw(end), draw(st.integers(2, 13)))
+
+
+def _bench_config():
+    # built directly: Hypothesis runs a test many times per fixture
+    return cli.RunConfig(model=ModelParams(**BENCH_DOC["model"]),
+                         bond=BondSpec(**BENCH_DOC["bond"]),
+                         state=MarketState(**BENCH_DOC["state"]),
+                         option=OptionSpec(**BENCH_DOC["option"]))
+
+
+def _assert_sweep_matches(sweep):
+    """Same values, notes, z and x; price and w within 1e-15 Z."""
+    cfg = _bench_config()
+    got = cli.sweep_rows(cfg, *sweep)
+    ref = _per_point_rows(cfg, *sweep)
+    assert len(got) == len(ref)
+    for row, want in zip(got, ref):
+        assert [row[i] for i in (0, 2, 3, 5)] == [want[i] for i in (0, 2, 3, 5)]
+        scale = 1e-15 * (float(want[2]) if want[2] else 1.0)
+        for i in (1, 4):  # price, w
+            assert (row[i] == "") == (want[i] == ""), (sweep, row, want)
+            if want[i]:
+                assert abs(float(row[i]) - float(want[i])) <= scale, (
+                    sweep, row, want)
+
+
+class TestSweepMatchesPerPoint:
+    """sweep_rows prices in one array pass what price_instrument prices."""
+
+    @given(_sweeps())
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_sweeps(self, sweep):
+        _assert_sweep_matches(sweep)
+
+    @pytest.mark.parametrize("instrument", cli.INSTRUMENTS)
+    @pytest.mark.parametrize("axis", cli.SWEEP_AXES)
+    def test_every_instrument_and_axis(self, instrument, axis):
+        lo, hi, _ = SWEEP_RANGES[axis]
+        _assert_sweep_matches((instrument, axis, lo, hi, 21))
 
 
 class TestVerify:

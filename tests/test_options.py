@@ -230,7 +230,8 @@ class TestBoundarySolve:
             T1, T = spec.expiry_T1, bond.maturity_T
             for x in (b * (1.0 + 1e-6), 0.5 * (b + L), L, 2.0 * L):
                 t = 0.3 * T1
-                d = options._d_arguments(x, L, t, T1, T, params)
+                d = options._d_arguments(x, L, b, cum_variance(t, T, T, params),
+                                         cum_variance(t, T1, T, params))
                 ratios = {"b1": x / b, "b2": x / L, "b3": (L / b) * (x / b),
                           "b1_tilde": b / x, "b2_tilde": (b / L) * (b / x),
                           "b3_tilde": L / x}
@@ -275,3 +276,81 @@ class TestZeroRemainingVariance:
                 if t < self.SPEC.expiry_T1:
                     gap = put_call_parity_gap(st, self.SPEC, BOND, self.PARAMS)
                     assert abs(gap) <= 1e-9 * z
+
+
+class TestRoundoffBeforeExpiry:
+    """Within roundoff of T1 no first-horizon variance remains: the payoff at T1."""
+
+    PRICERS = {
+        "put": lambda st: put_price(st, OPT, BOND, BENCH).price,
+        "call": lambda st: call_price(st, OPT, BOND, BENCH).price,
+        "puttable": lambda st: puttable_bond_price(st, OPT, BOND, BENCH),
+        "callable": lambda st: callable_bond_price(st, OPT, BOND, BENCH),
+    }
+
+    @pytest.mark.parametrize("name", list(PRICERS))
+    @pytest.mark.parametrize("v", [0.75, 1.0, 1.3])
+    def test_prices_as_at_expiry(self, name, v):
+        t = math.nextafter(OPT.expiry_T1, 0.0)
+        assert cum_variance(t, OPT.expiry_T1, BOND.maturity_T, BENCH) <= 1e-16
+        price = self.PRICERS[name](MarketState(0.05, v, t))
+        at_expiry = self.PRICERS[name](MarketState(0.05, v, OPT.expiry_T1))
+        z = zcb_price(0.05, t, BOND.maturity_T, BENCH)
+        assert abs(price - at_expiry) <= 1e-15 * z
+
+
+class TestParityGapOneSolve:
+    def test_one_boundary_solve(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return find_boundary_l(*args)
+
+        monkeypatch.setattr(options, "find_boundary_l", counted)
+        put_call_parity_gap(STATE, OPT, BOND, BENCH)
+        assert len(calls) == 1
+
+    def test_equals_put_minus_call_minus_synthetic(self):
+        T = BOND.maturity_T
+        for params, state in ((BENCH, STATE),
+                              (BENCH, MarketState(0.02, 0.7, 0.4)),
+                              (TestZeroRemainingVariance.PARAMS, STATE)):
+            for spec in (OPT, TestZeroRemainingVariance.SPEC):
+                put = put_price(state, spec, BOND, params)
+                call = call_price(state, spec, BOND, params)
+                x = state.v / put.z
+                synthetic = put.z * (
+                    (spec.exercise_e - params.recovery_r)
+                    * survival_curve(x, state.t, spec.expiry_T1, T, params)
+                    - (1.0 - params.recovery_r)
+                    * survival_curve(x, state.t, T, T, params))
+                assert (put_call_parity_gap(state, spec, BOND, params)
+                        == put.price - call.price - synthetic)
+
+
+class TestScalarAndArrayKernels:
+    def test_clamp_agrees(self):
+        prices = [-1e-3, -2e-12, -1e-12, -5e-13, -1e-17, 0.0, 1e-17, 0.3]
+        want = [options._Scalar.clamp(p) for p in prices]
+        assert want == [-1e-3, -2e-12, -1e-12, 0.0, 0.0, 0.0, 1e-17, 0.3]
+        assert options._Array.clamp(np.array(prices)).tolist() == want
+
+    def test_option_value_agrees(self):
+        # every point of a V sweep, through both kernels
+        b, e, recovery = BENCH.barrier_b, OPT.exercise_e, BENCH.recovery_r
+        L = find_boundary_l(OPT, BOND, BENCH)
+        total = cum_variance(0.3, 2.0, 2.0, BENCH)
+        first = cum_variance(0.3, 1.0, 2.0, BENCH)
+        z = zcb_price(0.05, 0.3, 2.0, BENCH)
+        vs = np.geomspace(b * z * (1.0 + 1e-9), 4.0, 40)
+        ones = np.ones_like(vs)
+        for call in (False, True):
+            d = options._d_arguments(vs / z, L * ones, b * ones, total * ones,
+                                     first * ones, options._Array)
+            got = options._option_value(call, z * ones, vs, b * ones, e * ones,
+                                        recovery * ones, d, options._Array)
+            for v, price in zip(vs, got):
+                d = options._d_arguments(v / z, L, b, total, first)
+                want = options._option_value(call, z, v, b, e, recovery, d)
+                assert abs(price - want) <= 1e-15 * z
