@@ -33,7 +33,7 @@ closed = bond_price(state, bond, params)
 print(f"closed-form bond price      : {closed.price:.6f}")
 
 # finite differences on the survival PDE, then reassemble the price
-sol = cn_solve(lambda x: np.ones_like(x), lambda t: 0.0, 0.0, 2.0, 2.0,
+sol = cn_solve(lambda x: np.ones_like(x), 0.0, 2.0, 2.0,
                params, grid=GridConfig(nx=400, nt=400))
 w_fd = float(sol.interpolate(closed.x, 0.0))
 fd_price = (params.recovery_r + (1 - params.recovery_r) * w_fd) * closed.z
@@ -41,7 +41,7 @@ print(f"finite-difference price     : {fd_price:.6f} "
       f"(rel err {abs(fd_price - closed.price) / closed.price:.1e})")
 
 # reduced-coordinate Monte-Carlo with exact lognormal stepping
-est = mc_forward(closed.x, 0.0, 2.0, 2.0, lambda x: np.ones_like(x), params,
+est = mc_forward(closed.x, 0.0, 2.0, lambda x: np.ones_like(x), params,
                  100_000, seed=1, rebate=params.recovery_r)
 print(f"forward-measure Monte-Carlo : {est.mean * closed.z:.6f} "
       f"+- {est.std_error * closed.z:.6f}")

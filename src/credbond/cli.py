@@ -8,7 +8,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Optional
 
 import click
@@ -25,8 +26,12 @@ from .errors import (
     InvalidTenor,
 )
 
-INSTRUMENTS = ("zcb", "bond", "put-option", "call-option", "puttable", "callable")
-SWEEP_AXES = ("r", "V", "t", "E", "B", "R", "rho", "s_V")
+# instrument -> (holds the straight bond, its option leg: None, "put" or
+# "call"); a bond that holds a call is short it
+_LEGS = {"zcb": (False, None), "bond": (True, None),
+         "put-option": (False, "put"), "call-option": (False, "call"),
+         "puttable": (True, "put"), "callable": (True, "call")}
+INSTRUMENTS = tuple(_LEGS)
 _DOMAIN_ERRORS = (BelowBarrier, InvalidExercise, InvalidTenor, DomainError)
 
 
@@ -46,12 +51,30 @@ class RunConfig:
     bond: bond_mod.BondSpec
     state: model.MarketState
     option: Optional[options.OptionSpec] = None
-    verify: VerifySettings = None  # type: ignore[assignment]
+    verify: VerifySettings = field(default_factory=VerifySettings)
 
-    def __post_init__(self) -> None:
-        if self.verify is None:
-            self.verify = VerifySettings()
 
+# config section -> (record class, its field names), in RunConfig order;
+# only the option section may be absent
+_RECORDS = {section: (cls, tuple(f.name for f in fields(cls)))
+            for section, cls in (("model", model.ModelParams),
+                                 ("bond", bond_mod.BondSpec),
+                                 ("state", model.MarketState),
+                                 ("option", options.OptionSpec))}
+# sweep axis -> (section, field) that it sets
+_AXES = {"r": ("state", "r"), "V": ("state", "v"), "t": ("state", "t"),
+         "E": ("option", "exercise_e"), "B": ("model", "barrier_b"),
+         "R": ("model", "recovery_r"), "rho": ("model", "rho"),
+         "s_V": ("model", "s_V")}
+SWEEP_AXES = tuple(_AXES)
+# What _with_axis rebuilds a point from: the config's records as a tuple,
+# and per axis (the swept record's place in that tuple, a reader of its field
+# values, the index of the field the axis sets)
+_CONFIG_PARTS = attrgetter(*(f.name for f in fields(RunConfig)))
+_SWEPT = {axis: (list(_RECORDS).index(section),
+                 attrgetter(*_RECORDS[section][1]),
+                 _RECORDS[section][1].index(key))
+          for axis, (section, key) in _AXES.items()}
 
 # The engines' own minimums, checked at load so that a bad setting is a
 # config error naming its field.
@@ -100,56 +123,21 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("top-level config must be a JSON object")
 
-    m = _section(doc, "model")
-    try:
-        params = model.ModelParams(
-            theta=_require(m, "model", "theta"),
-            mu=_require(m, "model", "mu"),
-            s_r=_require(m, "model", "s_r"),
-            s_V=_require(m, "model", "s_V"),
-            rho=_require(m, "model", "rho"),
-            barrier_b=_require(m, "model", "barrier_b"),
-            recovery_r=_require(m, "model", "recovery_r"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}")
-
-    b = _section(doc, "bond")
-    try:
-        bond_spec = bond_mod.BondSpec(maturity_T=_require(b, "bond", "maturity_T"))
-    except ValueError as exc:
-        raise ConfigError(f"bond: {exc}")
-
-    s = _section(doc, "state")
-    try:
-        state = model.MarketState(
-            r=_require(s, "state", "r"),
-            v=_require(s, "state", "v"),
-            t=_require(s, "state", "t"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"state: {exc}")
-
-    option_spec = None
-    o = _section(doc, "option", required=False)
-    if o is not None:
+    records = {}
+    for name, (cls, keys) in _RECORDS.items():
+        section = _section(doc, name, required=name != "option")
+        if section is None:
+            continue
         try:
-            option_spec = options.OptionSpec(
-                expiry_T1=_require(o, "option", "expiry_T1"),
-                exercise_e=_require(o, "option", "exercise_e"),
-            )
+            records[name] = cls(*[_require(section, name, key) for key in keys])
         except ValueError as exc:
-            raise ConfigError(f"option: {exc}")
+            raise ConfigError(f"{name}: {exc}")
 
-    verify = VerifySettings()
     v = _section(doc, "verify", required=False) or {}
-    for setting in fields(VerifySettings):
-        if setting.name in v:
-            setattr(verify, setting.name,
-                    _require(v, "verify", setting.name, int))
+    verify = VerifySettings(**{f.name: _require(v, "verify", f.name, int)
+                               for f in fields(VerifySettings) if f.name in v})
     _check_verify(verify)
-    return RunConfig(model=params, bond=bond_spec, state=state,
-                     option=option_spec, verify=verify)
+    return RunConfig(**records, verify=verify)
 
 
 def _need_option(cfg: RunConfig, instrument: str) -> options.OptionSpec:
@@ -160,87 +148,57 @@ def _need_option(cfg: RunConfig, instrument: str) -> options.OptionSpec:
 
 
 def price_instrument(cfg: RunConfig, instrument: str) -> dict:
-    """Price one instrument, returning the JSON-ready result document."""
+    """Price one instrument, returning its price and diagnostics."""
     params, state, bond_spec = cfg.model, cfg.state, cfg.bond
-    diagnostics: dict = {}
-    if instrument == "zcb":
+    holds_bond, leg = _LEGS[instrument]
+    spec = None if leg is None else _need_option(cfg, instrument)
+    diagnostics = {}
+    if not (holds_bond or leg):  # the zero-coupon bond
         price = model.zcb_price(state.r, state.t, bond_spec.maturity_T, params)
         diagnostics["z"] = price
-    elif instrument == "bond":
+    if holds_bond:
         res = bond_mod.bond_price(state, bond_spec, params)
         price = res.price
         diagnostics.update(z=res.z, x=res.x, w=res.w,
                            total_variance=res.total_variance)
-    elif instrument in ("put-option", "call-option"):
-        spec = _need_option(cfg, instrument)
-        fn = options.put_price if instrument == "put-option" else options.call_price
-        res = fn(state, spec, bond_spec, params)
-        price = res.price
-        diagnostics.update(z=res.z, x=state.v / res.z, L=res.boundary_l,
-                           d_values=res.dvalues)
-    else:  # puttable / callable: straight bond -+ the embedded option
-        spec = _need_option(cfg, instrument)
-        straight = bond_mod.bond_price(state, bond_spec, params)
-        price = straight.price
-        diagnostics.update(z=straight.z, x=straight.x, w=straight.w,
-                           total_variance=straight.total_variance)
-        if state.t <= spec.expiry_T1:
-            if instrument == "puttable":
-                res = options.put_price(state, spec, bond_spec, params)
-                price = straight.price + res.price
-            else:
-                res = options.call_price(state, spec, bond_spec, params)
-                price = straight.price - res.price
-            diagnostics["L"] = res.boundary_l
+    if leg and not (holds_bond and state.t > spec.expiry_T1):
+        pricer = options.call_price if leg == "call" else options.put_price
+        res = pricer(state, spec, bond_spec, params)
+        if holds_bond:
+            price += -res.price if leg == "call" else res.price
+        else:
+            price = res.price
+            diagnostics.update(z=res.z, x=state.v / res.z,
+                               d_values=res.dvalues)
+        diagnostics["L"] = res.boundary_l
     return {"instrument": instrument, "price": price,
-            "diagnostics": diagnostics, "config_echo": _echo(cfg)}
+            "diagnostics": diagnostics}
 
 
 def _echo(cfg: RunConfig) -> dict:
-    doc = {
-        "model": {"theta": cfg.model.theta, "mu": cfg.model.mu,
-                  "s_r": cfg.model.s_r, "s_V": cfg.model.s_V,
-                  "rho": cfg.model.rho, "barrier_b": cfg.model.barrier_b,
-                  "recovery_r": cfg.model.recovery_r},
-        "bond": {"maturity_T": cfg.bond.maturity_T},
-        "state": {"r": cfg.state.r, "v": cfg.state.v, "t": cfg.state.t},
-    }
-    if cfg.option is not None:
-        doc["option"] = {"expiry_T1": cfg.option.expiry_T1,
-                         "exercise_e": cfg.option.exercise_e}
-    return doc
+    """The config's records, section by section, as price reports them."""
+    return {name: {key: getattr(record, key) for key in keys}
+            for name, (_, keys) in _RECORDS.items()
+            if (record := getattr(cfg, name)) is not None}
 
 
 def _with_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
-    m, s = cfg.model, cfg.state
-    if axis == "r":
-        s = model.MarketState(r=value, v=s.v, t=s.t)
-    elif axis == "V":
-        s = model.MarketState(r=s.r, v=value, t=s.t)
-    elif axis == "t":
-        s = model.MarketState(r=s.r, v=s.v, t=value)
-    elif axis == "E":
-        if cfg.option is None:
-            raise ConfigError("option: section required to sweep E")
-        return RunConfig(model=m, bond=cfg.bond, state=s,
-                         option=options.OptionSpec(cfg.option.expiry_T1, value),
-                         verify=cfg.verify)
-    elif axis == "B":
-        m = model.ModelParams(m.theta, m.mu, m.s_r, m.s_V, m.rho,
-                              barrier_b=value, recovery_r=m.recovery_r)
-    elif axis == "R":
-        m = model.ModelParams(m.theta, m.mu, m.s_r, m.s_V, m.rho,
-                              barrier_b=m.barrier_b, recovery_r=value)
-    elif axis == "rho":
-        m = model.ModelParams(m.theta, m.mu, m.s_r, m.s_V, value,
-                              barrier_b=m.barrier_b, recovery_r=m.recovery_r)
-    elif axis == "s_V":
-        m = model.ModelParams(m.theta, m.mu, m.s_r, value, m.rho,
-                              barrier_b=m.barrier_b, recovery_r=m.recovery_r)
-    else:
+    """cfg with the field that a sweep axis sets replaced by value.
+
+    Only the swept record is rebuilt, from the same field values: the point
+    shares every other record, and every other value, with cfg.
+    """
+    if axis not in _SWEPT:
         raise ConfigError(f"unknown sweep axis {axis!r}")
-    return RunConfig(model=m, bond=cfg.bond, state=s, option=cfg.option,
-                     verify=cfg.verify)
+    slot, read, index = _SWEPT[axis]
+    parts = list(_CONFIG_PARTS(cfg))
+    record = parts[slot]
+    if record is None:
+        raise ConfigError(f"{_AXES[axis][0]}: section required to sweep {axis}")
+    values = list(read(record))
+    values[index] = value
+    parts[slot] = type(record)(*values)
+    return RunConfig(*parts)
 
 
 class _Memo(dict):
@@ -271,17 +229,18 @@ def _sweep_job(cfg: RunConfig, instrument: str, memo: _Memo):
     expiry payoff.  Raises what price_instrument raises, in the same order.
     """
     params, state, bond_spec = cfg.model, cfg.state, cfg.bond
-    if instrument == "zcb":
+    holds_bond, leg = _LEGS[instrument]
+    if not (holds_bond or leg):  # the zero-coupon bond
         return None
-    spec = None if instrument == "bond" else _need_option(cfg, instrument)
+    spec = None if leg is None else _need_option(cfg, instrument)
     straight = None
-    if instrument not in ("put-option", "call-option"):
+    if holds_bond:
         inputs = bond_mod._bond_inputs(state, bond_spec, params, memo)
         if inputs is None:
             return None
         z, x, variance = inputs
         straight = (params.barrier_b, params.recovery_r, variance)
-        if spec is None or state.t > spec.expiry_T1:
+        if leg is None or state.t > spec.expiry_T1:
             return z, x, straight, None
     z, x, boundary_l, variances = options._option_inputs(
         state, spec, bond_spec, params, memo)
@@ -293,9 +252,10 @@ def _sweep_job(cfg: RunConfig, instrument: str, memo: _Memo):
 
 def _sweep_prices(instrument: str, jobs: list) -> tuple[list, list]:
     """Price and straight-bond W of each _sweep_job job, in one array pass."""
+    holds_bond, leg = _LEGS[instrument]
     z, x = np.array([job[:2] for job in jobs]).T
     price, w = np.zeros(len(jobs)), [None] * len(jobs)
-    if jobs[0][2] is not None:  # every job, or none, has a straight bond
+    if holds_bond:
         b, recovery, variance = np.array([job[2] for job in jobs]).T
         units, w = bond_mod._bond_units(x, b, recovery, variance)
         price, w = units * z, w.tolist()
@@ -305,10 +265,9 @@ def _sweep_prices(instrument: str, jobs: list) -> tuple[list, list]:
             [jobs[i][3] for i in priced]).T
         d = options._d_arguments(x[priced], boundary_l, b, total, first,
                                  options._Array)
-        option = options._option_value(
-            instrument in ("call-option", "callable"), z[priced], v, b, e,
-            recovery, d, options._Array)
-        price[priced] += -option if instrument == "callable" else option
+        option = options._option_value(leg == "call", z[priced], v, b, e,
+                                       recovery, d, options._Array)
+        price[priced] += -option if holds_bond and leg == "call" else option
     return price.tolist(), w
 
 
@@ -360,19 +319,16 @@ def _verify_fd(cfg: RunConfig) -> list[dict]:
     T = bond_spec.maturity_T
     checks = []
 
-    sol = oracles.cn_solve(lambda x: np.ones_like(x), lambda t: 0.0,
-                           state.t, T, T, params, grid=grid)
+    sol = oracles.cn_solve(np.ones_like, state.t, T, T, params, grid=grid)
     total_var = model.cum_variance(state.t, T, T, params)
     xs = params.barrier_b * np.exp(
         np.linspace(0.15, 5.0, 12) * math.sqrt(total_var))
+    recovery = params.recovery_r
     worst = 0.0
     for tt in np.linspace(state.t, state.t + 0.9 * (T - state.t), 8):
-        w_fd = np.asarray(sol.interpolate(xs, tt))
-        for x, wf in zip(xs, w_fd):
-            wc = bond_mod.survival_curve(x, tt, T, T, params)
-            pc = params.recovery_r + (1 - params.recovery_r) * wc
-            pf = params.recovery_r + (1 - params.recovery_r) * wf
-            worst = max(worst, abs(pf - pc) / pc)
+        closed = bond_mod._unit_value(xs, tt, T, params)
+        fd = recovery + (1.0 - recovery) * np.asarray(sol.interpolate(xs, tt))
+        worst = max(worst, float(np.max(np.abs(fd - closed) / closed)))
     checks.append(_check("fd straight bond max relative error", 0.0, worst, 1e-4))
 
     if cfg.option is not None:
@@ -381,18 +337,15 @@ def _verify_fd(cfg: RunConfig) -> list[dict]:
         if state.t < T1:
             pres = options.put_price(state, spec, bond_spec, params)
             cres = options.call_price(state, spec, bond_spec, params)
-            L, e = pres.boundary_l, spec.exercise_e
 
-            def put_pay(x):
-                return (e - bond_mod._unit_value(x, T1, T, params)) * (x < L)
+            def payoff(call):
+                return lambda x: options._expiry_payoff(
+                    x, pres.boundary_l, spec, bond_spec, params, call)
 
-            def call_pay(x):
-                return (bond_mod._unit_value(x, T1, T, params) - e) * (x > L)
-
-            psol = oracles.cn_solve(put_pay, lambda t: 0.0, state.t, T1, T,
-                                    params, grid=grid)
-            csol = oracles.cn_solve(call_pay, lambda t: 0.0, state.t, T1, T,
-                                    params, grid=grid, far_value=1.0 - e)
+            psol = oracles.cn_solve(payoff(False), state.t, T1, T, params,
+                                    grid=grid)
+            csol = oracles.cn_solve(payoff(True), state.t, T1, T, params,
+                                    grid=grid, far_value=1.0 - spec.exercise_e)
             x0 = state.v / pres.z
             fd_put = float(psol.interpolate(x0, state.t)) * pres.z
             fd_call = float(csol.interpolate(x0, state.t)) * cres.z
@@ -417,8 +370,7 @@ def _verify_mc_forward(cfg: RunConfig) -> list[dict]:
     v = cfg.verify
     res = bond_mod.bond_price(state, bond_spec, params)
     est = oracles.mc_forward(res.x, state.t, bond_spec.maturity_T,
-                             bond_spec.maturity_T,
-                             lambda x: np.ones_like(x), params, v.paths,
+                             np.ones_like, params, v.paths,
                              seed=v.seed, rebate=params.recovery_r,
                              workers=v.workers)
     return [_check("mc-forward straight bond |diff| <= 3 se", res.price,
@@ -468,15 +420,14 @@ def run_verify(cfg: RunConfig, suite: str) -> dict:
             "pass": bool(all(c["pass"] for c in checks))}
 
 
-def _fail_domain(exc: CredBondError) -> None:
+def _fail(exc: CredBondError) -> None:
+    """Exit 2 on a config error and 3 on any other, naming it on stderr."""
+    if isinstance(exc, ConfigError):
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(2)
     click.echo(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
                err=True)
     sys.exit(3)
-
-
-def _fail_config(exc: Exception) -> None:
-    click.echo(f"config error: {exc}", err=True)
-    sys.exit(2)
 
 
 @click.group()
@@ -494,10 +445,9 @@ def cmd_price(instrument: str, config_path: str, json_indent: int) -> None:
     try:
         cfg = load_config(config_path)
         doc = price_instrument(cfg, instrument)
-    except ConfigError as exc:
-        _fail_config(exc)
+        doc["config_echo"] = _echo(cfg)
     except CredBondError as exc:
-        _fail_domain(exc)
+        _fail(exc)
     click.echo(json.dumps(doc, indent=json_indent, sort_keys=True))
 
 
@@ -514,10 +464,8 @@ def cmd_sweep(instrument: str, config_path: str, axis: str,
     try:
         cfg = load_config(config_path)
         rows = sweep_rows(cfg, instrument, axis, lo, hi, n)
-    except ConfigError as exc:
-        _fail_config(exc)
     except CredBondError as exc:
-        _fail_domain(exc)
+        _fail(exc)
     click.echo(f"{axis},price,z,x,w,note")
     for row in rows:
         click.echo(",".join(row))
@@ -535,26 +483,18 @@ def cmd_sweep(instrument: str, config_path: str, axis: str,
               help="Override the config step density.")
 @click.option("--workers", default=None, type=int,
               help="Monte-Carlo worker threads (results are independent of this).")
-def cmd_verify(config_path: str, suite: str, seed: Optional[int],
-               paths: Optional[int], steps_per_year: Optional[int],
-               workers: Optional[int]) -> None:
+def cmd_verify(config_path: str, suite: str,
+               **overrides: Optional[int]) -> None:
     """Run oracle comparisons against the closed forms; exit 4 on failure."""
     try:
         cfg = load_config(config_path)
-        if seed is not None:
-            cfg.verify.seed = seed
-        if paths is not None:
-            cfg.verify.paths = paths
-        if steps_per_year is not None:
-            cfg.verify.steps_per_year = steps_per_year
-        if workers is not None:
-            cfg.verify.workers = workers
+        for key, value in overrides.items():  # seed, paths, steps_per_year, workers
+            if value is not None:
+                setattr(cfg.verify, key, value)
         _check_verify(cfg.verify)
         report = run_verify(cfg, suite)
-    except ConfigError as exc:
-        _fail_config(exc)
     except CredBondError as exc:
-        _fail_domain(exc)
+        _fail(exc)
     click.echo(json.dumps(report, indent=2, sort_keys=True))
     if not report["pass"]:
         sys.exit(4)

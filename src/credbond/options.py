@@ -26,7 +26,7 @@ from .bond import (
     _direct,
     _survival,
     _unit_value,
-    survival_curve,
+    bond_price,
 )
 from .errors import BelowBarrier, InvalidExercise, InvalidTenor, NoConvergence
 
@@ -186,14 +186,13 @@ def _option_inputs(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
     return z, x, boundary_l, (total, first)
 
 
-def _expiry_payoff(x: float, boundary_l: float, spec: OptionSpec,
-                   bond: BondSpec, params: model.ModelParams,
-                   call: bool) -> float:
-    # in numeraire units against the bond's value at T1
-    value = float(_unit_value(x, spec.expiry_T1, bond.maturity_T, params))
+def _expiry_payoff(x, boundary_l: float, spec: OptionSpec, bond: BondSpec,
+                   params: model.ModelParams, call: bool) -> np.ndarray:
+    """The put or call payoff at T1 in units of Z, elementwise in x."""
+    value = _unit_value(x, spec.expiry_T1, bond.maturity_T, params)
     if call:
-        return value - spec.exercise_e if x > boundary_l else 0.0
-    return spec.exercise_e - value if x < boundary_l else 0.0
+        return np.where(x > boundary_l, value - spec.exercise_e, 0.0)
+    return np.where(x < boundary_l, spec.exercise_e - value, 0.0)
 
 
 def _d_arguments(x, boundary_l, b, total, first, k=_Scalar) -> dict:
@@ -250,7 +249,8 @@ def _option_price(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
                   params: model.ModelParams, call: bool) -> OptionPriceResult:
     z, x, boundary_l, variances = _option_inputs(state, spec, bond, params)
     if variances is None:
-        price = _expiry_payoff(x, boundary_l, spec, bond, params, call) * z
+        price = float(_expiry_payoff(x, boundary_l, spec, bond, params,
+                                     call)) * z
         return OptionPriceResult(price=price, boundary_l=boundary_l,
                                  dvalues={}, z=z)
     b = params.barrier_b
@@ -283,34 +283,44 @@ def put_call_parity_gap(state: model.MarketState, spec: OptionSpec,
     before being used as a check.
     """
     z, x, boundary_l, variances = _option_inputs(state, spec, bond, params)
-    T1, T = spec.expiry_T1, bond.maturity_T
-    # raises DegenerateVariance where no variance remains before T1, which
-    # is where variances is None
-    w1 = survival_curve(x, state.t, T1, T, params)
-    w_full = survival_curve(x, state.t, T, T, params)
     b, e, recovery = params.barrier_b, spec.exercise_e, params.recovery_r
-    d = _d_arguments(x, boundary_l, b, *variances)
-    put, call = (_option_value(c, z, state.v, b, e, recovery, d)
-                 for c in (False, True))
+    u = math.log(x / b)
+    # W = 1 above the barrier where no variance remains (s_V = 0, T1 -> T)
+    w_full = _survival(u, model.cum_variance(state.t, bond.maturity_T,
+                                             bond.maturity_T, params))[0]
+    if variances is None:
+        # no variance remains before T1: both prices are the T1 payoffs
+        w1 = 1.0
+        put, call = (z * float(_expiry_payoff(x, boundary_l, spec, bond,
+                                              params, c))
+                     for c in (False, True))
+    else:
+        w1 = _survival(u, variances[1])[0]
+        d = _d_arguments(x, boundary_l, b, *variances)
+        put, call = (_option_value(c, z, state.v, b, e, recovery, d)
+                     for c in (False, True))
     synthetic = z * ((e - recovery) * w1 - (1.0 - recovery) * w_full)
     return put - call - synthetic
+
+
+def _bond_with_option(state: model.MarketState, spec: OptionSpec,
+                      bond: BondSpec, params: model.ModelParams,
+                      call: bool) -> float:
+    # the straight bond, long the put or short the call until T1
+    straight = bond_price(state, bond, params).price
+    if state.t > spec.expiry_T1:
+        return straight
+    option = _option_price(state, spec, bond, params, call).price
+    return straight - option if call else straight + option
 
 
 def puttable_bond_price(state: model.MarketState, spec: OptionSpec,
                         bond: BondSpec, params: model.ModelParams) -> float:
     """Straight bond plus holder put; equals the straight bond after T1."""
-    from .bond import bond_price
-    straight = bond_price(state, bond, params).price
-    if state.t > spec.expiry_T1:
-        return straight
-    return straight + put_price(state, spec, bond, params).price
+    return _bond_with_option(state, spec, bond, params, call=False)
 
 
 def callable_bond_price(state: model.MarketState, spec: OptionSpec,
                         bond: BondSpec, params: model.ModelParams) -> float:
     """Straight bond minus issuer call; equals the straight bond after T1."""
-    from .bond import bond_price
-    straight = bond_price(state, bond, params).price
-    if state.t > spec.expiry_T1:
-        return straight
-    return straight - call_price(state, spec, bond, params).price
+    return _bond_with_option(state, spec, bond, params, call=True)

@@ -73,7 +73,6 @@ class GridSolution:
 
 def cn_solve(
     terminal_payoff: Callable[[np.ndarray], np.ndarray],
-    boundary_value_at_B: Callable[[float], float],
     t0: float,
     t1: float,
     bond_T: float,
@@ -84,8 +83,9 @@ def cn_solve(
     """Backward Crank-Nicolson solve of the reduced PDE on [t0, t1].
 
     The grid spans [B, B * exp(8 * sqrt(I_total))] in x with Dirichlet data on
-    both ends; the far value is constant in time and defaults to the terminal
-    payoff's value at the far node.  Rannacher smoothing is always on: the
+    both ends: 0 at the barrier, where the claim knocks out, and a far value
+    constant in time that defaults to the terminal payoff's value at the far
+    node.  Rannacher smoothing is always on: the
     first step after the terminal condition is replaced by two half-sized
     fully-implicit steps.
     """
@@ -118,7 +118,7 @@ def cn_solve(
     values = np.empty((grid.nt + 1, grid.nx + 1))
     terminal = np.asarray(terminal_payoff(x_nodes), dtype=float)
     terminal = np.broadcast_to(terminal, x_nodes.shape).copy()
-    terminal[0] = boundary_value_at_B(t1)
+    terminal[0] = 0.0
     values[grid.nt] = terminal
     far = terminal[-1] if far_value is None else float(far_value)
 
@@ -131,14 +131,13 @@ def cn_solve(
         upper = 0.5 * sig2 * (1.0 / (h * h) - 1.0 / (2.0 * h))
 
         u_new = np.empty_like(u_later)
-        u_new[0] = boundary_value_at_B(t_lo)
+        u_new[0] = 0.0  # knocked out at the barrier: nothing to add to rhs[0]
         u_new[-1] = far
 
         explicit = 1.0 - implicit_weight
         interior = u_later[1:-1]
         rhs = interior + span * explicit * (
             lower * u_later[:-2] + diag * interior + upper * u_later[2:])
-        rhs[0] += span * implicit_weight * lower * u_new[0]
         rhs[-1] += span * implicit_weight * upper * u_new[-1]
 
         n_int = len(rhs)
@@ -213,7 +212,6 @@ def _reduce_chunks(run_chunk, n_paths: int, workers: int,
 def mc_forward(
     x0: float,
     t: float,
-    horizon: float,
     bond_T: float,
     payoff: Callable[[np.ndarray], np.ndarray],
     params: model.ModelParams,
@@ -228,14 +226,14 @@ def mc_forward(
     Exact lognormal stepping (per-interval variance from cum_variance) with a
     Brownian-bridge barrier-crossing correction against the flat barrier
     x = B, so the continuously monitored knock-out is sampled without bias.
-    Knocked-out paths score `rebate`; survivors score payoff(x_horizon).
+    Knocked-out paths score `rebate`; survivors score payoff(x_T).
     The returned mean is in numeraire units (multiply by Z for a price).
     """
     if n_paths <= 0:
         raise SeedError("n_paths must be positive")
     if not x0 > params.barrier_b:
         raise BelowBarrier(f"x0={x0} must exceed the barrier {params.barrier_b}")
-    grid_t = np.linspace(t, horizon, n_steps + 1)
+    grid_t = np.linspace(t, bond_T, n_steps + 1)
     step_vars = np.array([
         model.cum_variance(grid_t[i], grid_t[i + 1], bond_T, params)
         for i in range(n_steps)

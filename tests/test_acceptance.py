@@ -87,7 +87,7 @@ def test_criterion_01_vasicek_pde_residual():
 def test_criterion_02_bond_vs_fd_oracle():
     """Straight-bond closed form within 1e-4 of Crank-Nicolson on a 20x20 grid."""
     start = time.perf_counter()
-    sol = cn_solve(lambda x: np.ones_like(x), lambda t: 0.0, 0.0, 2.0, 2.0,
+    sol = cn_solve(lambda x: np.ones_like(x), 0.0, 2.0, 2.0,
                    BENCH, grid=GridConfig(nx=800, nt=800))
     recovery = BENCH.recovery_r
     xs = np.geomspace(0.62, 2.2, 20)
@@ -138,8 +138,8 @@ def _option_fd_solutions(grid):
     def call_pay(x):
         return (recovery + (1 - recovery) * w_rem(x) - e) * (np.atleast_1d(x) > L)
 
-    psol = cn_solve(put_pay, lambda t: 0.0, 0.0, 1.0, 2.0, BENCH, grid=grid)
-    csol = cn_solve(call_pay, lambda t: 0.0, 0.0, 1.0, 2.0, BENCH, grid=grid,
+    psol = cn_solve(put_pay, 0.0, 1.0, 2.0, BENCH, grid=grid)
+    csol = cn_solve(call_pay, 0.0, 1.0, 2.0, BENCH, grid=grid,
                     far_value=1.0 - e)
     return psol, csol
 
@@ -347,7 +347,7 @@ def test_criterion_11_fd_convergence_order():
                       for x in probe_x])
     errors = []
     for n in (100, 200, 400):
-        sol = cn_solve(lambda x: np.ones_like(x), lambda t: 0.0, 0.0, 2.0, 2.0,
+        sol = cn_solve(lambda x: np.ones_like(x), 0.0, 2.0, 2.0,
                        BENCH, grid=GridConfig(nx=n, nt=n))
         fd = np.asarray(sol.interpolate(probe_x, 0.0))
         errors.append(float(np.max(np.abs(fd - exact))))

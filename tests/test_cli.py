@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
+import dataclasses
 import json
 import math
 
@@ -18,6 +19,7 @@ from credbond.errors import (
     NoBracket,
     NoConvergence,
 )
+from credbond.model import zcb_price
 
 BENCH_DOC = {
     "model": {"theta": 1.0, "mu": 0.05, "s_r": 0.01, "s_V": 0.2, "rho": -0.3,
@@ -46,6 +48,10 @@ def make_config(tmp_path, mutate):
 
 
 runner = CliRunner()
+# every field of the four parameter records, as (section, key)
+RECORD_FIELDS = [(section, key)
+                 for section in ("model", "bond", "state", "option")
+                 for key in BENCH_DOC[section]]
 
 
 class TestLoadConfig:
@@ -60,16 +66,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/run.json")
 
-    def test_missing_field_named(self, tmp_path):
-        path = make_config(tmp_path, lambda d: d["model"].pop("rho"))
-        with pytest.raises(ConfigError, match="model.rho"):
+    @pytest.mark.parametrize("section,key", RECORD_FIELDS)
+    def test_missing_field_named(self, tmp_path, section, key):
+        path = make_config(tmp_path, lambda d: d[section].pop(key))
+        with pytest.raises(ConfigError) as info:
             load_config(path)
+        assert str(info.value) == f"{section}.{key}: missing required field"
 
-    def test_non_numeric_field(self, tmp_path):
+    @pytest.mark.parametrize("section,key", RECORD_FIELDS)
+    def test_non_numeric_field(self, tmp_path, section, key):
         path = make_config(tmp_path,
-                           lambda d: d["state"].update(r="five percent"))
-        with pytest.raises(ConfigError, match="state.r"):
+                           lambda d: d[section].update({key: "five percent"}))
+        with pytest.raises(ConfigError) as info:
             load_config(path)
+        assert str(info.value) == (
+            f"{section}.{key}: expected a number, got 'five percent'")
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -114,6 +125,19 @@ class TestPrice:
         assert doc["diagnostics"]["z"] == pytest.approx(0.9048718709532549,
                                                         abs=1e-12)
         assert doc["config_echo"]["model"]["rho"] == -0.3
+
+    @pytest.mark.parametrize("with_option", [True, False])
+    def test_config_echo_is_the_parsed_records(self, tmp_path, with_option):
+        path = make_config(
+            tmp_path, lambda d: None if with_option else d.pop("option"))
+        result = runner.invoke(main, ["price", "bond", "--config", path])
+        assert result.exit_code == 0, result.output
+        echo = json.loads(result.output)["config_echo"]
+        cfg = load_config(path)
+        sections = ["model", "bond", "state"] + ["option"] * with_option
+        assert echo == {section: dataclasses.asdict(getattr(cfg, section))
+                        for section in sections}
+        assert echo == {section: BENCH_DOC[section] for section in sections}
 
     def test_all_instruments_price(self, config_path):
         for name in ("zcb", "bond", "put-option", "call-option",
@@ -301,6 +325,29 @@ def _assert_sweep_matches(sweep):
                     sweep, row, want)
 
 
+# the config field each sweep axis sets, as the README documents it
+AXIS_FIELDS = {"r": ("state", "r"), "V": ("state", "v"), "t": ("state", "t"),
+               "E": ("option", "exercise_e"), "B": ("model", "barrier_b"),
+               "R": ("model", "recovery_r"), "rho": ("model", "rho"),
+               "s_V": ("model", "s_V")}
+
+
+@pytest.mark.parametrize("axis", cli.SWEEP_AXES)
+def test_axis_sets_its_field_and_shares_the_rest(axis):
+    # the sweep memo tells inputs apart by identity, so a point must share
+    # every record it does not change with the config
+    cfg = _bench_config()
+    section, key = AXIS_FIELDS[axis]
+    point = cli._with_axis(cfg, axis, 0.123)
+    for name in ("model", "bond", "state", "option", "verify"):
+        if name == section:
+            want = dataclasses.replace(getattr(cfg, name), **{key: 0.123})
+            assert getattr(point, name) == want
+        else:
+            assert getattr(point, name) is getattr(cfg, name)
+    assert tuple(AXIS_FIELDS) == cli.SWEEP_AXES
+
+
 class TestSweepMatchesPerPoint:
     """sweep_rows prices in one array pass what price_instrument prices."""
 
@@ -324,6 +371,18 @@ class TestVerify:
         report = json.loads(result.output)
         assert report["pass"] is True
         assert all(c["pass"] for c in report["checks"])
+
+    @pytest.mark.parametrize("t", [1.0, math.nextafter(1.0, 0.0)])
+    def test_parity_suite_at_expiry(self, tmp_path, t):
+        path = make_config(tmp_path, lambda d: d["state"].update(t=t))
+        result = runner.invoke(main, ["verify", "--config", path,
+                                      "--suite", "parity"])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        z = zcb_price(0.05, t, 2.0, ModelParams(**BENCH_DOC["model"]))
+        assert len(report["checks"]) == 5
+        for check in report["checks"]:
+            assert check["pass"] and abs(check["oracle"]) <= 1e-9 * z
 
     def test_mc_forward_suite(self, config_path):
         result = runner.invoke(main, ["verify", "--config", config_path,

@@ -329,6 +329,73 @@ class TestParityGapOneSolve:
                         == put.price - call.price - synthetic)
 
 
+class TestExpiryPayoff:
+    def test_elementwise_is_the_max_form(self):
+        # R + (1-R) W - E changes sign at L, so each payoff is a max(., 0)
+        L = find_boundary_l(OPT, BOND, BENCH)
+        e, recovery = OPT.exercise_e, BENCH.recovery_r
+        xs = np.array([0.61, 0.7, L * (1 - 1e-6), L, L * (1 + 1e-6),
+                       L * 1.005, 0.9, 1.5])
+        for call in (False, True):
+            got = options._expiry_payoff(xs, L, OPT, BOND, BENCH, call)
+            assert got.shape == xs.shape
+            for x, pay in zip(xs, got):
+                unit = recovery + (1.0 - recovery) * survival_curve(
+                    x, OPT.expiry_T1, BOND.maturity_T, BOND.maturity_T, BENCH)
+                want = max(unit - e, 0.0) if call else max(e - unit, 0.0)
+                assert abs(pay - want) <= 1e-15
+
+
+class TestParityAtExpiry:
+    """At T1, or within roundoff before it, both prices are the T1 payoffs
+    and W1 = 1; the gap is still put - call - synthetic."""
+
+    @staticmethod
+    def _gap_and_reference(state, spec, params, w_full):
+        z = zcb_price(state.r, state.t, BOND.maturity_T, params)
+        put = put_price(state, spec, BOND, params).price
+        call = call_price(state, spec, BOND, params).price
+        synthetic = z * ((spec.exercise_e - params.recovery_r)
+                         - (1.0 - params.recovery_r) * w_full)
+        gap = put_call_parity_gap(state, spec, BOND, params)
+        return gap, put - call - synthetic, z, put, call
+
+    @pytest.mark.parametrize("t", [1.0, math.nextafter(1.0, 0.0)])
+    def test_gap_at_expiry(self, t):
+        legs = set()
+        z = zcb_price(0.05, t, BOND.maturity_T, BENCH)
+        at_l = find_boundary_l(OPT, BOND, BENCH) * z
+        # x = v/Z on both sides of L, some within 0.1% of it
+        for v in (0.62, 0.75, at_l * 0.999, at_l * 1.001, 0.9, 1.0, 1.3):
+            state = MarketState(0.05, v, t)
+            w_full = survival_curve(v / z, t, BOND.maturity_T,
+                                    BOND.maturity_T, BENCH)
+            gap, want, z, put, call = self._gap_and_reference(
+                state, OPT, BENCH, w_full)
+            assert abs(gap - want) <= 1e-15 * z
+            assert abs(gap) <= 1e-9 * z
+            legs.update(name for name, price in (("put", put), ("call", call))
+                        if price > 0.0)
+        assert legs == {"put", "call"}
+
+    @pytest.mark.parametrize("at_expiry", [True, False])
+    def test_no_variance_left_at_all(self, at_expiry):
+        # s_V = 0 and T1 -> T: no variance over [t, T1] nor over [t, T], so
+        # W1 = W_T = 1 above the barrier
+        params = TestZeroRemainingVariance.PARAMS
+        spec = TestZeroRemainingVariance.SPEC
+        t = spec.expiry_T1
+        if not at_expiry:
+            t = math.nextafter(t, 0.0)
+        T = BOND.maturity_T
+        assert cum_variance(t, T, T, params) <= 1e-16
+        for v in (0.62, 1.0, 1.6):
+            gap, want, z, _, _ = self._gap_and_reference(
+                MarketState(0.05, v, t), spec, params, 1.0)
+            assert abs(gap - want) <= 1e-15 * z
+            assert abs(gap) <= 1e-9 * z
+
+
 class TestScalarAndArrayKernels:
     def test_clamp_agrees(self):
         prices = [-1e-3, -2e-12, -1e-12, -5e-13, -1e-17, 0.0, 1e-17, 0.3]
