@@ -3,6 +3,12 @@
 Univariate/bivariate standard normal CDFs (the bivariate one also in an
 elementwise array form) and a bracketed root finder.  All functions here are
 pure and thread-safe.
+
+The scalar forms need only ``math``.  SciPy loads on first use: the array
+CDF ``_ndtr`` (the package's only ``scipy.special`` import) binds
+``scipy.special.ndtr`` in its own place on its first call, and
+``find_root`` imports ``scipy.optimize`` when it runs.  Racing first calls
+each bind the same ufunc, so the lazy binding stays thread-safe.
 """
 
 from __future__ import annotations
@@ -11,14 +17,13 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy import optimize as _optimize
-from scipy.special import ndtr as _ndtr
 
 from .errors import DomainError, NoBracket, NoConvergence
 
 # Arguments with |x| >= SATURATION are treated as +-infinity.
 SATURATION = 40.0
 
+_SQRT_HALF = math.sqrt(0.5)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
 _FOUR_PI = 2.0 * _TWO_PI
@@ -32,7 +37,15 @@ def norm_cdf(x: float) -> float:
         return 1.0
     if x <= -SATURATION:
         return 0.0
-    return float(_ndtr(x))
+    return 0.5 * math.erfc(-x * _SQRT_HALF)
+
+
+def _ndtr(x):
+    """Standard normal CDF elementwise: scipy.special.ndtr, bound on first call."""
+    global _ndtr
+    from scipy.special import ndtr
+    _ndtr = ndtr
+    return ndtr(x)
 
 
 # Gauss-Legendre rules on [-1, 1] for the single-integral representation
@@ -258,7 +271,8 @@ def find_root(
         return hi
     if flo * fhi > 0.0:
         raise NoBracket(f"f({lo})={flo} and f({hi})={fhi} have the same sign")
-    root, res = _optimize.brentq(
+    from scipy.optimize import brentq
+    root, res = brentq(
         f, lo, hi,
         xtol=tol, rtol=max(tol, 9e-16),
         maxiter=200, full_output=True, disp=False,

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import analytics, model
 from .errors import BelowBarrier, DegenerateVariance, DomainError, InvalidTenor
@@ -129,6 +128,7 @@ def _bond_units(x, b, recovery, variance) -> tuple[np.ndarray, np.ndarray]:
     root = np.sqrt(variance)
     d1 = (u - 0.5 * variance) / root
     d2 = (-u - 0.5 * variance) / root
+    ndtr = analytics._ndtr
     w = np.minimum(1.0, np.maximum(0.0, ndtr(d1) - np.exp(u) * ndtr(d2)))
     w = np.where(live, w, 1.0)
     w = np.where(x > b, w, 0.0)

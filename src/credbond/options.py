@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr as _ndtr
-from scipy.special import ndtri as _ndtri
 
 from . import analytics, model
 from .bond import (
@@ -36,6 +35,8 @@ _ROUNDOFF = 4.0 * sys.float_info.epsilon
 _MAX_STEPS = 200
 # A price this little below zero is roundoff of a zero price.
 _CLAMP = 1e-12
+# The standard normal quantile, for the boundary solve's first guess
+_NORM_QUANTILE = NormalDist().inv_cdf
 
 
 def _binorm_each(a, b, rho):
@@ -79,8 +80,8 @@ class _Array:
     @staticmethod
     def pair(block, near, image):
         """The block at x and at the image point, stacked in one evaluation."""
-        return block(*np.array((near, image)).swapaxes(0, 1), _ndtr,
-                     _binorm_stacked)
+        return block(*np.array((near, image)).swapaxes(0, 1),
+                     analytics._ndtr, _binorm_stacked)
 
     @staticmethod
     def clamp(price):
@@ -142,8 +143,10 @@ def find_boundary_l(spec: OptionSpec, bond: BondSpec,
         return b
     root = math.sqrt(remaining)
     lo, hi = 0.0, 80.0 * root
-    # W ~ 2 N(u / sqrt(I)) - 1 while I is small: the first guess
-    u = min(root * _ndtri(0.5 + 0.5 * target), hi)
+    # W ~ 2 N(u / sqrt(I)) - 1 while I is small: the first guess, or the
+    # bracket's top where the quantile's argument rounds to 1
+    p = 0.5 + 0.5 * target
+    u = min(root * _NORM_QUANTILE(p), hi) if p < 1.0 else hi
     for _ in range(_MAX_STEPS):
         w, slope = _survival(u, remaining)
         gap = w - target

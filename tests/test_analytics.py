@@ -1,11 +1,13 @@
 """Unit tests for the shared special functions and solvers."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
 
 from credbond.analytics import (
     SATURATION,
@@ -37,6 +39,32 @@ class TestNormCdf:
     @settings(max_examples=50, deadline=None)
     def test_symmetry(self, x):
         assert norm_cdf(x) + norm_cdf(-x) == pytest.approx(1.0, abs=1e-14)
+
+
+class TestScalarCdfsMatchScipy:
+    """The math.erfc CDF and the stdlib quantile against scipy.special."""
+
+    def test_norm_cdf_matches_ndtr(self):
+        rng = np.random.default_rng(7103)
+        xs = np.concatenate([
+            rng.uniform(-SATURATION, SATURATION, 100_000),
+            rng.uniform(-8.0, 8.0, 100_000),
+            [math.nextafter(SATURATION, 0.0), math.nextafter(-SATURATION, 0.0),
+             0.0, -0.0, 1e-300, -1e-300]])
+        got = np.array([norm_cdf(x) for x in xs.tolist()])
+        # 2.2e-16: one ulp at 1
+        assert np.max(np.abs(got - ndtr(xs))) <= np.finfo(float).eps
+
+    def test_quantile_matches_ndtri(self):
+        rng = np.random.default_rng(7104)
+        tail = np.exp(rng.uniform(math.log(1e-12), math.log(0.5), 50_000))
+        ps = np.concatenate([rng.uniform(1e-12, 1.0 - 1e-12, 50_000),
+                             tail, 1.0 - tail, [0.5, 1e-12, 1.0 - 1e-12]])
+        ps = ps[(ps >= 1e-12) & (ps <= 1.0 - 1e-12)]
+        inv_cdf = NormalDist().inv_cdf
+        got = np.array([inv_cdf(p) for p in ps.tolist()])
+        ref = ndtri(ps)
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
 
 
 class TestBinormCdf:

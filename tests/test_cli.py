@@ -384,6 +384,21 @@ class TestVerify:
         for check in report["checks"]:
             assert check["pass"] and abs(check["oracle"]) <= 1e-9 * z
 
+    def test_fd_suite_within_roundoff_of_expiry(self, tmp_path):
+        # no variance remains before T1: the options are their payoffs and
+        # only the straight bond is checked against the FD oracle
+        def mutate(d):
+            d["state"]["t"] = math.nextafter(1.0, 0.0)
+            d["verify"].update(grid_nx=800, grid_nt=800)
+        path = make_config(tmp_path, mutate)
+        result = runner.invoke(main, ["verify", "--config", path,
+                                      "--suite", "fd"])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert [c["name"] for c in report["checks"]] == [
+            "fd straight bond max relative error"]
+        assert report["pass"] is True
+
     def test_mc_forward_suite(self, config_path):
         result = runner.invoke(main, ["verify", "--config", config_path,
                                       "--suite", "mc-forward"])

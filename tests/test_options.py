@@ -1,5 +1,6 @@
 """Unit tests for the bond option closed forms and embedded-option composites."""
 
+import dataclasses
 import math
 import sys
 
@@ -253,6 +254,19 @@ class TestBoundarySolve:
                 option = pricer(st, OPT, BOND, BENCH)
                 assert doc["price"] == straight + sign * option.price
                 assert doc["diagnostics"]["L"] == option.boundary_l
+
+
+    def test_first_guess_where_the_quantile_argument_rounds_to_one(self):
+        # R = 0 and E = nextafter(1, 0): 0.5 + 0.5 E rounds to 1, whose
+        # normal quantile is infinite; the solve starts at the bracket's top
+        params = dataclasses.replace(BENCH, recovery_r=0.0)
+        spec = OptionSpec(expiry_T1=1.0, exercise_e=math.nextafter(1.0, 0.0))
+        assert 0.5 + 0.5 * spec.exercise_e == 1.0
+        L = find_boundary_l(spec, BOND, params)
+        assert math.isfinite(L) and L > params.barrier_b
+        w = survival_curve(L, spec.expiry_T1, BOND.maturity_T, BOND.maturity_T,
+                           params)
+        assert w == pytest.approx(spec.exercise_e, abs=4.0 * sys.float_info.epsilon)
 
 
 class TestZeroRemainingVariance:
