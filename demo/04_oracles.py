@@ -41,8 +41,7 @@ print(f"finite-difference price     : {fd_price:.6f} "
       f"(rel err {abs(fd_price - closed.price) / closed.price:.1e})")
 
 # reduced-coordinate Monte-Carlo with exact lognormal stepping
-est = mc_forward(closed.x, 0.0, 2.0, lambda x: np.ones_like(x), params,
-                 100_000, seed=1, rebate=params.recovery_r)
+est = mc_forward(closed.x, 0.0, 2.0, params, 100_000, seed=1)
 print(f"forward-measure Monte-Carlo : {est.mean * closed.z:.6f} "
       f"+- {est.std_error * closed.z:.6f}")
 

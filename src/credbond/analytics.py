@@ -158,17 +158,17 @@ def binorm_cdf_array(a, b, rho) -> np.ndarray:
     """binorm_cdf elementwise over a, b and rho broadcast together.
 
     The same scheme as binorm_cdf: each element takes its 6/12/20-node rule
-    and its branch (|rho| < 0.925, the high-correlation complement, or the
-    saturated and |rho| = 1 cases) by mask.  The node sums run in the scalar
-    form's order, and the two forms agree to 1e-15 absolute.
+    and its branch (|rho| < 0.925 or the high-correlation complement) by
+    mask.  The node sums run in the scalar form's order, and the two forms
+    agree to 1e-15 absolute.  The rest (a saturated argument, |rho| = 1, NaN
+    or |rho| > 1) goes to binorm_cdf itself, element by element.
     """
     a, b, rho = np.broadcast_arrays(np.asarray(a, dtype=float),
                                     np.asarray(b, dtype=float),
                                     np.asarray(rho, dtype=float))
     shape = a.shape
     a, b, rho = a.ravel(), b.ravel(), rho.ravel()
-    # branch 0-2: a quadrature rule, 3: high correlation, 4: the rest,
-    # including NaN and |rho| > 1, which _binorm_edges rejects
+    # branch 0-2: a quadrature rule, 3: high correlation, 4: the rest
     branch = _RHO_BOUNDS.searchsorted(np.abs(rho), side="right")
     branch[~(np.maximum(np.abs(a), np.abs(b)) < SATURATION)] = 4
     out = np.empty(a.size)
@@ -176,20 +176,6 @@ def binorm_cdf_array(a, b, rho) -> np.ndarray:
         sel = branch == i
         out[sel] = _BINORM_BRANCHES[i](a[sel], b[sel], rho[sel])
     return out.reshape(shape)
-
-
-def _binorm_edges(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    # a saturated argument or |rho| = 1, in binorm_cdf's order of precedence
-    if not np.all(np.abs(rho) <= 1.0):
-        raise DomainError("correlations must lie in [-1, 1]")
-    if np.isnan(a).any() or np.isnan(b).any():
-        raise DomainError("binorm_cdf arguments must not be NaN")
-    na, nb = _ndtr(a), _ndtr(b)
-    return np.select(
-        [(a <= -SATURATION) | (b <= -SATURATION), a >= SATURATION,
-         b >= SATURATION, rho >= 1.0],
-        [0.0, nb, na, _ndtr(np.minimum(a, b))],
-        np.maximum(0.0, na + nb - 1.0))
 
 
 def _binorm_low(a: np.ndarray, b: np.ndarray, rho: np.ndarray,
@@ -246,7 +232,8 @@ _BINORM_BRANCHES = (
     lambda a, b, rho: _binorm_low(a, b, rho, 1),
     lambda a, b, rho: _binorm_low(a, b, rho, 2),
     _binorm_high,
-    _binorm_edges,
+    lambda a, b, rho: np.array(
+        list(map(binorm_cdf, a.tolist(), b.tolist(), rho.tolist()))),
 )
 
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import analytics, model
 from .errors import BelowBarrier, DegenerateVariance, DomainError, InvalidTenor
+from .model import _MIN_VARIANCE
 
-_MIN_VARIANCE = 1e-16
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 

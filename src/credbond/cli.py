@@ -338,7 +338,7 @@ def _verify_fd(cfg: RunConfig) -> list[dict]:
         # where no variance remains before T1 the options are their payoffs,
         # as the pricers take them, and the FD window is too narrow to step
         if (state.t < T1 and model.cum_variance(state.t, T1, T, params)
-                > bond_mod._MIN_VARIANCE):
+                > model._MIN_VARIANCE):
             pres = options.put_price(state, spec, bond_spec, params)
             cres = options.call_price(state, spec, bond_spec, params)
 
@@ -349,7 +349,7 @@ def _verify_fd(cfg: RunConfig) -> list[dict]:
             psol = oracles.cn_solve(payoff(False), state.t, T1, T, params,
                                     grid=grid)
             csol = oracles.cn_solve(payoff(True), state.t, T1, T, params,
-                                    grid=grid, far_value=1.0 - spec.exercise_e)
+                                    grid=grid)
             x0 = state.v / pres.z
             fd_put = float(psol.interpolate(x0, state.t)) * pres.z
             fd_call = float(csol.interpolate(x0, state.t)) * cres.z
@@ -374,10 +374,8 @@ def _verify_mc_forward(cfg: RunConfig) -> list[dict]:
     params, state, bond_spec = cfg.model, cfg.state, cfg.bond
     v = cfg.verify
     res = bond_mod.bond_price(state, bond_spec, params)
-    est = oracles.mc_forward(res.x, state.t, bond_spec.maturity_T,
-                             np.ones_like, params, v.paths,
-                             seed=v.seed, rebate=params.recovery_r,
-                             workers=v.workers)
+    est = oracles.mc_forward(res.x, state.t, bond_spec.maturity_T, params,
+                             v.paths, seed=v.seed, workers=v.workers)
     return [_check("mc-forward straight bond |diff| <= 3 se", res.price,
                    est.mean * res.z, 3.0 * est.std_error * res.z)]
 
@@ -445,8 +443,7 @@ def main() -> None:
 @click.argument("instrument", type=click.Choice(INSTRUMENTS))
 @click.option("--config", "config_path", required=True,
               type=click.Path(), help="JSON run configuration.")
-@click.option("--json-indent", default=2, show_default=True, type=int)
-def cmd_price(instrument: str, config_path: str, json_indent: int) -> None:
+def cmd_price(instrument: str, config_path: str) -> None:
     """Price one instrument at the configured market state."""
     try:
         cfg = load_config(config_path)
@@ -454,7 +451,7 @@ def cmd_price(instrument: str, config_path: str, json_indent: int) -> None:
         doc["config_echo"] = _echo(cfg)
     except CredBondError as exc:
         _fail(exc)
-    click.echo(json.dumps(doc, indent=json_indent, sort_keys=True))
+    click.echo(json.dumps(doc, indent=2, sort_keys=True))
 
 
 @main.command("sweep")

@@ -147,6 +147,11 @@ def sigma_x2(t: float, T: float, params: ModelParams) -> float:
     return max(0.0, val)
 
 
+# A cumulative variance at or below this is numerically zero: no diffusion
+# remains over the interval.
+_MIN_VARIANCE = 1e-16
+
+
 def cum_variance(t: float, T1: float, T: float, params: ModelParams) -> float:
     """int_t^T1 sigma_x2(u; T) du in closed form (additive over intervals)."""
     if not t <= T1 <= T:
@@ -165,7 +170,7 @@ def cum_variance(t: float, T1: float, T: float, params: ModelParams) -> float:
 def delta_bar(t: float, T1: float, T: float, params: ModelParams) -> float:
     """Correlation sqrt(int_t^T1 sigma_x2 du / int_t^T sigma_x2 du) in [0, 1]."""
     total = cum_variance(t, T, T, params)
-    if total <= 1e-16:
+    if total <= _MIN_VARIANCE:
         raise DegenerateVariance("total variance over [t, T] is numerically zero")
     part = cum_variance(t, T1, T, params)
     return min(1.0, math.sqrt(part / total))

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import analytics, model
 from .bond import (
-    _MIN_VARIANCE,
     BondSpec,
     _checked_variance,
     _d,
@@ -28,6 +27,7 @@ from .bond import (
     bond_price,
 )
 from .errors import BelowBarrier, InvalidExercise, InvalidTenor, NoConvergence
+from .model import _MIN_VARIANCE
 
 # The boundary solve stops once its step or residual is this close to zero
 # (relative to u for the step); both are then at roundoff.

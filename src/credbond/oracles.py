@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from . import model
-from .bond import _MIN_VARIANCE, BondSpec, _unit_value
+from .bond import BondSpec, _unit_value
 from .options import OptionSpec
 from .errors import (
     BelowBarrier,
@@ -50,25 +50,23 @@ class GridSolution:
     log_x_nodes: np.ndarray
     times: np.ndarray
     values: np.ndarray  # shape (nt + 1, nx + 1), values[k] at times[k]
-    _splines: dict = field(default_factory=dict, repr=False)
-
-    def _spline(self, k: int) -> CubicSpline:
-        if k not in self._splines:
-            self._splines[k] = CubicSpline(self.log_x_nodes, self.values[k])
-        return self._splines[k]
 
     def interpolate(self, x, t: float):
         """u at (x, t): cubic in ln x, linear between stored time slices."""
         y = np.log(np.asarray(x, dtype=float))
+
+        def at(k: int):
+            return CubicSpline(self.log_x_nodes, self.values[k])(y)
+
         times = self.times
         if t <= times[0]:
-            return self._spline(0)(y)
+            return at(0)
         if t >= times[-1]:
-            return self._spline(len(times) - 1)(y)
+            return at(-1)
         k = int(np.searchsorted(times, t))
         t_lo, t_hi = times[k - 1], times[k]
         w_hi = (t - t_lo) / (t_hi - t_lo)
-        return (1.0 - w_hi) * self._spline(k - 1)(y) + w_hi * self._spline(k)(y)
+        return (1.0 - w_hi) * at(k - 1) + w_hi * at(k)
 
 
 def cn_solve(
@@ -78,16 +76,16 @@ def cn_solve(
     bond_T: float,
     params: model.ModelParams,
     grid: GridConfig | None = None,
-    far_value: Optional[float] = None,
 ) -> GridSolution:
     """Backward Crank-Nicolson solve of the reduced PDE on [t0, t1].
 
     The grid spans [B, B * exp(8 * sqrt(I_total))] in x with Dirichlet data on
-    both ends: 0 at the barrier, where the claim knocks out, and a far value
-    constant in time that defaults to the terminal payoff's value at the far
-    node.  Rannacher smoothing is always on: the
-    first step after the terminal condition is replaced by two half-sized
-    fully-implicit steps.
+    both ends: 0 at the barrier, where the claim knocks out, and the terminal
+    payoff's value at the far node, constant in time.  terminal_payoff maps
+    the array of x nodes to an array of the same shape.  Rannacher smoothing
+    is always on: the first step after the terminal condition is replaced by
+    two half-sized fully-implicit steps.  A window too short for grid.nt
+    steps of nonzero length, half steps included, raises ResolutionError.
     """
     if grid is None:
         grid = GridConfig()
@@ -98,7 +96,7 @@ def cn_solve(
 
     b = params.barrier_b
     total_var = model.cum_variance(t0, bond_T, bond_T, params)
-    if total_var <= _MIN_VARIANCE:
+    if total_var <= model._MIN_VARIANCE:
         # the grid width 8 sqrt(I) would be below roundoff
         raise DegenerateVariance(
             f"variance over [{t0}, {bond_T}] is numerically zero")
@@ -107,6 +105,10 @@ def cn_solve(
     h = y[1] - y[0]
     times = np.linspace(t0, t1, grid.nt + 1)
     dt = times[1] - times[0]
+    mid = 0.5 * (times[-2] + times[-1])  # where the two half steps meet
+    if not (np.all(np.diff(times) > 0.0) and times[-2] < mid < times[-1]):
+        raise ResolutionError(
+            f"window [{t0}, {t1}] too short for {grid.nt} time steps")
 
     sig2_max = max(model.sigma_x2(u, bond_T, params)
                    for u in np.linspace(t0, t1, 33))
@@ -114,13 +116,10 @@ def cn_solve(
         raise ResolutionError(
             "time step too large relative to spatial step for damped smoothing")
 
-    x_nodes = np.exp(y)
     values = np.empty((grid.nt + 1, grid.nx + 1))
-    terminal = np.asarray(terminal_payoff(x_nodes), dtype=float)
-    terminal = np.broadcast_to(terminal, x_nodes.shape).copy()
-    terminal[0] = 0.0
-    values[grid.nt] = terminal
-    far = terminal[-1] if far_value is None else float(far_value)
+    values[grid.nt] = terminal_payoff(np.exp(y))
+    values[grid.nt, 0] = 0.0
+    far = values[grid.nt, -1]
 
     def step(u_later: np.ndarray, t_lo: float, t_hi: float,
              implicit_weight: float) -> np.ndarray:
@@ -151,7 +150,6 @@ def cn_solve(
     for n in range(grid.nt - 1, -1, -1):
         t_lo, t_hi = times[n], times[n + 1]
         if n == grid.nt - 1:
-            mid = 0.5 * (t_lo + t_hi)
             u = step(values[n + 1], mid, t_hi, implicit_weight=1.0)
             u = step(u, t_lo, mid, implicit_weight=1.0)
         else:
@@ -213,11 +211,9 @@ def mc_forward(
     x0: float,
     t: float,
     bond_T: float,
-    payoff: Callable[[np.ndarray], np.ndarray],
     params: model.ModelParams,
     n_paths: int,
     seed: int = 0,
-    rebate: float = 0.0,
     n_steps: int = 32,
     workers: int = 1,
 ) -> McEstimate:
@@ -226,8 +222,9 @@ def mc_forward(
     Exact lognormal stepping (per-interval variance from cum_variance) with a
     Brownian-bridge barrier-crossing correction against the flat barrier
     x = B, so the continuously monitored knock-out is sampled without bias.
-    Knocked-out paths score `rebate`; survivors score payoff(x_T).
-    The returned mean is in numeraire units (multiply by Z for a price).
+    Knocked-out paths score the recovery R; survivors score the face value 1.
+    The returned mean is the straight bond in units of Z (multiply by Z for
+    its price).
     """
     if n_paths <= 0:
         raise SeedError("n_paths must be positive")
@@ -256,9 +253,7 @@ def mc_forward(
             hit = alive & ((lx_new <= log_b) | (un < bridge))
             alive &= ~hit
             lx = lx_new
-        value = np.full(size, rebate)
-        if alive.any():
-            value[alive] = payoff(np.exp(lx[alive]))
+        value = np.where(alive, 1.0, params.recovery_r)
         return float(value.sum()), float((value * value).sum())
 
     return _reduce_chunks(run_chunk, n_paths, workers, seed)

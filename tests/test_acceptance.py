@@ -139,8 +139,7 @@ def _option_fd_solutions(grid):
         return (recovery + (1 - recovery) * w_rem(x) - e) * (np.atleast_1d(x) > L)
 
     psol = cn_solve(put_pay, 0.0, 1.0, 2.0, BENCH, grid=grid)
-    csol = cn_solve(call_pay, 0.0, 1.0, 2.0, BENCH, grid=grid,
-                    far_value=1.0 - e)
+    csol = cn_solve(call_pay, 0.0, 1.0, 2.0, BENCH, grid=grid)
     return psol, csol
 
 

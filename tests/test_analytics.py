@@ -151,6 +151,17 @@ class TestBinormCdfArray:
             assert np.max(np.abs(got - ref)) <= 1e-15, rho
         assert binorm_cdf_array(0.3, -0.2, 0.5).shape == ()
 
+    def test_edge_elements_are_the_scalar_form(self):
+        # a saturated argument or |rho| = 1: binorm_cdf's own value, exactly
+        args = self._arguments()
+        a, b, rho = (g.ravel() for g in np.meshgrid(args, args, self.RHOS,
+                                                    indexing="ij"))
+        got = binorm_cdf_array(a, b, rho)
+        edge = ((np.abs(rho) == 1.0)
+                | (np.maximum(np.abs(a), np.abs(b)) >= SATURATION))
+        assert got[edge].tolist() == list(map(
+            binorm_cdf, a[edge].tolist(), b[edge].tolist(), rho[edge].tolist()))
+
     @pytest.mark.parametrize("a,b,rho", [
         (math.nan, 0.0, 0.5), (0.0, math.nan, 0.5), (0.0, 0.0, math.nan),
         (0.0, 0.0, 1.5), (0.0, 0.0, -1.0 - 1e-12),

@@ -114,6 +114,25 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"verify.{key}"):
             load_config(path)
 
+    @pytest.mark.parametrize("doc,message", [
+        ({k: v for k, v in BENCH_DOC.items() if k != "model"},
+         "model: missing required section"),
+        ({**BENCH_DOC, "bond": [2.0]}, "bond: expected an object"),
+        ([BENCH_DOC], "top-level config must be a JSON object"),
+        ({**BENCH_DOC, "model": {**BENCH_DOC["model"], "theta": 0}},
+         "model: theta must be positive, got 0.0"),
+    ], ids=["missing-section", "section-not-object", "top-level-array",
+            "record-value-error"])
+    def test_document_errors_named(self, tmp_path, doc, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        assert str(info.value) == message
+        result = runner.invoke(main, ["price", "bond", "--config", str(path)])
+        assert result.exit_code == 2
+        assert result.output == f"config error: {message}\n"
+
 
 class TestPrice:
     def test_bond_price_json(self, config_path):
@@ -398,6 +417,17 @@ class TestVerify:
         assert [c["name"] for c in report["checks"]] == [
             "fd straight bond max relative error"]
         assert report["pass"] is True
+
+    def test_fd_suite_with_steps_of_zero_length_exit_3(self, tmp_path):
+        # 800 steps over the 1e-13 before T1 include steps of zero length
+        def mutate(d):
+            d["state"]["t"] = 0.9999999999999
+            d["verify"].update(grid_nx=800, grid_nt=800)
+        path = make_config(tmp_path, mutate)
+        result = runner.invoke(main, ["verify", "--config", path,
+                                      "--suite", "fd"])
+        assert result.exit_code == 3, result.output
+        assert "ResolutionError" in result.output
 
     def test_mc_forward_suite(self, config_path):
         result = runner.invoke(main, ["verify", "--config", config_path,
