@@ -18,6 +18,10 @@ from .errors import BelowBarrier, DegenerateVariance, DomainError, InvalidTenor
 from .model import _MIN_VARIANCE
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# Above this u = ln(x/B), _survival forms its tail without e^u.  There
+# -d2 = (u + I/2)/sqrt(I) >= sqrt(2u) > 37 whatever the variance I, where ten
+# terms of the Mills ratio's continued fraction are exact to roundoff.
+_TAIL_U = 700.0
 
 
 @dataclass(frozen=True)
@@ -32,11 +36,6 @@ class BondSpec:
             raise ValueError(f"maturity_T must be positive, got {self.maturity_T}")
 
 
-def _direct(fn, *args):
-    """fn(*args): how one price evaluates the inputs a sweep memoizes."""
-    return fn(*args)
-
-
 @dataclass(frozen=True)
 class BondPriceResult:
     """Price plus diagnostic intermediates of the straight-bond formula."""
@@ -49,10 +48,9 @@ class BondPriceResult:
 
 
 def _checked_variance(t: float, T1: float, T: float,
-                      params: model.ModelParams, ev=_direct) -> float:
-    """cum_variance(t, T1, T), rejecting one too small to divide by; ev
-    evaluates cum_variance."""
-    variance = ev(model.cum_variance, t, T1, T, params)
+                      params: model.ModelParams) -> float:
+    """cum_variance(t, T1, T), rejecting one too small to divide by."""
+    variance = model.cum_variance(t, T1, T, params)
     if variance <= _MIN_VARIANCE:
         raise DegenerateVariance(
             f"variance over [{t}, {T1}] is numerically zero")
@@ -74,20 +72,33 @@ def d_fn(ratio: float, t: float, T1: float, T: float,
     return _d(ratio, 0.5 * variance, math.sqrt(variance))
 
 
+def _mills_ratio(y: float) -> float:
+    """(1 - N(y)) / phi(y) for y > 37, by 1/(y + 1/(y + 2/(y + 3/(y + ...))))."""
+    denominator = y
+    for k in range(10, 0, -1):
+        denominator = y + k / denominator
+    return 1.0 / denominator
+
+
 def _survival(u: float, variance: float) -> tuple[float, float]:
     """W and dW/du at u = ln(x/B) >= 0 for a variance I.
 
     W = N(d1) - e^u N(d2) with d1, d2 = (+-u - I/2) / sqrt(I).  Since
     e^u phi(d2) = phi(d1), the slope is dW/du = 2 phi(d1)/sqrt(I) - e^u N(d2).
     Once no variance remains (I <= _MIN_VARIANCE) a firm above the barrier
-    (u > 0) cannot reach it: W = 1 and the slope is 0.
+    (u > 0) cannot reach it: W = 1 and the slope is 0.  Above u = _TAIL_U,
+    where e^u nears overflow, the tail e^u N(d2) is phi(d1) M(-d2) with M the
+    Mills ratio; u may then be +inf, where W = 1.
     """
     if variance <= _MIN_VARIANCE:
         return 1.0, 0.0
     root = math.sqrt(variance)
     d1 = (u - 0.5 * variance) / root
     d2 = (-u - 0.5 * variance) / root
-    tail = math.exp(u) * analytics.norm_cdf(d2)
+    if u > _TAIL_U:
+        tail = math.exp(-0.5 * d1 * d1) / _SQRT_2PI * _mills_ratio(-d2)
+    else:
+        tail = math.exp(u) * analytics.norm_cdf(d2)
     w = analytics.norm_cdf(d1) - tail
     slope = 2.0 * math.exp(-0.5 * d1 * d1) / (_SQRT_2PI * root) - tail
     return min(1.0, max(0.0, w)), slope
@@ -144,23 +155,25 @@ def survival_w(x: float, t: float, spec: BondSpec,
 
 
 def _bond_inputs(state: model.MarketState, spec: BondSpec,
-                 params: model.ModelParams, ev=_direct):
+                 params: model.ModelParams):
     """(z, x, variance over [t, T]) of a straight-bond price, None at maturity.
 
-    Raises as bond_price does; ev evaluates z and the variance.
+    Raises as bond_price does.
     """
     T = spec.maturity_T
     if state.t > T:
         raise InvalidTenor(f"t={state.t} is after maturity {T}")
     if state.t == T:
         return None
-    z = ev(model.zcb_price, state.r, state.t, T, params)
+    z = model.zcb_price(state.r, state.t, T, params)
     x = state.v / z
+    if x == math.inf:
+        raise DomainError(f"V/Z = {state.v}/{z} is beyond the float range")
     if x <= params.barrier_b:
         raise BelowBarrier(
             f"V/Z={x} at or below barrier {params.barrier_b}; position is "
             "defaulted and worth R*Z")
-    return z, x, ev(model.cum_variance, state.t, T, T, params)
+    return z, x, model.cum_variance(state.t, T, T, params)
 
 
 def bond_price(state: model.MarketState, spec: BondSpec,

@@ -201,53 +201,43 @@ def _with_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
     return RunConfig(*parts)
 
 
-class _Memo(dict):
-    """fn(*args) evaluated once per distinct (fn, args), over one sweep.
-
-    Arguments are told apart by identity, which costs less than hashing the
-    parameter records: _with_axis rebuilds only the record an axis changes,
-    so the points of a sweep share every unchanged input object.  Each entry
-    keeps its arguments alive, so no id is reused while the memo lives.
-    """
-
-    def __call__(self, fn, *args):
-        key = (fn, *map(id, args))
-        entry = self.get(key)
-        if entry is None:
-            entry = self[key] = (fn(*args), args)
-        return entry[0]
-
-
-def _sweep_job(cfg: RunConfig, instrument: str, memo: _Memo):
+def _sweep_job(cfg: RunConfig, instrument: str, boundary_l: Optional[float]):
     """The checked scalar inputs of one sweep point, for the array pass.
 
     (z, x, straight, option): straight = (B, R, variance over [t, T]) for the
     straight bond in bond/puttable/callable; option = (v, B, R, E, L, total,
     first) for an option priced by its closed form; each None where the
-    point has no such part.  None for a point that price_instrument prices
-    alone: a zero-coupon bond, a bond at maturity, or an option at its
-    expiry payoff.  Raises what price_instrument raises, in the same order.
+    point has no such part.  L is boundary_l where that is not None, else
+    solved here.  None for a point that price_instrument prices alone: a
+    zero-coupon bond, a bond at maturity, an option at its expiry payoff, or
+    a point whose x/B is beyond the float range.  Raises what
+    price_instrument raises, in the same order.
     """
     params, state, bond_spec = cfg.model, cfg.state, cfg.bond
     holds_bond, leg = _LEGS[instrument]
     if not (holds_bond or leg):  # the zero-coupon bond
         return None
     spec = None if leg is None else _need_option(cfg, instrument)
-    straight = None
+    straight = option = None
     if holds_bond:
-        inputs = bond_mod._bond_inputs(state, bond_spec, params, memo)
+        inputs = bond_mod._bond_inputs(state, bond_spec, params)
         if inputs is None:
             return None
         z, x, variance = inputs
         straight = (params.barrier_b, params.recovery_r, variance)
-        if leg is None or state.t > spec.expiry_T1:
-            return z, x, straight, None
-    z, x, boundary_l, variances = options._option_inputs(
-        state, spec, bond_spec, params, memo)
-    if variances is None:
+    if leg and not (holds_bond and state.t > spec.expiry_T1):
+        z, x, variances = options._option_inputs(state, spec, bond_spec,
+                                                 params)
+        if variances is None:
+            return None
+        if boundary_l is None:
+            boundary_l = options.find_boundary_l(spec, bond_spec, params)
+        option = (state.v, params.barrier_b, params.recovery_r,
+                  spec.exercise_e, boundary_l, *variances)
+    # the array pass would overflow at x/B; the scalar path takes it
+    if x / params.barrier_b == math.inf:
         return None
-    return z, x, straight, (state.v, params.barrier_b, params.recovery_r,
-                            spec.exercise_e, boundary_l, *variances)
+    return z, x, straight, option
 
 
 def _sweep_prices(instrument: str, jobs: list) -> tuple[list, list]:
@@ -281,26 +271,35 @@ def sweep_rows(cfg: RunConfig, instrument: str, axis: str,
     """CSV rows (axis_value, price, z, x, w, note) for a parameter sweep.
 
     Each point is checked, and its z, variances and boundary L found, on the
-    scalar path, each once per distinct input; then all the points are priced
-    in one array pass.  Rows and notes are those of price_instrument point by
+    scalar path; then all the points are priced in one array pass.  L depends
+    on no state variable, so along r, V and t it is solved at the first point
+    that needs it and shared with the rest; along the other axes each point
+    solves its own.  Rows and notes are those of price_instrument point by
     point, prices and w to 1e-15 Z.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     if n < 2:
         raise ConfigError("sweep needs n >= 2 points")
-    memo = _Memo()
+    if not math.isfinite(hi - lo):  # also rejects a non-finite lo or hi
+        raise ConfigError(
+            f"sweep bounds must be finite and a finite span apart, got "
+            f"lo={lo!r}, hi={hi!r}")
+    shares_l = _AXES[axis][0] == "state"
+    boundary_l = None
     rows, jobs, slots = [], [], []
     for value in np.linspace(lo, hi, n).tolist():
         try:
             point = _with_axis(cfg, axis, value)
-            job = _sweep_job(point, instrument, memo)
+            job = _sweep_job(point, instrument, boundary_l)
             if job is None:
                 doc = price_instrument(point, instrument)
                 diag = doc["diagnostics"]
                 rows.append(_row(value, doc["price"], diag.get("z"),
                                  diag.get("x"), diag.get("w")))
             else:
+                if shares_l and job[3] is not None:
+                    boundary_l = job[3][4]
                 jobs.append(job)
                 slots.append((len(rows), value))
                 rows.append(None)

@@ -10,15 +10,19 @@ off its cumulative integral.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .errors import DegenerateVariance, InvalidTenor
+from .errors import DegenerateVariance, DomainError, InvalidTenor
 
 # Below theta*tau = _SMALL_THETA_TAU the exponential antiderivatives are
 # evaluated by Taylor expansion; the closed forms lose ~2/z (h1) and ~3/z^2
 # (h2) digits to cancellation, so the crossover sits where both branches
 # agree to ~2e-13 relative.
 _SMALL_THETA_TAU = 0.05
+# exp of an exponent in [_LOG_TINY, _LOG_HUGE] is a positive finite float.
+_LOG_TINY = math.log(math.ulp(0.0))
+_LOG_HUGE = math.log(sys.float_info.max)
 
 
 def _check_finite(spec) -> None:
@@ -127,9 +131,15 @@ def abar(t: float, T: float, params: ModelParams) -> float:
 
 
 def zcb_price(r: float, t: float, T: float, params: ModelParams) -> float:
-    """Risk-free zero-coupon bond price Z(r, t; T) = exp(abar - bbar*r)."""
+    """Risk-free zero-coupon bond price Z(r, t; T) = exp(abar - bbar*r).
+
+    Raises DomainError where Z is not a positive finite float.
+    """
     _check_tenor(t, T)
-    return math.exp(abar(t, T, params) - bbar(t, T, params) * r)
+    exponent = abar(t, T, params) - bbar(t, T, params) * r
+    if not _LOG_TINY <= exponent <= _LOG_HUGE:
+        raise DomainError(f"Z = exp({exponent}) is beyond the float range")
+    return math.exp(exponent)
 
 
 def sigma_x2(t: float, T: float, params: ModelParams) -> float:

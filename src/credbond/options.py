@@ -21,13 +21,18 @@ from .bond import (
     BondSpec,
     _checked_variance,
     _d,
-    _direct,
     _survival,
     _unit_value,
     bond_price,
 )
-from .errors import BelowBarrier, InvalidExercise, InvalidTenor, NoConvergence
-from .model import _MIN_VARIANCE
+from .errors import (
+    BelowBarrier,
+    DomainError,
+    InvalidExercise,
+    InvalidTenor,
+    NoConvergence,
+)
+from .model import _LOG_HUGE, _MIN_VARIANCE
 
 # The boundary solve stops once its step or residual is this close to zero
 # (relative to u for the step); both are then at roundoff.
@@ -132,6 +137,7 @@ def find_boundary_l(spec: OptionSpec, bond: BondSpec,
     that would leave the bracket bisects it instead, and the iteration stops
     once the step or the residual is down to roundoff.  When no variance
     remains (I <= 1e-16), W = 1 everywhere above the barrier and L = B.
+    Raises DomainError where L is not a finite float.
     """
     _validate(spec, bond, params)
     b = params.barrier_b
@@ -155,38 +161,47 @@ def find_boundary_l(spec: OptionSpec, bond: BondSpec,
         else:
             hi = u
         if abs(gap) <= _ROUNDOFF:
-            return b * math.exp(u)
+            return _boundary(b, u)
         step = gap / slope if slope > 0.0 else math.inf
         if abs(step) <= _ROUNDOFF * u:
-            return b * math.exp(u - step)
+            return _boundary(b, u - step)
         u = u - step if lo < u - step < hi else 0.5 * (lo + hi)
     raise NoConvergence(f"boundary solve did not converge in {_MAX_STEPS} steps")
 
 
+def _boundary(b: float, u: float) -> float:
+    """L = B e^u, raising DomainError where it is not a finite float."""
+    if u <= _LOG_HUGE and (boundary_l := b * math.exp(u)) < math.inf:
+        return boundary_l
+    raise DomainError(f"boundary L = {b} e^{u} is beyond the float range")
+
+
 def _option_inputs(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
-                   params: model.ModelParams, ev=_direct):
-    """(z, x, L, (total, first)) of one option price, checked.
+                   params: model.ModelParams):
+    """(z, x, (total, first)) of one option price, checked.
 
     The variances over [t, T] and [t, T1] are None where no variance remains
     before expiry (t = T1, or within roundoff of it): the price is then the
-    payoff at T1.  ev evaluates z, L and the variances.
+    payoff at T1.  The boundary L depends on no state variable and is left
+    to the caller: past the checks made here, find_boundary_l raises only
+    NoConvergence or DomainError.
     """
     _validate(spec, bond, params)
     if state.t > spec.expiry_T1:
         raise InvalidTenor(
             f"t={state.t} is after option expiry {spec.expiry_T1}")
     T1, T = spec.expiry_T1, bond.maturity_T
-    z = ev(model.zcb_price, state.r, state.t, T, params)
+    z = model.zcb_price(state.r, state.t, T, params)
     x = state.v / z
+    if x == math.inf:
+        raise DomainError(f"V/Z = {state.v}/{z} is beyond the float range")
     b = params.barrier_b
     if x <= b:
         raise BelowBarrier(f"V/Z={x} at or below barrier {b}")
-    boundary_l = ev(find_boundary_l, spec, bond, params)
-    first = ev(model.cum_variance, state.t, T1, T, params)
+    first = model.cum_variance(state.t, T1, T, params)
     if first <= _MIN_VARIANCE:
-        return z, x, boundary_l, None
-    total = _checked_variance(state.t, T, T, params, ev)
-    return z, x, boundary_l, (total, first)
+        return z, x, None
+    return z, x, (_checked_variance(state.t, T, T, params), first)
 
 
 def _expiry_payoff(x, boundary_l: float, spec: OptionSpec, bond: BondSpec,
@@ -250,7 +265,8 @@ def _option_value(call: bool, z, v, b, e, recovery, d: dict, k=_Scalar):
 
 def _option_price(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
                   params: model.ModelParams, call: bool) -> OptionPriceResult:
-    z, x, boundary_l, variances = _option_inputs(state, spec, bond, params)
+    z, x, variances = _option_inputs(state, spec, bond, params)
+    boundary_l = find_boundary_l(spec, bond, params)
     if variances is None:
         price = float(_expiry_payoff(x, boundary_l, spec, bond, params,
                                      call)) * z
@@ -285,7 +301,8 @@ def put_call_parity_gap(state: model.MarketState, spec: OptionSpec,
     x > B, and is validated against the finite-difference oracle in tests
     before being used as a check.
     """
-    z, x, boundary_l, variances = _option_inputs(state, spec, bond, params)
+    z, x, variances = _option_inputs(state, spec, bond, params)
+    boundary_l = find_boundary_l(spec, bond, params)
     b, e, recovery = params.barrier_b, spec.exercise_e, params.recovery_r
     u = math.log(x / b)
     # W = 1 above the barrier where no variance remains (s_V = 0, T1 -> T)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from credbond import BondSpec, MarketState, ModelParams, bond_price, survival_w
-from credbond.bond import _survival, _unit_value, d_fn, survival_curve
+from credbond import analytics
+from credbond.bond import _TAIL_U, _survival, _unit_value, d_fn, survival_curve
 from credbond.errors import (
     BelowBarrier,
     DegenerateVariance,
@@ -71,6 +72,29 @@ class TestSurvival:
     def test_t_at_maturity_rejected(self):
         with pytest.raises(InvalidTenor):
             survival_w(1.1, 2.0, BOND, BENCH)
+
+    @pytest.mark.parametrize("u", [650.0, math.nextafter(_TAIL_U, 0.0),
+                                   math.nextafter(_TAIL_U, math.inf), 705.0,
+                                   709.0])
+    def test_tail_above_threshold_is_the_direct_form(self, u):
+        # I = 2u puts d1 at 0, where the tail e^u N(d2) is largest; up to
+        # u = 709 the direct form is still a finite float to compare with
+        variance = 2.0 * u
+        d2 = -2.0 * u / math.sqrt(variance)
+        tail = math.exp(u) * analytics.norm_cdf(d2)
+        slope = 2.0 / (math.sqrt(2.0 * math.pi) * math.sqrt(variance)) - tail
+        w, kernel_slope = _survival(u, variance)
+        assert w == pytest.approx(0.5 - tail, abs=1e-14)
+        assert kernel_slope == pytest.approx(slope, abs=1e-14)
+
+    @pytest.mark.parametrize("u,variance", [(710.0, 4.0), (1e6, 2e6),
+                                            (math.inf, 0.04),
+                                            (math.inf, 1e300)])
+    def test_far_above_barrier_no_overflow(self, u, variance):
+        w, slope = _survival(u, variance)
+        assert 0.0 <= w <= 1.0 and math.isfinite(slope)
+        if u == math.inf:
+            assert (w, slope) == (1.0, 0.0)
 
 
 class TestBondPrice:

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from credbond import BondSpec, MarketState, ModelParams, OptionSpec, cli
+from credbond import BondSpec, MarketState, ModelParams, OptionSpec, cli, options
 from credbond.cli import load_config, main
 from credbond.errors import (
     ConfigError,
@@ -278,6 +278,46 @@ class TestSweep:
                                       "--hi", "1.3", "--n", "1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("lo,hi", [("inf", "1"), ("0.7", "nan"),
+                                       ("1e308", "-1e308")])
+    def test_bounds_not_finite_exit_2(self, config_path, lo, hi):
+        result = runner.invoke(main, ["sweep", "put-option",
+                                      "--config", config_path, "--axis", "V",
+                                      "--lo", lo, "--hi", hi, "--n", "5"])
+        assert result.exit_code == 2, result.output
+        assert "sweep bounds" in result.output
+
+    @pytest.mark.parametrize("instrument", cli.INSTRUMENTS)
+    def test_rates_beyond_the_float_range_noted(self, config_path, instrument):
+        # Z overflows below r ~ -800 and underflows above r ~ 860
+        result = runner.invoke(main, ["sweep", instrument,
+                                      "--config", config_path, "--axis", "r",
+                                      "--lo", "-1e10", "--hi", "1e10",
+                                      "--n", "25"])
+        assert result.exit_code == 0, result.output
+        rows = [line.split(",") for line in result.output.splitlines()[1:]]
+        assert len(rows) == 25
+        for row in rows:
+            assert row[5] == "DomainError" or (
+                row[5] == "" and math.isfinite(float(row[1]))), row
+        assert sum(row[5] == "DomainError" for row in rows) == 24
+
+    @pytest.mark.parametrize("instrument", cli.INSTRUMENTS)
+    def test_firm_values_near_the_float_limit(self, config_path, instrument):
+        # at V = 1e308, x = V/Z is a float but x/B is not: W = 1; at
+        # V = 1.7e308, V/Z is not a float
+        result = runner.invoke(main, ["sweep", instrument,
+                                      "--config", config_path, "--axis", "V",
+                                      "--lo", "1e308", "--hi", "1.7e308",
+                                      "--n", "2"])
+        assert result.exit_code == 0, result.output
+        near, beyond = (line.split(",")
+                        for line in result.output.splitlines()[1:])
+        assert near[5] == "" and math.isfinite(float(near[1]))
+        if instrument in ("bond", "puttable", "callable"):
+            assert float(near[4]) == 1.0
+        assert beyond[5] == ("" if instrument == "zcb" else "DomainError")
+
 
 def _per_point_rows(cfg, instrument, axis, lo, hi, n):
     """A sweep as price_instrument prices it, one point at a time."""
@@ -353,8 +393,8 @@ AXIS_FIELDS = {"r": ("state", "r"), "V": ("state", "v"), "t": ("state", "t"),
 
 @pytest.mark.parametrize("axis", cli.SWEEP_AXES)
 def test_axis_sets_its_field_and_shares_the_rest(axis):
-    # the sweep memo tells inputs apart by identity, so a point must share
-    # every record it does not change with the config
+    # a sweep point rebuilds only the record its axis sets and takes every
+    # other record from the config as it is
     cfg = _bench_config()
     section, key = AXIS_FIELDS[axis]
     point = cli._with_axis(cfg, axis, 0.123)
@@ -365,6 +405,26 @@ def test_axis_sets_its_field_and_shares_the_rest(axis):
         else:
             assert getattr(point, name) is getattr(cfg, name)
     assert tuple(AXIS_FIELDS) == cli.SWEEP_AXES
+
+
+@pytest.mark.parametrize("axis,lo,hi,solves", [
+    ("V", 0.7, 1.3, 1), ("r", -0.02, 0.12, 1), ("t", 0.0, 0.9, 1),
+    ("E", 0.5, 0.95, 25)])
+def test_boundary_solved_once_along_state_axes(monkeypatch, axis, lo, hi,
+                                               solves):
+    # L depends on no state variable: along r, V and t one solve serves every
+    # point; along E each point has its own L
+    calls = []
+    solve = options.find_boundary_l
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(options, "find_boundary_l", counted)
+    rows = cli.sweep_rows(_bench_config(), "put-option", axis, lo, hi, 25)
+    assert [row[5] for row in rows] == [""] * 25
+    assert len(calls) == solves
 
 
 class TestSweepMatchesPerPoint:
@@ -380,6 +440,47 @@ class TestSweepMatchesPerPoint:
     def test_every_instrument_and_axis(self, instrument, axis):
         lo, hi, _ = SWEEP_RANGES[axis]
         _assert_sweep_matches((instrument, axis, lo, hi, 21))
+
+
+# One field of the README config set where Z, V/Z or the boundary L leaves
+# the float range, or where e^u overflows on the way to L
+FLOAT_RANGE_CASES = [
+    ("state", "r", -1e4), ("model", "s_r", 1e3), ("model", "s_r", 1e150),
+    ("model", "mu", -1e300), ("state", "t", -1e6), ("model", "mu", 1e300),
+    ("bond", "maturity_T", 1e6), ("bond", "maturity_T", 1e300),
+    *(("model", "s_V", s_v) for s_v in (18.0, 25.0, 40.0, 100.0, 1e3, 1e150)),
+    ("state", "v", 1e308), ("state", "v", 1.7e308)]
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("instrument", cli.INSTRUMENTS)
+    @pytest.mark.parametrize("section,key,value", FLOAT_RANGE_CASES)
+    def test_price_exits_0_or_3(self, tmp_path, section, key, value,
+                                instrument):
+        path = make_config(tmp_path, lambda d: d[section].update({key: value}))
+        result = runner.invoke(main, ["price", instrument, "--config", path])
+        assert result.exit_code in (0, 3), (result.output, result.exception)
+        if result.exit_code == 0:
+            assert math.isfinite(json.loads(result.output)["price"])
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("state", "r", -1e4), ("model", "mu", 1e300)])
+    def test_discount_bond_beyond_the_float_range_exit_3(self, tmp_path,
+                                                         section, key, value):
+        # Z would overflow, or underflow to 0
+        path = make_config(tmp_path, lambda d: d[section].update({key: value}))
+        result = runner.invoke(main, ["price", "zcb", "--config", path])
+        assert result.exit_code == 3, result.output
+        assert "DomainError" in result.output
+
+    def test_bond_far_above_barrier_survives(self, tmp_path):
+        # x/B overflows at V = 1e308: the firm cannot reach the barrier
+        path = make_config(tmp_path, lambda d: d["state"].update(v=1e308))
+        result = runner.invoke(main, ["price", "bond", "--config", path])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        assert doc["diagnostics"]["w"] == 1.0
+        assert doc["price"] == doc["diagnostics"]["z"]
 
 
 class TestVerify:

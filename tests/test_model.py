@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from credbond import BondSpec, MarketState, ModelParams, OptionSpec
-from credbond.errors import DegenerateVariance, InvalidTenor
+from credbond.errors import DegenerateVariance, DomainError, InvalidTenor
 from credbond.model import (
     abar,
     bbar,
@@ -99,6 +99,15 @@ class TestDiscountBond:
     def test_tenor_order_enforced(self):
         with pytest.raises(InvalidTenor):
             zcb_price(0.05, 1.0, 0.5, BENCH)
+
+    @pytest.mark.parametrize("r,p", [(-1e4, BENCH), (1e4, BENCH),
+                                     (0.05, params(mu=-1e300)),
+                                     (0.05, params(mu=1e300)),
+                                     (0.05, params(s_r=1e150))])
+    def test_zcb_beyond_float_range_rejected(self, r, p):
+        # exp(abar - bbar*r) would overflow, or underflow to 0
+        with pytest.raises(DomainError):
+            zcb_price(r, 0.0, 2.0, p)
 
     def test_small_theta_branch_continuity(self):
         # straddle the Taylor/closed-form crossover at theta*tau = 0.05

@@ -24,7 +24,12 @@ from credbond import (
 from credbond import bond as bond_mod
 from credbond import cli, options
 from credbond.bond import d_fn, survival_curve
-from credbond.errors import BelowBarrier, InvalidExercise, InvalidTenor
+from credbond.errors import (
+    BelowBarrier,
+    DomainError,
+    InvalidExercise,
+    InvalidTenor,
+)
 from credbond.model import cum_variance, delta_bar, zcb_price
 
 BENCH = ModelParams(theta=1.0, mu=0.05, s_r=0.01, s_V=0.2, rho=-0.3,
@@ -267,6 +272,23 @@ class TestBoundarySolve:
         w = survival_curve(L, spec.expiry_T1, BOND.maturity_T, BOND.maturity_T,
                            params)
         assert w == pytest.approx(spec.exercise_e, abs=4.0 * sys.float_info.epsilon)
+
+
+    def test_root_where_e_to_the_u_nears_overflow(self):
+        # s_V = 18: the solve passes u > 700, where the kernel's tail has no
+        # e^u, and the root u = ln(L/B) ~ 180 is a finite float
+        params = dataclasses.replace(BENCH, s_V=18.0)
+        L = find_boundary_l(OPT, BOND, params)
+        assert math.isfinite(L) and L > params.barrier_b
+        w = survival_curve(L, OPT.expiry_T1, BOND.maturity_T, BOND.maturity_T,
+                           params)
+        assert w == pytest.approx((0.9 - 0.4) / 0.6, abs=1e-13)
+
+    @pytest.mark.parametrize("s_v", [40.0, 100.0])
+    def test_root_beyond_the_float_range(self, s_v):
+        # the root u exceeds ln(max float): L = B e^u is no float
+        with pytest.raises(DomainError, match="boundary L"):
+            find_boundary_l(OPT, BOND, dataclasses.replace(BENCH, s_V=s_v))
 
 
 class TestZeroRemainingVariance:
