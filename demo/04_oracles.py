@@ -46,12 +46,14 @@ print(f"forward-measure Monte-Carlo : {est.mean * closed.z:.6f} "
       f"+- {est.std_error * closed.z:.6f}")
 
 # full two-factor simulation of (r, V), the most independent check
-est2 = mc_spot(state, bond, None, params, 50_000, steps_per_year=200, seed=1)
+est2 = mc_spot(state, bond, None, params, 50_000, steps_per_year=200,
+               seed=1)["bond"]
 print(f"two-factor Monte-Carlo      : {est2.mean:.6f} +- {est2.std_error:.6f}")
 
-# the same machinery verifies the option formulas; here the puttable bond
+# the same paths, scored at T1 too, verify the option formulas; here the
+# puttable bond
 est3 = mc_spot(state, bond, option, params, 50_000, steps_per_year=200,
-               seed=1, kind="puttable")
+               seed=1)["puttable"]
 print(f"\nputtable bond closed form   : "
       f"{puttable_bond_price(state, option, bond, params):.6f}")
 print(f"puttable bond Monte-Carlo   : {est3.mean:.6f} +- {est3.std_error:.6f}")

@@ -324,10 +324,15 @@ def _verify_fd(cfg: RunConfig) -> list[dict]:
     xs = params.barrier_b * np.exp(
         np.linspace(0.15, 5.0, 12) * math.sqrt(total_var))
     recovery = params.recovery_r
+
+    def fd_units(x, tt):
+        # the straight bond's FD value at (x, tt) in units of Z
+        return recovery + (1.0 - recovery) * np.asarray(sol.interpolate(x, tt))
+
     worst = 0.0
     for tt in np.linspace(state.t, state.t + 0.9 * (T - state.t), 8):
         closed = bond_mod._unit_value(xs, tt, T, params)
-        fd = recovery + (1.0 - recovery) * np.asarray(sol.interpolate(xs, tt))
+        fd = fd_units(xs, tt)
         worst = max(worst, float(np.max(np.abs(fd - closed) / closed)))
     checks.append(_check("fd straight bond max relative error", 0.0, worst, 1e-4))
 
@@ -338,26 +343,20 @@ def _verify_fd(cfg: RunConfig) -> list[dict]:
         # as the pricers take them, and the FD window is too narrow to step
         if (state.t < T1 and model.cum_variance(state.t, T1, T, params)
                 > model._MIN_VARIANCE):
-            pres = options.put_price(state, spec, bond_spec, params)
-            cres = options.call_price(state, spec, bond_spec, params)
-
-            def payoff(call):
-                return lambda x: options._expiry_payoff(
-                    x, pres.boundary_l, spec, bond_spec, params, call)
-
-            psol = oracles.cn_solve(payoff(False), state.t, T1, T, params,
-                                    grid=grid)
-            csol = oracles.cn_solve(payoff(True), state.t, T1, T, params,
-                                    grid=grid)
-            x0 = state.v / pres.z
-            fd_put = float(psol.interpolate(x0, state.t)) * pres.z
-            fd_call = float(csol.interpolate(x0, state.t)) * cres.z
-            scale = max(abs(pres.price), 1e-3 * pres.z)
-            checks.append(_check("fd put option relative error", pres.price,
-                                 fd_put, 1e-3, scale=scale))
-            scale = max(abs(cres.price), 1e-3 * cres.z)
-            checks.append(_check("fd call option relative error", cres.price,
-                                 fd_call, 1e-3, scale=scale))
+            # the payoffs take the bond's value at T1 from its FD solve, on
+            # the same ln x grid, so that the oracle shares neither L nor
+            # the bond's closed form with the prices it checks
+            for name, pricer in (("put", options.put_price),
+                                 ("call", options.call_price)):
+                res = pricer(state, spec, bond_spec, params)
+                osol = oracles.cn_solve(
+                    lambda x: options._expiry_payoff(fd_units(x, T1), spec,
+                                                     name == "call"),
+                    state.t, T1, T, params, grid=grid)
+                fd = float(osol.interpolate(state.v / res.z, state.t)) * res.z
+                scale = max(abs(res.price), 1e-3 * res.z)
+                checks.append(_check(f"fd {name} option relative error",
+                                     res.price, fd, 1e-3, scale=scale))
     return checks
 
 
@@ -386,7 +385,7 @@ def _verify_mc_spot(cfg: RunConfig) -> list[dict]:
     res = bond_mod.bond_price(state, bond_spec, params)
     est = oracles.mc_spot(state, bond_spec, None, params, v.paths,
                           steps_per_year=v.steps_per_year, seed=v.seed,
-                          workers=v.workers)
+                          workers=v.workers)["bond"]
     return [_check("mc-spot straight bond |diff| <= 3 se", res.price,
                    est.mean, 3.0 * est.std_error)]
 

@@ -84,6 +84,14 @@ class MarketState:
             raise ValueError(f"firm value must be positive, got {self.v}")
 
 
+def _squared(s: float) -> float:
+    """A volatility squared, raising DomainError where that overflows."""
+    try:
+        return s ** 2
+    except OverflowError:
+        raise DomainError(f"volatility {s} squared overflows") from None
+
+
 def _check_tenor(t: float, T: float) -> None:
     if t > T:
         raise InvalidTenor(f"evaluation time {t} is after horizon {T}")
@@ -127,7 +135,7 @@ def abar(t: float, T: float, params: ModelParams) -> float:
     _check_tenor(t, T)
     tau = T - t
     return (-params.theta * params.mu * _h1(params.theta, tau)
-            + 0.5 * params.s_r ** 2 * _h2(params.theta, tau))
+            + 0.5 * _squared(params.s_r) * _h2(params.theta, tau))
 
 
 def zcb_price(r: float, t: float, T: float, params: ModelParams) -> float:
@@ -151,7 +159,7 @@ def sigma_x2(t: float, T: float, params: ModelParams) -> float:
     """
     _check_tenor(t, T)
     bb = bbar(t, T, params)
-    val = (params.s_r ** 2 * bb * bb + params.s_V ** 2
+    val = (_squared(params.s_r) * bb * bb + _squared(params.s_V)
            + 2.0 * params.rho * params.s_r * params.s_V * bb)
     # quadratic form, >= 0 up to roundoff
     return max(0.0, val)
@@ -170,8 +178,8 @@ def cum_variance(t: float, T1: float, T: float, params: ModelParams) -> float:
     tau0 = T - t
     tau1 = T - T1
     delta = T1 - t
-    val = (params.s_r ** 2 * (_h2(theta, tau0) - _h2(theta, tau1))
-           + params.s_V ** 2 * delta
+    val = (_squared(params.s_r) * (_h2(theta, tau0) - _h2(theta, tau1))
+           + _squared(params.s_V) * delta
            + 2.0 * params.rho * params.s_r * params.s_V
            * (_h1(theta, tau0) - _h1(theta, tau1)))
     return max(0.0, val)

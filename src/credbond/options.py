@@ -132,7 +132,9 @@ def find_boundary_l(spec: OptionSpec, bond: BondSpec,
     """Boundary L >= B with R + (1-R) W(L) = E, W over the remaining life [T1, T].
 
     With I = cum_variance(T1, T, T), W rises strictly in u = ln(x/B) from 0
-    at u = 0 to 1 at u = 80 sqrt(I), so the root is unique in that bracket.
+    at u = 0 towards 1, so the root is unique.  W is 1 to roundoff at
+    u = 80 sqrt(I) while that is at most ln(max float); past it, one W at
+    ln(max float) tells whether the root, and so L, is beyond the float range.
     Newton's method in u, with the closed-form slope dW/du, finds it; a step
     that would leave the bracket bisects it instead, and the iteration stops
     once the step or the residual is down to roundoff.  When no variance
@@ -149,6 +151,9 @@ def find_boundary_l(spec: OptionSpec, bond: BondSpec,
         return b
     root = math.sqrt(remaining)
     lo, hi = 0.0, 80.0 * root
+    if hi > _LOG_HUGE and _survival(_LOG_HUGE, remaining)[0] < target:
+        raise DomainError(
+            f"boundary L = {b} e^u is beyond the float range: u > {_LOG_HUGE}")
     # W ~ 2 N(u / sqrt(I)) - 1 while I is small: the first guess, or the
     # bracket's top where the quantile's argument rounds to 1
     p = 0.5 + 0.5 * target
@@ -204,13 +209,12 @@ def _option_inputs(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
     return z, x, (_checked_variance(state.t, T, T, params), first)
 
 
-def _expiry_payoff(x, boundary_l: float, spec: OptionSpec, bond: BondSpec,
-                   params: model.ModelParams, call: bool) -> np.ndarray:
-    """The put or call payoff at T1 in units of Z, elementwise in x."""
-    value = _unit_value(x, spec.expiry_T1, bond.maturity_T, params)
+def _expiry_payoff(units, spec: OptionSpec, call: bool) -> np.ndarray:
+    """Payoff at T1, max(E - units, 0) or for the call max(units - E, 0), from
+    the straight bond's value units there; both in units of Z, elementwise."""
     if call:
-        return np.where(x > boundary_l, value - spec.exercise_e, 0.0)
-    return np.where(x < boundary_l, spec.exercise_e - value, 0.0)
+        return np.maximum(units - spec.exercise_e, 0.0)
+    return np.maximum(spec.exercise_e - units, 0.0)
 
 
 def _d_arguments(x, boundary_l, b, total, first, k=_Scalar) -> dict:
@@ -268,8 +272,8 @@ def _option_price(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
     z, x, variances = _option_inputs(state, spec, bond, params)
     boundary_l = find_boundary_l(spec, bond, params)
     if variances is None:
-        price = float(_expiry_payoff(x, boundary_l, spec, bond, params,
-                                     call)) * z
+        units = _unit_value(x, spec.expiry_T1, bond.maturity_T, params)
+        price = float(_expiry_payoff(units, spec, call)) * z
         return OptionPriceResult(price=price, boundary_l=boundary_l,
                                  dvalues={}, z=z)
     b = params.barrier_b
@@ -302,7 +306,6 @@ def put_call_parity_gap(state: model.MarketState, spec: OptionSpec,
     before being used as a check.
     """
     z, x, variances = _option_inputs(state, spec, bond, params)
-    boundary_l = find_boundary_l(spec, bond, params)
     b, e, recovery = params.barrier_b, spec.exercise_e, params.recovery_r
     u = math.log(x / b)
     # W = 1 above the barrier where no variance remains (s_V = 0, T1 -> T)
@@ -311,12 +314,13 @@ def put_call_parity_gap(state: model.MarketState, spec: OptionSpec,
     if variances is None:
         # no variance remains before T1: both prices are the T1 payoffs
         w1 = 1.0
-        put, call = (z * float(_expiry_payoff(x, boundary_l, spec, bond,
-                                              params, c))
+        units = _unit_value(x, spec.expiry_T1, bond.maturity_T, params)
+        put, call = (z * float(_expiry_payoff(units, spec, c))
                      for c in (False, True))
     else:
         w1 = _survival(u, variances[1])[0]
-        d = _d_arguments(x, boundary_l, b, *variances)
+        d = _d_arguments(x, find_boundary_l(spec, bond, params), b,
+                         *variances)
         put, call = (_option_value(c, z, state.v, b, e, recovery, d)
                      for c in (False, True))
     synthetic = z * ((e - recovery) * w1 - (1.0 - recovery) * w_full)

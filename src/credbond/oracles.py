@@ -21,7 +21,7 @@ from scipy.linalg import solve_banded
 
 from . import model
 from .bond import BondSpec, _unit_value
-from .options import OptionSpec
+from .options import OptionSpec, _expiry_payoff
 from .errors import (
     BelowBarrier,
     DegenerateVariance,
@@ -174,37 +174,33 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _chunk_sizes(n_paths: int) -> list[int]:
-    sizes = [_CHUNK] * (n_paths // _CHUNK)
-    if n_paths % _CHUNK:
-        sizes.append(n_paths % _CHUNK)
-    return sizes
-
-
 def _reduce_chunks(run_chunk, n_paths: int, workers: int,
-                   seed: int) -> McEstimate:
-    sizes = _chunk_sizes(n_paths)
-    jobs = list(enumerate(sizes))
+                   seed: int) -> list[McEstimate]:
+    """An McEstimate of each per-path value array that run_chunk returns."""
+    def moments(job):
+        return [(v.sum(), (v * v).sum()) for v in run_chunk(*job)]
+
+    jobs = list(enumerate(min(_CHUNK, n_paths - start)
+                          for start in range(0, n_paths, _CHUNK)))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda job: run_chunk(*job), jobs))
+            results = list(pool.map(moments, jobs))
     else:
-        results = [run_chunk(ci, size) for ci, size in jobs]
+        results = [moments(job) for job in jobs]
     # fixed chunk size and in-order reduction keep the result independent of
     # the worker count and bit-reproducible for a given seed
-    total = 0.0
-    total_sq = 0.0
-    for s, s2 in results:
-        total += s
-        total_sq += s2
-    mean = total / n_paths
+    sums = np.zeros((len(results[0]), 2))
+    for chunk in results:
+        sums += chunk
+    mean = sums[:, 0] / n_paths
     if n_paths > 1:
-        var = max(0.0, (total_sq - n_paths * mean * mean) / (n_paths - 1))
-        std_error = math.sqrt(var / n_paths)
+        var = np.maximum(0.0, (sums[:, 1] - n_paths * mean * mean)
+                         / (n_paths - 1))
+        std_error = np.sqrt(var / n_paths)
     else:
-        std_error = math.inf
-    return McEstimate(mean=mean, std_error=std_error, n_paths=n_paths,
-                      seed=seed)
+        std_error = np.full(len(mean), math.inf)
+    return [McEstimate(mean=float(m), std_error=float(se), n_paths=n_paths,
+                       seed=seed) for m, se in zip(mean, std_error)]
 
 
 def mc_forward(
@@ -238,7 +234,7 @@ def mc_forward(
     log_b = math.log(params.barrier_b)
     log_x0 = math.log(x0)
 
-    def run_chunk(chunk_index: int, size: int) -> tuple[float, float]:
+    def run_chunk(chunk_index: int, size: int) -> list[np.ndarray]:
         rng = _chunk_rng(seed, chunk_index)
         lx = np.full(size, log_x0)
         alive = np.ones(size, dtype=bool)
@@ -253,10 +249,9 @@ def mc_forward(
             hit = alive & ((lx_new <= log_b) | (un < bridge))
             alive &= ~hit
             lx = lx_new
-        value = np.where(alive, 1.0, params.recovery_r)
-        return float(value.sum()), float((value * value).sum())
+        return [np.where(alive, 1.0, params.recovery_r)]
 
-    return _reduce_chunks(run_chunk, n_paths, workers, seed)
+    return _reduce_chunks(run_chunk, n_paths, workers, seed)[0]
 
 
 def mc_spot(
@@ -267,59 +262,63 @@ def mc_spot(
     n_paths: int,
     steps_per_year: int = 500,
     seed: int = 0,
-    kind: str | None = None,
     workers: int = 1,
-) -> McEstimate:
-    """Risk-neutral two-factor engine: exact Vasicek r, Euler log-V.
+) -> dict[str, McEstimate]:
+    """Risk-neutral two-factor engine, one path set: exact Vasicek r, Euler ln V.
 
     Default is monitored at every step against the moving barrier B*Z(r, u);
     between steps a Brownian-bridge crossing check is applied to the gap
     g = ln V - ln(B*Z(r, u)), which is flat at zero in that coordinate
     (the bridge variance is the step's cumulative numeraire variance, exact
     to leading order over a fine step).  A hit pays R*Z(r, u) discounted by
-    the trapezoid of the realized short rate (zero for the bare option
-    kinds, which knock out worthless).  Survivors receive the
-    contractual payoff: face 1 at T for the straight bond, or the T1
-    exercise payoff for option kinds ("put", "call", "puttable",
-    "callable") built from the straight-bond closed form.
+    the trapezoid of the realized short rate, a survivor face 1 at T: the
+    "bond" estimate.  Given an option, T1 is a step node where a survivor
+    holds the straight bond's closed-form value u: the put and call pay
+    _expiry_payoff of u, the puttable u plus the put, the callable u less
+    the call; a hit before T1 leaves the put and call worthless.  Returns
+    {"bond": ...}, with an option also "put", "call", "puttable", "callable".
     """
     if n_paths <= 0:
         raise SeedError("n_paths must be positive")
     if steps_per_year < 50:
         raise StepError(f"need at least 50 steps per year, got {steps_per_year}")
-    if kind is None:
-        kind = "bond" if option is None else "put"
-    if kind != "bond" and option is None:
-        raise ValueError(f"kind={kind!r} needs an OptionSpec")
-    if kind not in ("bond", "put", "call", "puttable", "callable"):
-        raise ValueError(f"unknown instrument kind {kind!r}")
-
     T = bond.maturity_T
-    horizon = T if kind == "bond" else option.expiry_T1
-    span = horizon - state.t
+    span = T - state.t
     if span <= 0.0:
-        raise InvalidTenor("evaluation time must precede the simulation horizon")
+        raise InvalidTenor("evaluation time must precede the bond's maturity")
     n_steps = max(1, math.ceil(span * steps_per_year))
     dt = span / n_steps
+    # the last node is T itself: t + n dt can round past it
+    grid_times = np.append(state.t + dt * np.arange(n_steps), T)
+    step_dts = [dt] * n_steps
+    expiry_step = None  # the step that ends at T1
+    if option is not None:
+        T1 = option.expiry_T1
+        if not state.t < T1 < T:
+            raise InvalidTenor(
+                f"option expiry {T1} must lie inside ({state.t}, {T})")
+        k = int(np.searchsorted(grid_times, T1))
+        if grid_times[k] != T1:  # split the step across T1
+            step_dts[k - 1:k] = [T1 - grid_times[k - 1], grid_times[k] - T1]
+            grid_times = np.insert(grid_times, k, T1)
+        expiry_step = k - 1
     theta, mu, s_r, s_v, rho = (params.theta, params.mu, params.s_r,
                                 params.s_V, params.rho)
-    exp_th = math.exp(-theta * dt)
-    r_std = s_r * math.sqrt(-math.expm1(-2.0 * theta * dt) / (2.0 * theta))
+    # per step: dt, the rate's decay and shock scale, sqrt(dt)
+    steps = [(h, math.exp(-theta * h),
+              s_r * math.sqrt(-math.expm1(-2.0 * theta * h) / (2.0 * theta)),
+              math.sqrt(h)) for h in step_dts]
     rho_c = math.sqrt(1.0 - rho * rho)
-    sqrt_dt = math.sqrt(dt)
 
-    grid_times = state.t + dt * np.arange(n_steps + 1)
     ab = np.array([model.abar(u, T, params) for u in grid_times])
     bb = np.array([model.bbar(u, T, params) for u in grid_times])
     step_vars = np.array([
         model.cum_variance(grid_times[i], grid_times[i + 1], T, params)
-        for i in range(n_steps)
+        for i in range(len(step_dts))
     ])
     log_b = math.log(params.barrier_b)
-    # bare options knock out worthless; bond-bearing contracts get the rebate
-    recovery = 0.0 if kind in ("put", "call") else params.recovery_r
 
-    def run_chunk(chunk_index: int, size: int) -> tuple[float, float]:
+    def run_chunk(chunk_index: int, size: int) -> list[np.ndarray]:
         rng = _chunk_rng(seed, chunk_index)
         r = np.full(size, state.r)
         lnv = np.full(size, math.log(state.v))
@@ -327,7 +326,8 @@ def mc_spot(
         disc = np.zeros(size)
         alive = np.ones(size, dtype=bool)
         value = np.zeros(size)
-        for i in range(n_steps):
+        at_expiry = []
+        for i, (dt, exp_th, r_std, sqrt_dt) in enumerate(steps):
             z1 = rng.standard_normal(size)
             z2 = rng.standard_normal(size)
             un = rng.random(size)
@@ -348,27 +348,22 @@ def mc_spot(
             hit = alive & ((gap_new <= 0.0) | (un < bridge))
             gap = gap_new
             if hit.any():
-                value[hit] = (np.exp(-disc[hit]) * recovery
+                value[hit] = (np.exp(-disc[hit]) * params.recovery_r
                               * np.exp(log_z[hit]))
                 alive &= ~hit
-        if alive.any():
-            df = np.exp(-disc[alive])
-            if kind == "bond":
-                value[alive] = df
-            else:
-                z_t1 = np.exp(ab[-1] - bb[-1] * r[alive])
-                x = np.exp(lnv[alive]) / z_t1
-                c_unit = _unit_value(x, horizon, T, params)
-                e = option.exercise_e
-                if kind == "put":
-                    pay = np.maximum(e - c_unit, 0.0)
-                elif kind == "call":
-                    pay = np.maximum(c_unit - e, 0.0)
-                elif kind == "puttable":
-                    pay = np.maximum(c_unit, e)
-                else:  # callable
-                    pay = np.minimum(c_unit, e)
-                value[alive] = df * z_t1 * pay
-        return float(value.sum()), float((value * value).sum())
+            if i == expiry_step:
+                z_t1 = np.exp(log_z[alive])
+                scale = np.exp(-disc[alive]) * z_t1
+                units = _unit_value(np.exp(lnv[alive]) / z_t1, T1, T, params)
+                put, call = np.zeros(size), np.zeros(size)
+                put[alive] = scale * _expiry_payoff(units, option, call=False)
+                call[alive] = scale * _expiry_payoff(units, option, call=True)
+                held = value.copy()  # the straight bond, hits' rebates kept
+                held[alive] = scale * units
+                at_expiry = [put, call, held + put, held - call]
+        value[alive] = np.exp(-disc[alive])
+        return [value, *at_expiry]
 
-    return _reduce_chunks(run_chunk, n_paths, workers, seed)
+    keys = ("bond", "put", "call", "puttable", "callable")
+    return dict(zip(keys, _reduce_chunks(run_chunk, n_paths, workers, seed)))
+

@@ -112,7 +112,7 @@ def test_criterion_03_bond_vs_two_factor_mc():
     res = bond_price(STATE, BOND, BENCH)
     start = time.perf_counter()
     est = mc_spot(STATE, BOND, None, BENCH, 200_000, steps_per_year=500,
-                  seed=2024, workers=4)
+                  seed=2024, workers=4)["bond"]
     elapsed = time.perf_counter() - start
     diff = abs(est.mean - res.price)
     ok = (diff <= 3.0 * est.std_error and est.std_error <= 5e-4
@@ -125,18 +125,20 @@ def test_criterion_03_bond_vs_two_factor_mc():
 
 
 def _option_fd_solutions(grid):
-    L = find_boundary_l(OPT, BOND, BENCH)
+    # the payoffs at T1 take the bond's value from its own FD solve, so the
+    # oracle shares neither L nor the bond's closed form with the prices
+    bond_sol = cn_solve(lambda x: np.ones_like(x), 0.0, 2.0, 2.0, BENCH,
+                        grid=grid)
     e, recovery = OPT.exercise_e, BENCH.recovery_r
 
-    def w_rem(x):
-        return np.array([survival_curve(float(v), 1.0, 2.0, 2.0, BENCH)
-                         for v in np.atleast_1d(x)])
+    def unit_value(x):
+        return recovery + (1 - recovery) * bond_sol.interpolate(x, 1.0)
 
     def put_pay(x):
-        return (e - recovery - (1 - recovery) * w_rem(x)) * (np.atleast_1d(x) < L)
+        return np.maximum(e - unit_value(x), 0.0)
 
     def call_pay(x):
-        return (recovery + (1 - recovery) * w_rem(x) - e) * (np.atleast_1d(x) > L)
+        return np.maximum(unit_value(x) - e, 0.0)
 
     psol = cn_solve(put_pay, 0.0, 1.0, 2.0, BENCH, grid=grid)
     csol = cn_solve(call_pay, 0.0, 1.0, 2.0, BENCH, grid=grid)

@@ -452,7 +452,24 @@ FLOAT_RANGE_CASES = [
     ("state", "v", 1e308), ("state", "v", 1.7e308)]
 
 
+# A volatility whose square overflows, for each instrument that squares it,
+# and a remaining variance that puts L past ln(max float), for each
+# instrument that needs L
+SQUARE_AND_BRACKET_CASES = [
+    *(("s_r", 1e160, name) for name in cli.INSTRUMENTS),
+    *(("s_V", 1e160, name) for name in cli.INSTRUMENTS if name != "zcb"),
+    *(("s_V", s_v, name) for s_v in (1e3, 1e150)
+      for name in ("put-option", "call-option", "puttable", "callable"))]
+
+
 class TestFloatRange:
+    @pytest.mark.parametrize("key,value,instrument", SQUARE_AND_BRACKET_CASES)
+    def test_domain_error_exit_3(self, tmp_path, key, value, instrument):
+        path = make_config(tmp_path, lambda d: d["model"].update({key: value}))
+        result = runner.invoke(main, ["price", instrument, "--config", path])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "DomainError" in result.output
+
     @pytest.mark.parametrize("instrument", cli.INSTRUMENTS)
     @pytest.mark.parametrize("section,key,value", FLOAT_RANGE_CASES)
     def test_price_exits_0_or_3(self, tmp_path, section, key, value,
@@ -595,6 +612,23 @@ class TestVerify:
                                       "--suite", "fd"])
         assert result.exit_code == 0, result.output
         assert len(json.loads(result.output)["checks"]) == 3
+
+    def test_fd_suite_fails_a_wrong_boundary(self, tmp_path, monkeypatch):
+        # the FD payoffs come from the FD bond, not from L: an L 5% off
+        # fails both option checks
+        solve = options.find_boundary_l
+        monkeypatch.setattr(options, "find_boundary_l",
+                            lambda *args: 1.05 * solve(*args))
+        path = make_config(
+            tmp_path, lambda d: d["verify"].update(grid_nx=800, grid_nt=800))
+        result = runner.invoke(main, ["verify", "--config", path,
+                                      "--suite", "fd"])
+        assert result.exit_code == 4, result.output
+        passed = {c["name"]: c["pass"]
+                  for c in json.loads(result.output)["checks"]}
+        assert passed == {"fd straight bond max relative error": True,
+                          "fd put option relative error": False,
+                          "fd call option relative error": False}
 
     def test_failure_exit_4(self, tmp_path, monkeypatch):
         # force a failing check to exercise the exit-code path

@@ -367,19 +367,20 @@ class TestParityGapOneSolve:
 
 class TestExpiryPayoff:
     def test_elementwise_is_the_max_form(self):
-        # R + (1-R) W - E changes sign at L, so each payoff is a max(., 0)
+        # R + (1-R) W - E changes sign at L: below it only the put pays,
+        # above it only the call
         L = find_boundary_l(OPT, BOND, BENCH)
-        e, recovery = OPT.exercise_e, BENCH.recovery_r
-        xs = np.array([0.61, 0.7, L * (1 - 1e-6), L, L * (1 + 1e-6),
-                       L * 1.005, 0.9, 1.5])
-        for call in (False, True):
-            got = options._expiry_payoff(xs, L, OPT, BOND, BENCH, call)
-            assert got.shape == xs.shape
-            for x, pay in zip(xs, got):
-                unit = recovery + (1.0 - recovery) * survival_curve(
-                    x, OPT.expiry_T1, BOND.maturity_T, BOND.maturity_T, BENCH)
-                want = max(unit - e, 0.0) if call else max(e - unit, 0.0)
-                assert abs(pay - want) <= 1e-15
+        e = OPT.exercise_e
+        xs = np.array([0.61, 0.7, L * (1 - 1e-6), L * (1 + 1e-6), L * 1.005,
+                       0.9, 1.5])
+        units = bond_mod._unit_value(xs, OPT.expiry_T1, BOND.maturity_T, BENCH)
+        put = options._expiry_payoff(units, OPT, call=False)
+        call = options._expiry_payoff(units, OPT, call=True)
+        assert put.shape == call.shape == xs.shape
+        assert np.array_equal(put, np.maximum(e - units, 0.0))
+        assert np.array_equal(call, np.maximum(units - e, 0.0))
+        assert np.array_equal(put > 0.0, xs < L)
+        assert np.array_equal(call > 0.0, xs > L)
 
 
 class TestParityAtExpiry:

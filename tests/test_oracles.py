@@ -36,8 +36,9 @@ OPT = OptionSpec(expiry_T1=1.0, exercise_e=0.9)
 STATE = MarketState(r=0.05, v=1.0, t=0.0)
 
 
-# mc_spot option kind -> its closed-form price at STATE
+# mc_spot estimate -> its closed-form price at STATE
 CLOSED_FORMS = {
+    "bond": lambda: bond_price(STATE, BOND, BENCH).price,
     "put": lambda: put_price(STATE, OPT, BOND, BENCH).price,
     "call": lambda: call_price(STATE, OPT, BOND, BENCH).price,
     "puttable": lambda: puttable_bond_price(STATE, OPT, BOND, BENCH),
@@ -132,42 +133,51 @@ class TestMcForward:
             mc_forward(0.5, 0.0, 2.0, BENCH, 100)
 
 
+@pytest.fixture(scope="module")
+def spot_with_option():
+    """All five estimates at STATE from one path set."""
+    return mc_spot(STATE, BOND, OPT, BENCH, 20_000, steps_per_year=100,
+                   seed=21)
+
+
 class TestMcSpot:
     def test_bond_within_errors(self):
         res = bond_price(STATE, BOND, BENCH)
         est = mc_spot(STATE, BOND, None, BENCH, 30_000, steps_per_year=200,
                       seed=17)
-        assert abs(est.mean - res.price) <= 3.5 * est.std_error
+        assert list(est) == ["bond"]
+        assert abs(est["bond"].mean - res.price) <= 3.5 * est["bond"].std_error
 
     @pytest.mark.parametrize("kind", list(CLOSED_FORMS))
-    def test_option_kinds_within_errors(self, kind):
-        est = mc_spot(STATE, BOND, OPT, BENCH, 20_000, steps_per_year=100,
-                      seed=21, kind=kind)
+    def test_option_kinds_within_errors(self, spot_with_option, kind):
+        assert list(spot_with_option) == list(CLOSED_FORMS)
+        est = spot_with_option[kind]
         assert abs(est.mean - CLOSED_FORMS[kind]()) <= 3.5 * est.std_error
 
     def test_worker_count_invariant(self):
-        a = mc_spot(STATE, BOND, None, BENCH, 20_000, steps_per_year=100,
+        a = mc_spot(STATE, BOND, OPT, BENCH, 20_000, steps_per_year=100,
                     seed=9, workers=1)
-        b = mc_spot(STATE, BOND, None, BENCH, 20_000, steps_per_year=100,
+        b = mc_spot(STATE, BOND, OPT, BENCH, 20_000, steps_per_year=100,
                     seed=9, workers=3)
-        assert a.mean == b.mean and a.std_error == b.std_error
+        assert len(a) == 5 and a == b
 
     def test_rejects_coarse_stepping(self):
         with pytest.raises(StepError):
             mc_spot(STATE, BOND, None, BENCH, 1000, steps_per_year=10)
 
-    def test_rejects_option_kind_without_option(self):
-        with pytest.raises(ValueError):
-            mc_spot(STATE, BOND, None, BENCH, 1000, kind="put")
+    def test_last_node_is_maturity(self):
+        # here t + n dt rounds to one ulp past T
+        t = 0.01900950475237619
+        est = mc_spot(MarketState(0.05, 1.0, t), BOND, None, BENCH, 1000)
+        assert math.isfinite(est["bond"].mean)
 
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            mc_spot(STATE, BOND, OPT, BENCH, 1000, kind="swaption")
+    @pytest.mark.parametrize("t", [1.0, 1.5])
+    def test_rejects_option_expiry_not_after_t(self, t):
+        with pytest.raises(InvalidTenor):
+            mc_spot(MarketState(0.05, 1.0, t), BOND, OPT, BENCH, 1000)
 
-    def test_puttable_dominates_bond(self):
-        bond_est = mc_spot(STATE, BOND, None, BENCH, 20_000,
-                           steps_per_year=100, seed=21)
-        puttable_est = mc_spot(STATE, BOND, OPT, BENCH, 20_000,
-                               steps_per_year=100, seed=21, kind="puttable")
+    def test_puttable_dominates_bond(self, spot_with_option):
+        bond_est = spot_with_option["bond"]
+        puttable_est = spot_with_option["puttable"]
         assert puttable_est.mean >= bond_est.mean - 3.0 * (
             bond_est.std_error + puttable_est.std_error)
