@@ -171,7 +171,10 @@ _MIN_VARIANCE = 1e-16
 
 
 def cum_variance(t: float, T1: float, T: float, params: ModelParams) -> float:
-    """int_t^T1 sigma_x2(u; T) du in closed form (additive over intervals)."""
+    """int_t^T1 sigma_x2(u; T) du in closed form (additive over intervals).
+
+    Raises DomainError where the sum of its finite terms is not finite.
+    """
     if not t <= T1 <= T:
         raise InvalidTenor(f"need t <= T1 <= T, got t={t}, T1={T1}, T={T}")
     theta = params.theta
@@ -182,6 +185,9 @@ def cum_variance(t: float, T1: float, T: float, params: ModelParams) -> float:
            + _squared(params.s_V) * delta
            + 2.0 * params.rho * params.s_r * params.s_V
            * (_h1(theta, tau0) - _h1(theta, tau1)))
+    # checked before the clamp: max(0.0, nan) would read as zero variance
+    if not math.isfinite(val):
+        raise DomainError(f"variance over [{t}, {T1}] is {val}, not finite")
     return max(0.0, val)
 
 

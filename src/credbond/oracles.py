@@ -169,16 +169,38 @@ class McEstimate:
     seed: int
 
 
+# row 0 of a chunk's paths steps on +z, row 1 on -z: antithetic pairs
+_SIGNS = np.array([[1.0], [-1.0]])
+
+
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    key = np.array([seed % 2 ** 64, chunk_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    seq = np.random.SeedSequence((seed % 2 ** 64, chunk_index))
+    return np.random.Generator(np.random.SFC64(seq))
+
+
+def _pair_means(values: np.ndarray, size: int) -> np.ndarray:
+    """A chunk's samples from the values of its (2, ceil(size / 2)) paths.
+
+    Each column is an antithetic pair and scores its mean.  An odd chunk
+    simulates one path too many, the partner of its last +z path; that path
+    is dropped, and the last column scores its +z path alone.
+    """
+    means = 0.5 * (values[0] + values[1])
+    if size % 2:
+        means[-1] = values[0, -1]
+    return means
 
 
 def _reduce_chunks(run_chunk, n_paths: int, workers: int,
                    seed: int) -> list[McEstimate]:
-    """An McEstimate of each per-path value array that run_chunk returns."""
+    """An McEstimate of each sample array that run_chunk returns.
+
+    The samples are antithetic pair means (see _pair_means), so the mean and
+    its standard error count len(array) samples per chunk, not its paths.
+    """
     def moments(job):
-        return [(v.sum(), (v * v).sum()) for v in run_chunk(*job)]
+        values = run_chunk(*job)
+        return len(values[0]), [(v.sum(), (v * v).sum()) for v in values]
 
     jobs = list(enumerate(min(_CHUNK, n_paths - start)
                           for start in range(0, n_paths, _CHUNK)))
@@ -189,14 +211,14 @@ def _reduce_chunks(run_chunk, n_paths: int, workers: int,
         results = [moments(job) for job in jobs]
     # fixed chunk size and in-order reduction keep the result independent of
     # the worker count and bit-reproducible for a given seed
-    sums = np.zeros((len(results[0]), 2))
-    for chunk in results:
+    n = sum(count for count, _ in results)
+    sums = np.zeros((len(results[0][1]), 2))
+    for _, chunk in results:
         sums += chunk
-    mean = sums[:, 0] / n_paths
-    if n_paths > 1:
-        var = np.maximum(0.0, (sums[:, 1] - n_paths * mean * mean)
-                         / (n_paths - 1))
-        std_error = np.sqrt(var / n_paths)
+    mean = sums[:, 0] / n
+    if n > 1:
+        var = np.maximum(0.0, (sums[:, 1] - n * mean * mean) / (n - 1))
+        std_error = np.sqrt(var / n)
     else:
         std_error = np.full(len(mean), math.inf)
     return [McEstimate(mean=float(m), std_error=float(se), n_paths=n_paths,
@@ -220,7 +242,9 @@ def mc_forward(
     x = B, so the continuously monitored knock-out is sampled without bias.
     Knocked-out paths score the recovery R; survivors score the face value 1.
     The returned mean is the straight bond in units of Z (multiply by Z for
-    its price).
+    its price).  Paths run in antithetic pairs that share their bridge draw;
+    the mean and std_error are over the pair means (see _pair_means for an
+    odd chunk).
     """
     if n_paths <= 0:
         raise SeedError("n_paths must be positive")
@@ -236,20 +260,21 @@ def mc_forward(
 
     def run_chunk(chunk_index: int, size: int) -> list[np.ndarray]:
         rng = _chunk_rng(seed, chunk_index)
-        lx = np.full(size, log_x0)
-        alive = np.ones(size, dtype=bool)
+        shape = (2, (size + 1) // 2)
+        lx = np.full(shape, log_x0)
+        alive = np.ones(shape, dtype=bool)
         for v in step_vars:
-            zn = rng.standard_normal(size)
-            un = rng.random(size)
-            if v <= 0.0:
-                continue
-            lx_new = lx - 0.5 * v + math.sqrt(v) * zn
-            with np.errstate(over="ignore", under="ignore"):
-                bridge = np.exp(-2.0 * (lx - log_b) * (lx_new - log_b) / v)
-            hit = alive & ((lx_new <= log_b) | (un < bridge))
+            zn = rng.standard_normal(shape[1])
+            en = rng.standard_exponential(shape[1])
+            lx_new = lx + (_SIGNS * (math.sqrt(v) * zn) - 0.5 * v)
+            # the bridge crosses w.p. exp(-2 g g' / v), g = lx - ln B and
+            # g' = lx_new - ln B: when the pair's shared Exp(1) draw E has
+            # E v > 2 g g'
+            hit = alive & ((lx_new <= log_b)
+                           | (en * v > 2.0 * (lx - log_b) * (lx_new - log_b)))
             alive &= ~hit
             lx = lx_new
-        return [np.where(alive, 1.0, params.recovery_r)]
+        return [_pair_means(np.where(alive, 1.0, params.recovery_r), size)]
 
     return _reduce_chunks(run_chunk, n_paths, workers, seed)[0]
 
@@ -277,6 +302,9 @@ def mc_spot(
     _expiry_payoff of u, the puttable u plus the put, the callable u less
     the call; a hit before T1 leaves the put and call worthless.  Returns
     {"bond": ...}, with an option also "put", "call", "puttable", "callable".
+    Paths run in antithetic pairs, both normals of a step negated on the
+    partner, which shares the bridge draw; each estimate and its std_error
+    are over the pair means (see _pair_means for an odd chunk).
     """
     if n_paths <= 0:
         raise SeedError("n_paths must be positive")
@@ -320,32 +348,31 @@ def mc_spot(
 
     def run_chunk(chunk_index: int, size: int) -> list[np.ndarray]:
         rng = _chunk_rng(seed, chunk_index)
-        r = np.full(size, state.r)
-        lnv = np.full(size, math.log(state.v))
+        shape = (2, (size + 1) // 2)
+        r = np.full(shape, state.r)
+        lnv = np.full(shape, math.log(state.v))
         gap = lnv - (ab[0] - bb[0] * r) - log_b
-        disc = np.zeros(size)
-        alive = np.ones(size, dtype=bool)
-        value = np.zeros(size)
+        disc = np.zeros(shape)
+        alive = np.ones(shape, dtype=bool)
+        value = np.zeros(shape)
         at_expiry = []
         for i, (dt, exp_th, r_std, sqrt_dt) in enumerate(steps):
-            z1 = rng.standard_normal(size)
-            z2 = rng.standard_normal(size)
-            un = rng.random(size)
+            z1, z2 = rng.standard_normal(shape)
+            en = rng.standard_exponential(shape[1])
             zv = rho * z1 + rho_c * z2
-            r_new = mu + (r - mu) * exp_th + r_std * z1
-            lnv = lnv + (r - 0.5 * s_v * s_v) * dt + s_v * sqrt_dt * zv
+            r_new = mu + (r - mu) * exp_th + _SIGNS * (r_std * z1)
+            lnv = lnv + ((r - 0.5 * s_v * s_v) * dt
+                         + _SIGNS * (s_v * sqrt_dt * zv))
             disc = disc + 0.5 * (r + r_new) * dt
             r = r_new
             log_z = ab[i + 1] - bb[i + 1] * r
             gap_new = lnv - log_z - log_b
-            v_step = step_vars[i]
-            if v_step > 0.0:
-                with np.errstate(over="ignore", under="ignore"):
-                    bridge = np.exp(-2.0 * np.maximum(gap, 0.0)
-                                    * np.maximum(gap_new, 0.0) / v_step)
-            else:
-                bridge = np.zeros(size)
-            hit = alive & ((gap_new <= 0.0) | (un < bridge))
+            # the bridge crosses w.p. exp(-2 g+ g' / v_step), g+ = max(gap, 0)
+            # and g' = gap_new: when the pair's shared Exp(1) draw E has
+            # E v_step > 2 g+ g'
+            hit = alive & ((gap_new <= 0.0)
+                           | (en * step_vars[i]
+                              > 2.0 * np.maximum(gap, 0.0) * gap_new))
             gap = gap_new
             if hit.any():
                 value[hit] = (np.exp(-disc[hit]) * params.recovery_r
@@ -355,14 +382,14 @@ def mc_spot(
                 z_t1 = np.exp(log_z[alive])
                 scale = np.exp(-disc[alive]) * z_t1
                 units = _unit_value(np.exp(lnv[alive]) / z_t1, T1, T, params)
-                put, call = np.zeros(size), np.zeros(size)
+                put, call = np.zeros(shape), np.zeros(shape)
                 put[alive] = scale * _expiry_payoff(units, option, call=False)
                 call[alive] = scale * _expiry_payoff(units, option, call=True)
                 held = value.copy()  # the straight bond, hits' rebates kept
                 held[alive] = scale * units
                 at_expiry = [put, call, held + put, held - call]
         value[alive] = np.exp(-disc[alive])
-        return [value, *at_expiry]
+        return [_pair_means(v, size) for v in (value, *at_expiry)]
 
     keys = ("bond", "put", "call", "puttable", "callable")
     return dict(zip(keys, _reduce_chunks(run_chunk, n_paths, workers, seed)))

@@ -470,6 +470,15 @@ class TestFloatRange:
         assert result.exit_code == 3, (result.output, result.exception)
         assert "DomainError" in result.output
 
+    def test_variance_beyond_the_float_range_exit_3(self, tmp_path):
+        # s_V ** 2 is finite but the variance to T, 2 s_V ** 2, is not; it
+        # used to surface as a NaN norm_cdf argument
+        path = make_config(tmp_path, lambda d: d["model"].update(s_V=1.2e154))
+        result = runner.invoke(main, ["price", "bond", "--config", path])
+        assert result.exit_code == 3, result.output
+        assert "DomainError" in result.output
+        assert "not finite" in result.output and "NaN" not in result.output
+
     @pytest.mark.parametrize("instrument", cli.INSTRUMENTS)
     @pytest.mark.parametrize("section,key,value", FLOAT_RANGE_CASES)
     def test_price_exits_0_or_3(self, tmp_path, section, key, value,

@@ -153,6 +153,16 @@ class TestVarianceStructure:
         with pytest.raises(InvalidTenor):
             cum_variance(0.0, 2.5, 2.0, BENCH)
 
+    @pytest.mark.parametrize("p", [
+        # s_V ** 2 is finite, twice it (the variance over [0, 2]) is not
+        params(s_V=1.2e154),
+        # both squares finite, their sum inf - inf = nan
+        params(s_r=1.3e154, s_V=1.3e154, rho=-1.0),
+    ])
+    def test_cum_variance_not_finite_rejected(self, p):
+        with pytest.raises(DomainError, match="variance"):
+            cum_variance(0.0, 2.0, 2.0, p)
+
     @given(st.floats(0.01, 5.0), st.floats(-1.0, 1.0),
            st.floats(0.0, 0.5), st.floats(0.0, 0.5))
     @settings(max_examples=100, deadline=None)

@@ -133,6 +133,36 @@ class TestMcForward:
             mc_forward(0.5, 0.0, 2.0, BENCH, 100)
 
 
+# 40 seeds: the spread of their means over the mean reported se is 1 within
+# +-3 sigma at [0.67, 1.34]
+CALIBRATION_SEEDS = range(40)
+
+ENGINES = {
+    "mc_forward": lambda n, seed: mc_forward(
+        bond_price(STATE, BOND, BENCH).x, 0.0, 2.0, BENCH, n, seed=seed),
+    "mc_spot": lambda n, seed: mc_spot(
+        STATE, BOND, None, BENCH, n, steps_per_year=50, seed=seed)["bond"],
+}
+
+
+class TestStandardError:
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_se_matches_spread_across_seeds(self, engine):
+        # the samples are antithetic pair means: an se over the path count
+        # would understate the spread by about sqrt(2)
+        ests = [ENGINES[engine](2048, seed) for seed in CALIBRATION_SEEDS]
+        spread = np.std([e.mean for e in ests], ddof=1)
+        ratio = spread / np.mean([e.std_error for e in ests])
+        assert 0.67 <= ratio <= 1.34, ratio
+
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_odd_path_count(self, engine):
+        # 8193 paths: the last chunk holds one path, its partner dropped
+        est = ENGINES[engine](8193, 4)
+        assert est.n_paths == 8193
+        assert math.isfinite(est.mean) and 0.0 < est.std_error < math.inf
+
+
 @pytest.fixture(scope="module")
 def spot_with_option():
     """All five estimates at STATE from one path set."""
