@@ -1,14 +1,12 @@
 """Special functions and root finding shared by the pricing modules.
 
-Univariate/bivariate standard normal CDFs (the bivariate one also in an
-elementwise array form) and a bracketed root finder.  All functions here are
-pure and thread-safe.
+Univariate/bivariate standard normal CDFs, each also in an elementwise
+array form, and a bracketed root finder.  All functions here are pure and
+thread-safe.
 
-The scalar forms need only ``math``.  SciPy loads on first use: the array
-CDF ``_ndtr`` (the package's only ``scipy.special`` import) binds
-``scipy.special.ndtr`` in its own place on its first call, and
-``find_root`` imports ``scipy.optimize`` when it runs.  Racing first calls
-each bind the same ufunc, so the lazy binding stays thread-safe.
+Both normal CDFs, scalar and array, are 0.5 erfc(-x/sqrt 2) from
+``math.erfc``, so the CDFs need only ``math`` and numpy.  ``find_root``
+imports ``scipy.optimize`` when it runs.
 """
 
 from __future__ import annotations
@@ -41,11 +39,14 @@ def norm_cdf(x: float) -> float:
 
 
 def _ndtr(x):
-    """Standard normal CDF elementwise: scipy.special.ndtr, bound on first call."""
-    global _ndtr
-    from scipy.special import ndtr
-    _ndtr = ndtr
-    return ndtr(x)
+    """norm_cdf elementwise, without its guards: NaN gives NaN.
+
+    A 0-d input gives a float.  Mapping math.erfc over a list is faster
+    than np.frompyfunc.
+    """
+    y = -np.asarray(x, dtype=float) * _SQRT_HALF
+    erfc = np.fromiter(map(math.erfc, y.ravel().tolist()), float, y.size)
+    return erfc.reshape(y.shape) * 0.5
 
 
 # Gauss-Legendre rules on [-1, 1] for the single-integral representation

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import analytics, model
 from .errors import BelowBarrier, DegenerateVariance, DomainError, InvalidTenor
-from .model import _MIN_VARIANCE
+from .model import _LOG_HUGE, _MIN_VARIANCE
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Above this u = ln(x/B), _survival forms its tail without e^u.  There
@@ -130,17 +130,21 @@ def _bond_units(x, b, recovery, variance) -> tuple[np.ndarray, np.ndarray]:
     """(R + (1-R) W, W) elementwise, with x, B, R and the variance I broadcast.
 
     The array form of _survival: W = 0 at or below the barrier, and W = 1
-    above it where no variance remains (I <= _MIN_VARIANCE).
+    above it where no variance remains (I <= _MIN_VARIANCE).  An x/B beyond
+    the float range is u = inf, where W = 1.
     """
     x = np.asarray(x, dtype=float)
     live = variance > _MIN_VARIANCE
     variance = np.where(live, variance, 1.0)  # any positive stand-in
-    u = np.log(x / b)
+    with np.errstate(over="ignore"):
+        u = np.log(x / b)
     root = np.sqrt(variance)
     d1 = (u - 0.5 * variance) / root
     d2 = (-u - 0.5 * variance) / root
     ndtr = analytics._ndtr
-    w = np.minimum(1.0, np.maximum(0.0, ndtr(d1) - np.exp(u) * ndtr(d2)))
+    # u <= ln(max float) but at x/B = inf, where capped the tail is 0
+    tail = np.exp(np.minimum(u, _LOG_HUGE)) * ndtr(d2)
+    w = np.minimum(1.0, np.maximum(0.0, ndtr(d1) - tail))
     w = np.where(live, w, 1.0)
     w = np.where(x > b, w, 0.0)
     return recovery + (1.0 - recovery) * w, w

@@ -148,7 +148,10 @@ def _need_option(cfg: RunConfig, instrument: str) -> options.OptionSpec:
 
 
 def price_instrument(cfg: RunConfig, instrument: str) -> dict:
-    """Price one instrument, returning its price and diagnostics."""
+    """Price one instrument, returning its price and diagnostics.
+
+    A puttable or callable bond up to T1 is checked in its option's order.
+    """
     params, state, bond_spec = cfg.model, cfg.state, cfg.bond
     holds_bond, leg = _LEGS[instrument]
     spec = None if leg is None else _need_option(cfg, instrument)
@@ -156,21 +159,23 @@ def price_instrument(cfg: RunConfig, instrument: str) -> dict:
     if not (holds_bond or leg):  # the zero-coupon bond
         price = model.zcb_price(state.r, state.t, bond_spec.maturity_T, params)
         diagnostics["z"] = price
+    option = None
+    if leg and not (holds_bond and state.t > spec.expiry_T1):
+        pricer = options.call_price if leg == "call" else options.put_price
+        option = pricer(state, spec, bond_spec, params)
+        price = option.price
     if holds_bond:
         res = bond_mod.bond_price(state, bond_spec, params)
         price = res.price
+        if option is not None:
+            price += -option.price if leg == "call" else option.price
         diagnostics.update(z=res.z, x=res.x, w=res.w,
                            total_variance=res.total_variance)
-    if leg and not (holds_bond and state.t > spec.expiry_T1):
-        pricer = options.call_price if leg == "call" else options.put_price
-        res = pricer(state, spec, bond_spec, params)
-        if holds_bond:
-            price += -res.price if leg == "call" else res.price
-        else:
-            price = res.price
-            diagnostics.update(z=res.z, x=state.v / res.z,
-                               d_values=res.dvalues)
-        diagnostics["L"] = res.boundary_l
+    elif option is not None:
+        diagnostics.update(z=option.z, x=state.v / option.z,
+                           d_values=option.dvalues)
+    if option is not None:
+        diagnostics["L"] = option.boundary_l
     return {"instrument": instrument, "price": price,
             "diagnostics": diagnostics}
 
@@ -207,10 +212,11 @@ def _sweep_job(cfg: RunConfig, instrument: str, boundary_l: Optional[float]):
     (z, x, straight, option): straight = (B, R, variance over [t, T]) for the
     straight bond in bond/puttable/callable; option = (v, B, R, E, L, total,
     first) for an option priced by its closed form; each None where the
-    point has no such part.  L is boundary_l where that is not None, else
-    solved here.  None for a point that price_instrument prices alone: a
+    point has no such part.  A live option leg's inputs include the
+    straight bond's.  L is boundary_l where that is not None, else solved
+    here.  None for a point that price_instrument prices alone: a
     zero-coupon bond, a bond at maturity, an option at its expiry payoff, or
-    a point whose x/B is beyond the float range.  Raises what
+    a point whose x/B or v/B is beyond the float range.  Raises what
     price_instrument raises, in the same order.
     """
     params, state, bond_spec = cfg.model, cfg.state, cfg.bond
@@ -219,23 +225,24 @@ def _sweep_job(cfg: RunConfig, instrument: str, boundary_l: Optional[float]):
         return None
     spec = None if leg is None else _need_option(cfg, instrument)
     straight = option = None
-    if holds_bond:
-        inputs = bond_mod._bond_inputs(state, bond_spec, params)
-        if inputs is None:
-            return None
-        z, x, variance = inputs
-        straight = (params.barrier_b, params.recovery_r, variance)
     if leg and not (holds_bond and state.t > spec.expiry_T1):
-        z, x, variances = options._option_inputs(state, spec, bond_spec,
-                                                 params)
-        if variances is None:
+        z, x, total, first = options._option_inputs(state, spec, bond_spec,
+                                                    params)
+        if first is None:
             return None
         if boundary_l is None:
             boundary_l = options.find_boundary_l(spec, bond_spec, params)
         option = (state.v, params.barrier_b, params.recovery_r,
-                  spec.exercise_e, boundary_l, *variances)
-    # the array pass would overflow at x/B; the scalar path takes it
-    if x / params.barrier_b == math.inf:
+                  spec.exercise_e, boundary_l, total, first)
+    else:
+        inputs = bond_mod._bond_inputs(state, bond_spec, params)
+        if inputs is None:
+            return None
+        z, x, total = inputs
+    if holds_bond:
+        straight = (params.barrier_b, params.recovery_r, total)
+    # the array pass would overflow at x/B or v/B; the scalar path takes it
+    if max(x, state.v) / params.barrier_b == math.inf:
         return None
     return z, x, straight, option
 
@@ -253,8 +260,10 @@ def _sweep_prices(instrument: str, jobs: list) -> tuple[list, list]:
     if priced:
         v, b, recovery, e, boundary_l, total, first = np.array(
             [jobs[i][3] for i in priced]).T
-        d = options._d_arguments(x[priced], boundary_l, b, total, first,
-                                 options._Array)
+        # (L/B)(x/B) may overflow, and log (B/L)(B/x) be log 0 = -inf
+        with np.errstate(over="ignore", divide="ignore"):
+            d = options._d_arguments(x[priced], boundary_l, b, total, first,
+                                     options._Array)
         option = options._option_value(leg == "call", z[priced], v, b, e,
                                        recovery, d, options._Array)
         price[priced] += -option if holds_bond and leg == "call" else option

@@ -12,26 +12,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from statistics import NormalDist
 
 import numpy as np
 
 from . import analytics, model
-from .bond import (
-    BondSpec,
-    _checked_variance,
-    _d,
-    _survival,
-    _unit_value,
-    bond_price,
-)
-from .errors import (
-    BelowBarrier,
-    DomainError,
-    InvalidExercise,
-    InvalidTenor,
-    NoConvergence,
-)
+from .bond import BondSpec, _bond_inputs, _d, _survival, _unit_value, bond_price
+from .errors import DomainError, InvalidExercise, InvalidTenor, NoConvergence
 from .model import _LOG_HUGE, _MIN_VARIANCE
 
 # The boundary solve stops once its step or residual is this close to zero
@@ -44,16 +32,6 @@ _CLAMP = 1e-12
 _NORM_QUANTILE = NormalDist().inv_cdf
 
 
-def _binorm_each(a, b, rho):
-    """binorm_cdf at each (a, b, rho) of three sequences."""
-    return map(analytics.binorm_cdf, a, b, rho)
-
-
-def _binorm_stacked(a, b, rho):
-    """binorm_cdf_array at each (a, b, rho) of three sequences of arrays."""
-    return analytics.binorm_cdf_array(np.array(a), np.array(b), np.array(rho))
-
-
 class _Scalar:
     """What one price evaluates with: math and the scalar CDFs.
 
@@ -61,13 +39,17 @@ class _Scalar:
     wraps them there sees every call.
     """
 
-    log, sqrt, minimum = math.log, math.sqrt, min
+    sqrt, minimum = math.sqrt, min
+    # a ratio that underflowed to 0 has the d-value -inf, as numpy's log gives
+    log = staticmethod(lambda ratio: math.log(ratio) if ratio else -math.inf)
+    # (v/B) block: a block of 0 adds 0, also where v/B overflows
+    scale = staticmethod(lambda v, b, block: (v / b) * block if block else 0.0)
 
     @staticmethod
     def pair(block, near, image):
         """The block at x and at the image point."""
-        n = analytics.norm_cdf
-        return block(*near, n, _binorm_each), block(*image, n, _binorm_each)
+        n, n2 = analytics.norm_cdf, partial(map, analytics.binorm_cdf)
+        return block(*near, n, n2), block(*image, n, n2)
 
     @staticmethod
     def clamp(price):
@@ -77,16 +59,18 @@ class _Scalar:
 class _Array:
     """What a sweep evaluates with: numpy, elementwise over its points.
 
-    Every per-point input is an array over the points, all of one shape.
+    Every per-point input is an array over the points, all of one shape,
+    with x/B and v/B finite.
     """
 
     log, sqrt, minimum = np.log, np.sqrt, np.minimum
+    scale = staticmethod(lambda v, b, block: (v / b) * block)
 
     @staticmethod
     def pair(block, near, image):
         """The block at x and at the image point, stacked in one evaluation."""
         return block(*np.array((near, image)).swapaxes(0, 1),
-                     analytics._ndtr, _binorm_stacked)
+                     analytics._ndtr, analytics.binorm_cdf_array)
 
     @staticmethod
     def clamp(price):
@@ -183,30 +167,28 @@ def _boundary(b: float, u: float) -> float:
 
 def _option_inputs(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
                    params: model.ModelParams):
-    """(z, x, (total, first)) of one option price, checked.
+    """(z, x, total, first) of one option price, checked.
 
-    The variances over [t, T] and [t, T1] are None where no variance remains
-    before expiry (t = T1, or within roundoff of it): the price is then the
-    payoff at T1.  The boundary L depends on no state variable and is left
-    to the caller: past the checks made here, find_boundary_l raises only
-    NoConvergence or DomainError.
+    The option terms are checked first, then the straight bond's z, x and
+    total, the variance over [t, T], by bond._bond_inputs; a puttable or
+    callable bond is checked in this order too.  first, the variance over
+    [t, T1], is None where no variance remains before expiry (t = T1, or
+    within roundoff of it): the price is then the payoff at T1.  The
+    boundary L depends on no state variable and is left to the caller: past
+    the checks made here, find_boundary_l raises only NoConvergence or
+    DomainError.
     """
     _validate(spec, bond, params)
     if state.t > spec.expiry_T1:
         raise InvalidTenor(
             f"t={state.t} is after option expiry {spec.expiry_T1}")
-    T1, T = spec.expiry_T1, bond.maturity_T
-    z = model.zcb_price(state.r, state.t, T, params)
-    x = state.v / z
-    if x == math.inf:
-        raise DomainError(f"V/Z = {state.v}/{z} is beyond the float range")
-    b = params.barrier_b
-    if x <= b:
-        raise BelowBarrier(f"V/Z={x} at or below barrier {b}")
-    first = model.cum_variance(state.t, T1, T, params)
+    z, x, total = _bond_inputs(state, bond, params)
+    first = model.cum_variance(state.t, spec.expiry_T1, bond.maturity_T,
+                               params)
     if first <= _MIN_VARIANCE:
-        return z, x, None
-    return z, x, (_checked_variance(state.t, T, T, params), first)
+        return z, x, total, None
+    # the variance over [t, T] is at least that over [t, T1] but for roundoff
+    return z, x, max(total, first), first
 
 
 def _expiry_payoff(units, spec: OptionSpec, call: bool) -> np.ndarray:
@@ -226,7 +208,9 @@ def _d_arguments(x, boundary_l, b, total, first, k=_Scalar) -> dict:
     half_t, root_t = 0.5 * total, k.sqrt(total)
     half_f, root_f = 0.5 * first, k.sqrt(first)
     log = k.log
-    # the ratios are written so that L = B gives b2 = b3 = b1 exactly
+    # the ratios are written so that L = B gives b2 = b3 = b1 exactly; one
+    # beyond the float range, inf or 0, gives a d-value of +-inf, on which
+    # the CDFs saturate
     return {
         "a": _d(x / b, half_t, root_t, log),
         "a_tilde": _d(b / x, half_t, root_t, log),
@@ -264,20 +248,20 @@ def _option_value(call: bool, z, v, b, e, recovery, d: dict, k=_Scalar):
         (e, recovery, dl, d["a"], d["b1"], d["b2"], d["b3"]),
         (e, recovery, dl, d["a_tilde"], d["b1_tilde"], d["b2_tilde"],
          d["b3_tilde"]))
-    return k.clamp(z * z_block - (v / b) * v_block)
+    return k.clamp(z * z_block - k.scale(v, b, v_block))
 
 
 def _option_price(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
                   params: model.ModelParams, call: bool) -> OptionPriceResult:
-    z, x, variances = _option_inputs(state, spec, bond, params)
+    z, x, total, first = _option_inputs(state, spec, bond, params)
     boundary_l = find_boundary_l(spec, bond, params)
-    if variances is None:
+    if first is None:
         units = _unit_value(x, spec.expiry_T1, bond.maturity_T, params)
         price = float(_expiry_payoff(units, spec, call)) * z
         return OptionPriceResult(price=price, boundary_l=boundary_l,
                                  dvalues={}, z=z)
     b = params.barrier_b
-    d = _d_arguments(x, boundary_l, b, *variances)
+    d = _d_arguments(x, boundary_l, b, total, first)
     price = _option_value(call, z, state.v, b, spec.exercise_e,
                           params.recovery_r, d)
     return OptionPriceResult(price=price, boundary_l=boundary_l, dvalues=d, z=z)
@@ -305,22 +289,21 @@ def put_call_parity_gap(state: model.MarketState, spec: OptionSpec,
     x > B, and is validated against the finite-difference oracle in tests
     before being used as a check.
     """
-    z, x, variances = _option_inputs(state, spec, bond, params)
+    z, x, total, first = _option_inputs(state, spec, bond, params)
     b, e, recovery = params.barrier_b, spec.exercise_e, params.recovery_r
     u = math.log(x / b)
     # W = 1 above the barrier where no variance remains (s_V = 0, T1 -> T)
-    w_full = _survival(u, model.cum_variance(state.t, bond.maturity_T,
-                                             bond.maturity_T, params))[0]
-    if variances is None:
+    w_full = _survival(u, total)[0]
+    if first is None:
         # no variance remains before T1: both prices are the T1 payoffs
         w1 = 1.0
         units = _unit_value(x, spec.expiry_T1, bond.maturity_T, params)
         put, call = (z * float(_expiry_payoff(units, spec, c))
                      for c in (False, True))
     else:
-        w1 = _survival(u, variances[1])[0]
-        d = _d_arguments(x, find_boundary_l(spec, bond, params), b,
-                         *variances)
+        w1 = _survival(u, first)[0]
+        d = _d_arguments(x, find_boundary_l(spec, bond, params), b, total,
+                         first)
         put, call = (_option_value(c, z, state.v, b, e, recovery, d)
                      for c in (False, True))
     synthetic = z * ((e - recovery) * w1 - (1.0 - recovery) * w_full)
@@ -330,11 +313,12 @@ def put_call_parity_gap(state: model.MarketState, spec: OptionSpec,
 def _bond_with_option(state: model.MarketState, spec: OptionSpec,
                       bond: BondSpec, params: model.ModelParams,
                       call: bool) -> float:
-    # the straight bond, long the put or short the call until T1
-    straight = bond_price(state, bond, params).price
+    # the straight bond, long the put or short the call until T1; the
+    # option's terms are checked first
     if state.t > spec.expiry_T1:
-        return straight
+        return bond_price(state, bond, params).price
     option = _option_price(state, spec, bond, params, call).price
+    straight = bond_price(state, bond, params).price
     return straight - option if call else straight + option
 
 

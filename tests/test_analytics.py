@@ -11,6 +11,7 @@ from scipy.special import ndtr, ndtri
 
 from credbond.analytics import (
     SATURATION,
+    _ndtr,
     binorm_cdf,
     binorm_cdf_array,
     find_root,
@@ -41,19 +42,44 @@ class TestNormCdf:
         assert norm_cdf(x) + norm_cdf(-x) == pytest.approx(1.0, abs=1e-14)
 
 
+def _cdf_draws():
+    rng = np.random.default_rng(7103)
+    return np.concatenate([
+        rng.uniform(-SATURATION, SATURATION, 100_000),
+        rng.uniform(-8.0, 8.0, 100_000),
+        [math.nextafter(SATURATION, 0.0), math.nextafter(-SATURATION, 0.0),
+         0.0, -0.0, 1e-300, -1e-300]])
+
+
 class TestScalarCdfsMatchScipy:
-    """The math.erfc CDF and the stdlib quantile against scipy.special."""
+    """The math.erfc CDFs and the stdlib quantile against scipy.special."""
 
     def test_norm_cdf_matches_ndtr(self):
-        rng = np.random.default_rng(7103)
-        xs = np.concatenate([
-            rng.uniform(-SATURATION, SATURATION, 100_000),
-            rng.uniform(-8.0, 8.0, 100_000),
-            [math.nextafter(SATURATION, 0.0), math.nextafter(-SATURATION, 0.0),
-             0.0, -0.0, 1e-300, -1e-300]])
+        xs = _cdf_draws()
         got = np.array([norm_cdf(x) for x in xs.tolist()])
         # 2.2e-16: one ulp at 1
         assert np.max(np.abs(got - ndtr(xs))) <= np.finfo(float).eps
+
+    def test_array_cdf_matches_ndtr_and_norm_cdf(self):
+        xs = _cdf_draws()
+        got = _ndtr(xs)
+        assert got.dtype == float and got.shape == xs.shape
+        assert np.max(np.abs(got - ndtr(xs))) <= np.finfo(float).eps
+        assert got.tolist() == [norm_cdf(x) for x in xs.tolist()]
+        # the same elements in a 2-d layout
+        grid = _ndtr(xs[:200].reshape(20, 10))
+        assert grid.ravel().tolist() == got[:200].tolist()
+
+    @pytest.mark.parametrize("x", [0.3, np.float64(-1.7), np.array(2.5)])
+    def test_array_cdf_of_a_0d_input_is_a_float(self, x):
+        got = _ndtr(x)
+        assert isinstance(got, float)
+        assert got == norm_cdf(float(x))
+
+    def test_array_cdf_saturates_and_passes_nan(self):
+        got = _ndtr(np.array([-np.inf, -1e300, 1e300, np.inf, np.nan]))
+        assert got[:4].tolist() == [0.0, 0.0, 1.0, 1.0]
+        assert math.isnan(got[4])
 
     def test_quantile_matches_ndtri(self):
         rng = np.random.default_rng(7104)

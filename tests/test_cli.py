@@ -16,6 +16,7 @@ from credbond.errors import (
     ConfigError,
     CredBondError,
     DegenerateVariance,
+    InvalidExercise,
     NoBracket,
     NoConvergence,
 )
@@ -368,9 +369,9 @@ def _bench_config():
                          option=OptionSpec(**BENCH_DOC["option"]))
 
 
-def _assert_sweep_matches(sweep):
+def _assert_sweep_matches(sweep, cfg=None):
     """Same values, notes, z and x; price and w within 1e-15 Z."""
-    cfg = _bench_config()
+    cfg = cfg or _bench_config()
     got = cli.sweep_rows(cfg, *sweep)
     ref = _per_point_rows(cfg, *sweep)
     assert len(got) == len(ref)
@@ -507,6 +508,78 @@ class TestFloatRange:
         doc = json.loads(result.output)
         assert doc["diagnostics"]["w"] == 1.0
         assert doc["price"] == doc["diagnostics"]["z"]
+
+
+# README configs where a ratio of the closed forms leaves the float range:
+# V/B (the option's image term is inf * 0), x/B on the T1-payoff path, and
+# (B/L)(B/x), which underflows to 0 under a log
+RATIO_RANGE_CASES = {
+    "v_over_b": {"model": {"barrier_b": 1e-10}, "state": {"v": 1e300}},
+    "x_over_b": {"model": {"barrier_b": 1e-300, "s_V": 0.0, "s_r": 1e-300},
+                 "state": {"r": 1000.0, "t": 0.9}},
+    "image_ratio_underflows": {"model": {"s_V": 10.0}, "state": {"v": 1e300}},
+}
+
+
+def _ratio_range_config(tmp_path, case):
+    def mutate(doc):
+        for section, values in RATIO_RANGE_CASES[case].items():
+            doc[section].update(values)
+    return make_config(tmp_path, mutate)
+
+
+class TestRatiosBeyondTheFloatRange:
+    @pytest.mark.parametrize("case", RATIO_RANGE_CASES)
+    def test_every_instrument_prices_within_bounds(self, tmp_path, case):
+        path = _ratio_range_config(tmp_path, case)
+        price = {}
+        for instrument in cli.INSTRUMENTS:
+            result = runner.invoke(main, ["price", instrument,
+                                          "--config", path])
+            assert result.exit_code == 0, (instrument, result.output)
+            price[instrument] = json.loads(result.output)["price"]
+            assert math.isfinite(price[instrument]), instrument
+        cfg = load_config(path)
+        z, e, recovery = (price["zcb"], cfg.option.exercise_e,
+                          cfg.model.recovery_r)
+        slack = 1.0 + 1e-12
+        assert recovery * z <= price["bond"] <= z * slack
+        assert 0.0 <= price["put-option"] <= (e - recovery) * z * slack
+        assert 0.0 <= price["call-option"] <= (1.0 - e) * z * slack
+        assert price["puttable"] == price["bond"] + price["put-option"]
+        assert price["callable"] == price["bond"] - price["call-option"]
+
+    @pytest.mark.parametrize("case", RATIO_RANGE_CASES)
+    def test_parity_suite_passes(self, tmp_path, case):
+        path = _ratio_range_config(tmp_path, case)
+        result = runner.invoke(main, ["verify", "--config", path,
+                                      "--suite", "parity"])
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("instrument", cli.INSTRUMENTS)
+    def test_sweep_matches_price_where_the_image_ratio_underflows(
+            self, tmp_path, instrument):
+        cfg = load_config(_ratio_range_config(tmp_path,
+                                              "image_ratio_underflows"))
+        _assert_sweep_matches((instrument, "V", 1e299, 1e300, 3), cfg)
+
+
+class TestCheckOrder:
+    """A puttable or callable bond is checked in its option's order."""
+
+    @pytest.mark.parametrize("instrument", cli.INSTRUMENTS[2:])
+    def test_option_terms_before_the_bond(self, instrument):
+        # E = R is an option fault, V below the barrier a bond fault
+        cfg = dataclasses.replace(
+            _bench_config(), state=MarketState(0.05, 0.1, 0.0),
+            option=OptionSpec(expiry_T1=1.0, exercise_e=0.4))
+        with pytest.raises(InvalidExercise):
+            cli.price_instrument(cfg, instrument)
+        rows = cli.sweep_rows(cfg, instrument, "V", 0.05, 0.5, 4)
+        assert [row[5] for row in rows] == ["InvalidExercise"] * 4
+        # the bond alone reports its own fault
+        rows = cli.sweep_rows(cfg, "bond", "V", 0.05, 0.5, 4)
+        assert [row[5] for row in rows] == ["BelowBarrier"] * 4
 
 
 class TestVerify:

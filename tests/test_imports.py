@@ -1,4 +1,4 @@
-"""What each entry point loads: pricing needs neither SciPy nor the oracles."""
+"""What each entry point loads: pricing and sweeps need neither SciPy nor oracles."""
 
 import json
 import subprocess
@@ -49,6 +49,19 @@ def test_pricing_every_instrument_loads_no_scipy(tmp_path):
         f"cfg = cli.load_config({str(path)!r})\n"
         "for instrument in cli.INSTRUMENTS:\n"
         "    cli.price_instrument(cfg, instrument)\n"
+        "print(json.dumps(sorted(sys.modules)))")
+    assert _heavy(loaded) == []
+
+
+def test_sweeping_every_instrument_and_axis_loads_no_scipy(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(PRICE_CONFIG))
+    loaded = _fresh(
+        "from credbond import cli\n"
+        f"cfg = cli.load_config({str(path)!r})\n"
+        "for instrument in cli.INSTRUMENTS:\n"
+        "    for axis in cli.SWEEP_AXES:\n"
+        "        cli.sweep_rows(cfg, instrument, axis, 0.5, 1.5, 7)\n"
         "print(json.dumps(sorted(sys.modules)))")
     assert _heavy(loaded) == []
 

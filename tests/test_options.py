@@ -149,6 +149,18 @@ class TestComposites:
         assert puttable_bond_price(st, OPT, BOND, BENCH) == straight
         assert callable_bond_price(st, OPT, BOND, BENCH) == straight
 
+    @pytest.mark.parametrize("pricer", [puttable_bond_price,
+                                        callable_bond_price])
+    def test_option_terms_checked_before_the_bond(self, pricer):
+        # E = R is an option fault and V below the barrier a bond fault: the
+        # option's error comes first, as for the option alone
+        spec = OptionSpec(expiry_T1=1.0, exercise_e=BENCH.recovery_r)
+        below = MarketState(0.05, 0.1, 0.0)
+        with pytest.raises(BelowBarrier):
+            bond_price(below, BOND, BENCH)
+        with pytest.raises(InvalidExercise):
+            pricer(below, spec, BOND, BENCH)
+
     def test_puttable_floor_at_expiry(self):
         # exercised put floors the holder at E per unit of the strike bond
         st = MarketState(0.05, 0.70, 1.0)
