@@ -180,6 +180,16 @@ def _bond_inputs(state: model.MarketState, spec: BondSpec,
     return z, x, model.cum_variance(state.t, T, T, params)
 
 
+def _straight_bond(z: float, x: float, total_variance: float,
+                   params: model.ModelParams) -> BondPriceResult:
+    """The straight bond before maturity from _bond_inputs' checked values."""
+    w = _survival(math.log(x / params.barrier_b), total_variance)[0]
+    recovery = params.recovery_r
+    price = (recovery + (1.0 - recovery) * w) * z
+    return BondPriceResult(price=price, z=z, x=x, w=w,
+                           total_variance=total_variance)
+
+
 def bond_price(state: model.MarketState, spec: BondSpec,
                params: model.ModelParams) -> BondPriceResult:
     """Straight-bond price C = [R + (1-R) W(V/Z, t)] * Z(r, t)."""
@@ -187,9 +197,4 @@ def bond_price(state: model.MarketState, spec: BondSpec,
     if inputs is None:
         return BondPriceResult(price=1.0, z=1.0, x=state.v, w=1.0,
                                total_variance=0.0)
-    z, x, total_variance = inputs
-    w = _survival(math.log(x / params.barrier_b), total_variance)[0]
-    recovery = params.recovery_r
-    price = (recovery + (1.0 - recovery) * w) * z
-    return BondPriceResult(price=price, z=z, x=x, w=w,
-                           total_variance=total_variance)
+    return _straight_bond(*inputs, params)

@@ -150,30 +150,33 @@ def _need_option(cfg: RunConfig, instrument: str) -> options.OptionSpec:
 def price_instrument(cfg: RunConfig, instrument: str) -> dict:
     """Price one instrument, returning its price and diagnostics.
 
-    A puttable or callable bond up to T1 is checked in its option's order.
+    A puttable or callable bond is options._bond_with_option: up to T1 it is
+    checked in its option's order, and its straight bond is priced from the
+    z, x and variance that its option carries.
     """
     params, state, bond_spec = cfg.model, cfg.state, cfg.bond
     holds_bond, leg = _LEGS[instrument]
     spec = None if leg is None else _need_option(cfg, instrument)
     diagnostics = {}
-    if not (holds_bond or leg):  # the zero-coupon bond
-        price = model.zcb_price(state.r, state.t, bond_spec.maturity_T, params)
-        diagnostics["z"] = price
-    option = None
-    if leg and not (holds_bond and state.t > spec.expiry_T1):
+    straight = option = None
+    if holds_bond and leg:
+        price, straight, option = options._bond_with_option(
+            state, spec, bond_spec, params, leg == "call")
+    elif holds_bond:
+        straight = bond_mod.bond_price(state, bond_spec, params)
+        price = straight.price
+    elif leg:
         pricer = options.call_price if leg == "call" else options.put_price
         option = pricer(state, spec, bond_spec, params)
         price = option.price
-    if holds_bond:
-        res = bond_mod.bond_price(state, bond_spec, params)
-        price = res.price
-        if option is not None:
-            price += -option.price if leg == "call" else option.price
-        diagnostics.update(z=res.z, x=res.x, w=res.w,
-                           total_variance=res.total_variance)
+    else:  # the zero-coupon bond
+        price = model.zcb_price(state.r, state.t, bond_spec.maturity_T, params)
+        diagnostics["z"] = price
+    if straight is not None:
+        diagnostics.update(z=straight.z, x=straight.x, w=straight.w,
+                           total_variance=straight.total_variance)
     elif option is not None:
-        diagnostics.update(z=option.z, x=state.v / option.z,
-                           d_values=option.dvalues)
+        diagnostics.update(z=option.z, x=option.x, d_values=option.dvalues)
     if option is not None:
         diagnostics["L"] = option.boundary_l
     return {"instrument": instrument, "price": price,
@@ -264,8 +267,9 @@ def _sweep_prices(instrument: str, jobs: list) -> tuple[list, list]:
         with np.errstate(over="ignore", divide="ignore"):
             d = options._d_arguments(x[priced], boundary_l, b, total, first,
                                      options._Array)
-        option = options._option_value(leg == "call", z[priced], v, b, e,
-                                       recovery, d, options._Array)
+        block = options._call_block if leg == "call" else options._put_block
+        option = options._option_value(block, z[priced], v, b, e, recovery, d,
+                                       options._Array)
         price[priced] += -option if holds_bond and leg == "call" else option
     return price.tolist(), w
 

@@ -5,6 +5,15 @@ worthless on default.  In numeraire coordinates the exercise region is
 separated by the constant boundary L >= B solving R + (1-R) W(L) = E, and
 the prices are combinations of univariate and bivariate normal CDFs whose
 arguments are the d-values collected in OptionPriceResult.
+
+The paper's put block holds four bivariate CDFs at each of x and the image
+point.  Two of them, Phi2(a, b1; delta) + Phi2(a, -b1; -delta), sum to N(a),
+so a put takes 4 bivariate CDFs in all, as a call does.  The parity gap
+keeps the paper's four-term put as its independent side: against the
+two-term put it would be zero by construction, whatever the CDFs returned.
+A puttable or callable bond takes its straight bond's z, x and variance
+over [t, T] from its option leg's OptionPriceResult, which carries them as
+the option checked them, so its straight leg is bond_price's bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +27,8 @@ from statistics import NormalDist
 import numpy as np
 
 from . import analytics, model
-from .bond import BondSpec, _bond_inputs, _d, _survival, _unit_value, bond_price
+from .bond import (BondPriceResult, BondSpec, _bond_inputs, _d,
+                   _straight_bond, _survival, _unit_value, bond_price)
 from .errors import DomainError, InvalidExercise, InvalidTenor, NoConvergence
 from .model import _LOG_HUGE, _MIN_VARIANCE
 
@@ -39,7 +49,7 @@ class _Scalar:
     wraps them there sees every call.
     """
 
-    sqrt, minimum = math.sqrt, min
+    sqrt, minimum, maximum = math.sqrt, min, max
     # a ratio that underflowed to 0 has the d-value -inf, as numpy's log gives
     log = staticmethod(lambda ratio: math.log(ratio) if ratio else -math.inf)
     # (v/B) block: a block of 0 adds 0, also where v/B overflows
@@ -63,7 +73,7 @@ class _Array:
     with x/B and v/B finite.
     """
 
-    log, sqrt, minimum = np.log, np.sqrt, np.minimum
+    log, sqrt, minimum, maximum = np.log, np.sqrt, np.minimum, np.maximum
     scale = staticmethod(lambda v, b, block: (v / b) * block)
 
     @staticmethod
@@ -92,12 +102,18 @@ class OptionSpec:
 
 @dataclass(frozen=True)
 class OptionPriceResult:
-    """Option price plus the early-redemption boundary and d-arguments."""
+    """Option price plus the early-redemption boundary and d-arguments.
+
+    z, x and total_variance, the variance over [t, T], are the straight
+    bond's, as bond_price takes them.
+    """
 
     price: float
     boundary_l: float
     dvalues: dict[str, float]
     z: float
+    x: float
+    total_variance: float
 
 
 def _validate(spec: OptionSpec, bond: BondSpec, params: model.ModelParams) -> None:
@@ -185,10 +201,7 @@ def _option_inputs(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
     z, x, total = _bond_inputs(state, bond, params)
     first = model.cum_variance(state.t, spec.expiry_T1, bond.maturity_T,
                                params)
-    if first <= _MIN_VARIANCE:
-        return z, x, total, None
-    # the variance over [t, T] is at least that over [t, T1] but for roundoff
-    return z, x, max(total, first), first
+    return z, x, total, (first if first > _MIN_VARIANCE else None)
 
 
 def _expiry_payoff(units, spec: OptionSpec, call: bool) -> np.ndarray:
@@ -205,6 +218,8 @@ def _d_arguments(x, boundary_l, b, total, first, k=_Scalar) -> dict:
     total and first are the variances over [t, T] and [t, T1]; k is _Scalar
     for one price or _Array for arrays of points.
     """
+    # the variance over [t, T] is at least that over [t, T1] but for roundoff
+    total = k.maximum(total, first)
     half_t, root_t = 0.5 * total, k.sqrt(total)
     half_f, root_f = 0.5 * first, k.sqrt(first)
     log = k.log
@@ -224,11 +239,13 @@ def _d_arguments(x, boundary_l, b, total, first, k=_Scalar) -> dict:
     }
 
 
+# The blocks: n is the normal CDF, n2 the bivariate one at a sequence of
+# arguments.  The paper's put block has (1-R)[Phi2(a, b1; dl) - p2
+# + Phi2(a, -b1; -dl) - p4], whose first and third terms sum to N(a).
 def _put_block(e, recovery, dl, a, b1, b2, b3, n, n2):
-    # n is the normal CDF, n2 the bivariate one at a sequence of arguments
-    p1, p2, p3, p4 = n2((a, a, a, a), (b1, b2, -b1, -b3), (dl, dl, -dl, -dl))
+    p2, p4 = n2((a, a), (b2, -b3), (dl, -dl))
     return ((e - recovery) * (n(b1) - n(b2))
-            - (1.0 - recovery) * (p1 - p2 + p3 - p4))
+            - (1.0 - recovery) * (n(a) - p2 - p4))
 
 
 def _call_block(e, recovery, dl, a, b1, b2, b3, n, n2):
@@ -236,15 +253,22 @@ def _call_block(e, recovery, dl, a, b1, b2, b3, n, n2):
     return (recovery - e) * n(b2) + (1.0 - recovery) * (p2 + p3)
 
 
-def _option_value(call: bool, z, v, b, e, recovery, d: dict, k=_Scalar):
-    """z f(a, b1, b2, b3) - (v/B) f(a~, b1~, b2~, b3~) for the put or call block f.
+def _paper_put_block(e, recovery, dl, a, b1, b2, b3, n, n2):
+    # the paper's four-term put, for the parity gap alone
+    p1, p2, p3, p4 = n2((a, a, a, a), (b1, b2, -b1, -b3), (dl, dl, -dl, -dl))
+    return ((e - recovery) * (n(b1) - n(b2))
+            - (1.0 - recovery) * (p1 - p2 + p3 - p4))
+
+
+def _option_value(block, z, v, b, e, recovery, d: dict, k=_Scalar):
+    """z f(a, b1, b2, b3) - (v/B) f(a~, b1~, b2~, b3~) for the block f.
 
     The tilde arguments are the d-values at the image point B^2/x.  A price
     within roundoff below zero is 0.
     """
     dl = d["delta_bar"]
     z_block, v_block = k.pair(
-        _call_block if call else _put_block,
+        block,
         (e, recovery, dl, d["a"], d["b1"], d["b2"], d["b3"]),
         (e, recovery, dl, d["a_tilde"], d["b1_tilde"], d["b2_tilde"],
          d["b3_tilde"]))
@@ -258,13 +282,14 @@ def _option_price(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
     if first is None:
         units = _unit_value(x, spec.expiry_T1, bond.maturity_T, params)
         price = float(_expiry_payoff(units, spec, call)) * z
-        return OptionPriceResult(price=price, boundary_l=boundary_l,
-                                 dvalues={}, z=z)
-    b = params.barrier_b
-    d = _d_arguments(x, boundary_l, b, total, first)
-    price = _option_value(call, z, state.v, b, spec.exercise_e,
-                          params.recovery_r, d)
-    return OptionPriceResult(price=price, boundary_l=boundary_l, dvalues=d, z=z)
+        d = {}
+    else:
+        b = params.barrier_b
+        d = _d_arguments(x, boundary_l, b, total, first)
+        price = _option_value(_call_block if call else _put_block, z, state.v,
+                              b, spec.exercise_e, params.recovery_r, d)
+    return OptionPriceResult(price=price, boundary_l=boundary_l, dvalues=d,
+                             z=z, x=x, total_variance=total)
 
 
 def put_price(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
@@ -287,7 +312,8 @@ def put_call_parity_gap(state: model.MarketState, spec: OptionSpec,
     W_T the full-maturity one; the identity follows from linearity of the
     reduced PDE with the two option payoffs summing to E - R - (1-R)*W on
     x > B, and is validated against the finite-difference oracle in tests
-    before being used as a check.
+    before being used as a check.  Its put is the paper's four-term block,
+    so that the gap does not vanish by construction.
     """
     z, x, total, first = _option_inputs(state, spec, bond, params)
     b, e, recovery = params.barrier_b, spec.exercise_e, params.recovery_r
@@ -304,31 +330,40 @@ def put_call_parity_gap(state: model.MarketState, spec: OptionSpec,
         w1 = _survival(u, first)[0]
         d = _d_arguments(x, find_boundary_l(spec, bond, params), b, total,
                          first)
-        put, call = (_option_value(c, z, state.v, b, e, recovery, d)
-                     for c in (False, True))
+        put, call = (_option_value(block, z, state.v, b, e, recovery, d)
+                     for block in (_paper_put_block, _call_block))
     synthetic = z * ((e - recovery) * w1 - (1.0 - recovery) * w_full)
     return put - call - synthetic
 
 
 def _bond_with_option(state: model.MarketState, spec: OptionSpec,
-                      bond: BondSpec, params: model.ModelParams,
-                      call: bool) -> float:
-    # the straight bond, long the put or short the call until T1; the
-    # option's terms are checked first
+                      bond: BondSpec, params: model.ModelParams, call: bool
+                      ) -> tuple[float, BondPriceResult,
+                                 OptionPriceResult | None]:
+    """(price, straight bond, option) of the straight bond long the put or
+    short the call; after T1, the straight bond and no option.
+
+    Up to T1 the option's terms are checked first, and the straight bond is
+    priced from the z, x and variance over [t, T] that the option carries.
+    """
     if state.t > spec.expiry_T1:
-        return bond_price(state, bond, params).price
-    option = _option_price(state, spec, bond, params, call).price
-    straight = bond_price(state, bond, params).price
-    return straight - option if call else straight + option
+        straight = bond_price(state, bond, params)
+        return straight.price, straight, None
+    option = (call_price if call else put_price)(state, spec, bond, params)
+    straight = _straight_bond(option.z, option.x, option.total_variance,
+                              params)
+    price = (straight.price - option.price if call
+             else straight.price + option.price)
+    return price, straight, option
 
 
 def puttable_bond_price(state: model.MarketState, spec: OptionSpec,
                         bond: BondSpec, params: model.ModelParams) -> float:
     """Straight bond plus holder put; equals the straight bond after T1."""
-    return _bond_with_option(state, spec, bond, params, call=False)
+    return _bond_with_option(state, spec, bond, params, call=False)[0]
 
 
 def callable_bond_price(state: model.MarketState, spec: OptionSpec,
                         bond: BondSpec, params: model.ModelParams) -> float:
     """Straight bond minus issuer call; equals the straight bond after T1."""
-    return _bond_with_option(state, spec, bond, params, call=True)
+    return _bond_with_option(state, spec, bond, params, call=True)[0]

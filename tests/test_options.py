@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from credbond import (
     puttable_bond_price,
 )
 from credbond import bond as bond_mod
-from credbond import cli, options
+from credbond import analytics, cli, model, options
 from credbond.bond import d_fn, survival_curve
 from credbond.errors import (
     BelowBarrier,
@@ -347,6 +348,28 @@ class TestRoundoffBeforeExpiry:
         assert abs(price - at_expiry) <= 1e-15 * z
 
 
+def _four_term_block(e, recovery, dl, a, b1, b2, b3):
+    """The paper's put block, written out with the scalar CDFs."""
+    n, n2 = analytics.norm_cdf, analytics.binorm_cdf
+    return ((e - recovery) * (n(b1) - n(b2))
+            - (1.0 - recovery) * (n2(a, b1, dl) - n2(a, b2, dl)
+                                  + n2(a, -b1, -dl) - n2(a, -b3, -dl)))
+
+
+def _four_term_put(state, spec, bond, params):
+    """put_price with the paper's four-term block, as the parity gap takes it."""
+    put = put_price(state, spec, bond, params)
+    d = put.dvalues
+    if not d:  # the payoff at T1
+        return put
+    near, image = ((spec.exercise_e, params.recovery_r, d["delta_bar"],
+                    *(d[name + suffix] for name in ("a", "b1", "b2", "b3")))
+                   for suffix in ("", "_tilde"))
+    price = (put.z * _four_term_block(*near)
+             - state.v / params.barrier_b * _four_term_block(*image))
+    return dataclasses.replace(put, price=options._Scalar.clamp(price))
+
+
 class TestParityGapOneSolve:
     def test_one_boundary_solve(self, monkeypatch):
         calls = []
@@ -360,12 +383,14 @@ class TestParityGapOneSolve:
         assert len(calls) == 1
 
     def test_equals_put_minus_call_minus_synthetic(self):
+        # the gap's put is the paper's four-term block at put_price's
+        # d-values, not put_price's two-term one
         T = BOND.maturity_T
         for params, state in ((BENCH, STATE),
                               (BENCH, MarketState(0.02, 0.7, 0.4)),
                               (TestZeroRemainingVariance.PARAMS, STATE)):
             for spec in (OPT, TestZeroRemainingVariance.SPEC):
-                put = put_price(state, spec, BOND, params)
+                put = _four_term_put(state, spec, BOND, params)
                 call = call_price(state, spec, BOND, params)
                 x = state.v / put.z
                 synthetic = put.z * (
@@ -461,12 +486,182 @@ class TestScalarAndArrayKernels:
         z = zcb_price(0.05, 0.3, 2.0, BENCH)
         vs = np.geomspace(b * z * (1.0 + 1e-9), 4.0, 40)
         ones = np.ones_like(vs)
-        for call in (False, True):
+        for block in (options._put_block, options._call_block):
             d = options._d_arguments(vs / z, L * ones, b * ones, total * ones,
                                      first * ones, options._Array)
-            got = options._option_value(call, z * ones, vs, b * ones, e * ones,
-                                        recovery * ones, d, options._Array)
+            got = options._option_value(block, z * ones, vs, b * ones,
+                                        e * ones, recovery * ones, d,
+                                        options._Array)
             for v, price in zip(vs, got):
                 d = options._d_arguments(v / z, L, b, total, first)
-                want = options._option_value(call, z, v, b, e, recovery, d)
+                want = options._option_value(block, z, v, b, e, recovery, d)
                 assert abs(price - want) <= 1e-15 * z
+
+
+def _block_cases():
+    """(e, R, delta_bar, a, b1, b2, b3) with b2 <= b1 <= b3, as L >= B gives."""
+    rng = np.random.default_rng(1515)
+    cases = []
+    for dl in (0.05, 0.4, 0.7051413912353147, 0.9, 0.925, 0.97, 0.999999, 1.0):
+        for _ in range(40):
+            recovery = rng.uniform(0.0, 0.8)
+            e = recovery + (1.0 - recovery) * rng.uniform(0.01, 0.99)
+            a, b1 = rng.uniform(-8.0, 8.0, 2)
+            spread = rng.exponential(1.0)
+            cases.append((e, recovery, dl, a, b1, b1 - spread, b1 + spread))
+        # L = B: b2 = b3 = b1
+        cases.append((0.9, 0.4, dl, 1.2, -0.3, -0.3, -0.3))
+        # a saturated argument: a, b1 or b3 at or beyond +-40
+        for a, b1, spread in ((40.0, 0.5, 1.0), (-45.0, 0.5, 1.0),
+                              (1.0, 45.0, 2.0), (1.0, -41.0, 0.5),
+                              (0.3, -0.2, 45.0), (50.0, -60.0, 30.0)):
+            cases.append((0.9, 0.4, dl, a, b1, b1 - spread, b1 + spread))
+    return cases
+
+
+BLOCK_CASES = _block_cases()
+
+
+class TestTwoTermPut:
+    """A put takes N(a) for Phi2(a, b1; dl) + Phi2(a, -b1; -dl): 4 BVNs."""
+
+    def test_scalar_block_equals_the_four_term_block(self):
+        n, n2 = analytics.norm_cdf, partial(map, analytics.binorm_cdf)
+        for case in BLOCK_CASES:
+            four = _four_term_block(*case)
+            assert options._paper_put_block(*case, n, n2) == four
+            assert abs(options._put_block(*case, n, n2) - four) <= 1e-15, case
+
+    def test_array_block_equals_the_four_term_block(self):
+        e, recovery, dl, a, b1, b2, b3 = map(np.array, zip(*BLOCK_CASES))
+        got = options._put_block(e, recovery, dl, a, b1, b2, b3,
+                                 analytics._ndtr, analytics.binorm_cdf_array)
+        want = [_four_term_block(*case) for case in BLOCK_CASES]
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    @staticmethod
+    def _points(params, spec, bond):
+        """(states, z, L, total, first) at up to four x above B, before T1."""
+        b, T1, T = params.barrier_b, spec.expiry_T1, bond.maturity_T
+        L = find_boundary_l(spec, bond, params)
+        t = 0.3 * T1
+        z = zcb_price(0.05, t, T, params)
+        total = cum_variance(t, T, T, params)
+        first = cum_variance(t, T1, T, params)
+        states = [MarketState(0.05, x * z, t)
+                  for x in (b * (1.0 + 1e-9), 0.5 * (b + L), L, 3.0 * L)
+                  if x > b]
+        return states, z, L, total, first
+
+    def test_put_price_equals_the_four_term_put(self):
+        cases = BOX_CASES + [(TestZeroRemainingVariance.PARAMS,
+                              TestZeroRemainingVariance.SPEC, BOND)]
+        for params, spec, bond in cases:
+            for state in self._points(params, spec, bond)[0]:
+                put = put_price(state, spec, bond, params)
+                want = _four_term_put(state, spec, bond, params).price
+                assert abs(put.price - want) <= 1e-15 * put.z, (
+                    params, spec, bond, state)
+
+    def test_array_put_equals_the_four_term_put(self):
+        for params, spec, bond in BOX_CASES:
+            states, z, L, total, first = self._points(params, spec, bond)
+            vs = np.array([state.v for state in states])
+            ones = np.ones_like(vs)
+            b, e, recovery = (params.barrier_b, spec.exercise_e,
+                              params.recovery_r)
+            d = options._d_arguments(vs / z, L * ones, b * ones,
+                                     total * ones, first * ones,
+                                     options._Array)
+            got = options._option_value(options._put_block, z * ones, vs,
+                                        b * ones, e * ones, recovery * ones,
+                                        d, options._Array)
+            for state, price in zip(states, got):
+                want = _four_term_put(state, spec, bond, params).price
+                assert abs(price - want) <= 1e-15 * z
+
+    def test_scalar_and_array_agree_over_the_box(self):
+        for params, spec, bond in BOX_CASES:
+            states, z, L, total, first = self._points(params, spec, bond)
+            vs = np.array([state.v for state in states])
+            ones = np.ones_like(vs)
+            b, e, recovery = (params.barrier_b, spec.exercise_e,
+                              params.recovery_r)
+            for block, pricer in ((options._put_block, put_price),
+                                  (options._call_block, call_price)):
+                d = options._d_arguments(vs / z, L * ones, b * ones,
+                                         total * ones, first * ones,
+                                         options._Array)
+                got = options._option_value(block, z * ones, vs, b * ones,
+                                            e * ones, recovery * ones, d,
+                                            options._Array)
+                for state, price in zip(states, got):
+                    want = pricer(state, spec, bond, params).price
+                    assert abs(price - want) <= 1e-15 * z
+
+    @pytest.mark.parametrize("pricer", [put_price, call_price])
+    def test_four_bivariate_cdfs_per_option(self, monkeypatch, pricer):
+        calls = []
+        binorm_cdf = analytics.binorm_cdf
+
+        def counted(*args):
+            calls.append(args)
+            return binorm_cdf(*args)
+
+        monkeypatch.setattr(analytics, "binorm_cdf", counted)
+        pricer(STATE, OPT, BOND, BENCH)
+        assert len(calls) == 4
+
+
+class TestParityIndependence:
+    def test_gap_sees_a_biased_bivariate_cdf(self, monkeypatch):
+        # the gap's put is the paper's four-term one: against the pricers'
+        # two-term put it would cancel every bivariate CDF and read 0
+        # whatever they returned
+        z = zcb_price(STATE.r, STATE.t, BOND.maturity_T, BENCH)
+        assert abs(put_call_parity_gap(STATE, OPT, BOND, BENCH)) <= 1e-9 * z
+        binorm_cdf = analytics.binorm_cdf
+        monkeypatch.setattr(analytics, "binorm_cdf",
+                            lambda *args: (1.0 + 1e-6) * binorm_cdf(*args))
+        assert abs(put_call_parity_gap(STATE, OPT, BOND, BENCH)) > 1e-9 * z
+
+
+class TestCompositePath:
+    """A puttable or callable bond prices its straight bond from the inputs
+    its option checked."""
+
+    LEGS = (("puttable", "put-option", puttable_bond_price, 1.0),
+            ("callable", "call-option", callable_bond_price, -1.0))
+
+    @pytest.mark.parametrize("instrument", ["puttable", "callable"])
+    def test_one_discount_bond_and_three_variances(self, monkeypatch,
+                                                   instrument):
+        counts = {"zcb_price": 0, "cum_variance": 0}
+        for name in counts:
+            original = getattr(model, name)
+
+            def counted(*args, name=name, original=original):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(model, name, counted)
+        cfg = cli.RunConfig(model=BENCH, bond=BOND, state=STATE, option=OPT)
+        cli.price_instrument(cfg, instrument)
+        assert counts == {"zcb_price": 1, "cum_variance": 3}
+
+    @pytest.mark.parametrize("t", [0.3, OPT.expiry_T1, 1.5])
+    def test_straight_leg_is_bond_price_bit_for_bit(self, t):
+        state = dataclasses.replace(STATE, t=t)
+        cfg = cli.RunConfig(model=BENCH, bond=BOND, state=state, option=OPT)
+        bond = cli.price_instrument(cfg, "bond")
+        straight = bond_price(state, BOND, BENCH)
+        for instrument, option, pricer, sign in self.LEGS:
+            doc = cli.price_instrument(cfg, instrument)
+            want = bond["price"]
+            if t <= OPT.expiry_T1:
+                want += sign * cli.price_instrument(cfg, option)["price"]
+            assert doc["price"] == want
+            assert pricer(state, OPT, BOND, BENCH) == doc["price"]
+            for key in ("z", "x", "w", "total_variance"):
+                assert doc["diagnostics"][key] == bond["diagnostics"][key]
+                assert doc["diagnostics"][key] == getattr(straight, key)
