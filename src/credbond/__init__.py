@@ -7,7 +7,7 @@ and SciPy's solvers with it, on first access.
 """
 
 from .model import ModelParams, MarketState
-from .bond import BondSpec, BondPriceResult, bond_price, survival_w, d_fn
+from .bond import BondSpec, BondPriceResult, bond_price, survival_w
 from .options import (
     OptionSpec,
     OptionPriceResult,
@@ -39,7 +39,6 @@ __all__ = [
     "BondPriceResult",
     "bond_price",
     "survival_w",
-    "d_fn",
     "OptionSpec",
     "OptionPriceResult",
     "find_boundary_l",

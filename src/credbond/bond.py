@@ -47,31 +47,6 @@ class BondPriceResult:
     total_variance: float
 
 
-def _checked_variance(t: float, T1: float, T: float,
-                      params: model.ModelParams) -> float:
-    """cum_variance(t, T1, T), rejecting one too small to divide by."""
-    variance = model.cum_variance(t, T1, T, params)
-    if variance <= _MIN_VARIANCE:
-        raise DegenerateVariance(
-            f"variance over [{t}, {T1}] is numerically zero")
-    return variance
-
-
-def _d(ratio, half_variance, root, log=math.log):
-    # (ln ratio - I/2) / sqrt(I), given I/2 and sqrt(I); log is math.log for
-    # one price and numpy's for a sweep
-    return (log(ratio) - half_variance) / root
-
-
-def d_fn(ratio: float, t: float, T1: float, T: float,
-         params: model.ModelParams) -> float:
-    """(ln ratio - I/2) / sqrt(I) with I = cum_variance(t, T1, T)."""
-    if not ratio > 0.0:
-        raise DomainError(f"ratio must be positive, got {ratio}")
-    variance = _checked_variance(t, T1, T, params)
-    return _d(ratio, 0.5 * variance, math.sqrt(variance))
-
-
 def _mills_ratio(y: float) -> float:
     """(1 - N(y)) / phi(y) for y > 37, by 1/(y + 1/(y + 2/(y + 3/(y + ...))))."""
     denominator = y
@@ -109,14 +84,18 @@ def survival_curve(x: float, t: float, T1: float, T: float,
     """Down-and-out survival functional with variance int_t^T1 sigma_x2(u; T) du.
 
     survival_w is the T1 = T case; the option formulas also need the
-    [T1, T] remaining-variance and [t, T1] first-horizon variants.
+    [T1, T] remaining-variance and [t, T1] first-horizon variants.  Raises
+    DegenerateVariance above the barrier where no variance remains.
     """
     b = params.barrier_b
     if x < b:
         raise DomainError(f"x={x} is below the barrier {b}")
     if x == b:
         return 0.0
-    variance = _checked_variance(t, T1, T, params)
+    variance = model.cum_variance(t, T1, T, params)
+    if variance <= _MIN_VARIANCE:
+        raise DegenerateVariance(
+            f"variance over [{t}, {T1}] is numerically zero")
     return _survival(math.log(x / b), variance)[0]
 
 

@@ -349,27 +349,28 @@ def _verify_fd(cfg: RunConfig) -> list[dict]:
         worst = max(worst, float(np.max(np.abs(fd - closed) / closed)))
     checks.append(_check("fd straight bond max relative error", 0.0, worst, 1e-4))
 
-    if cfg.option is not None:
-        spec = cfg.option
+    spec = cfg.option
+    # from T1 on the option is its payoff or gone: nothing to check
+    if spec is not None and state.t < spec.expiry_T1:
         T1 = spec.expiry_T1
-        # where no variance remains before T1 the options are their payoffs,
-        # as the pricers take them, and the FD window is too narrow to step
-        if (state.t < T1 and model.cum_variance(state.t, T1, T, params)
-                > model._MIN_VARIANCE):
-            # the payoffs take the bond's value at T1 from its FD solve, on
-            # the same ln x grid, so that the oracle shares neither L nor
-            # the bond's closed form with the prices it checks
-            for name, pricer in (("put", options.put_price),
-                                 ("call", options.call_price)):
-                res = pricer(state, spec, bond_spec, params)
-                osol = oracles.cn_solve(
-                    lambda x: options._expiry_payoff(fd_units(x, T1), spec,
-                                                     name == "call"),
-                    state.t, T1, T, params, grid=grid)
-                fd = float(osol.interpolate(state.v / res.z, state.t)) * res.z
-                scale = max(abs(res.price), 1e-3 * res.z)
-                checks.append(_check(f"fd {name} option relative error",
-                                     res.price, fd, 1e-3, scale=scale))
+        # the payoffs take the bond's value at T1 from its FD solve, on the
+        # same ln x grid, so that the oracle shares neither L nor the bond's
+        # closed form with the prices it checks
+        for name, pricer in (("put", options.put_price),
+                             ("call", options.call_price)):
+            res = pricer(state, spec, bond_spec, params)
+            # no d-values: no variance remains before T1, the pricer took
+            # the payoff, and the FD window is too narrow to step
+            if not res.dvalues:
+                break
+            osol = oracles.cn_solve(
+                lambda x: options._expiry_payoff(fd_units(x, T1), spec,
+                                                 name == "call"),
+                state.t, T1, T, params, grid=grid)
+            fd = float(osol.interpolate(state.v / res.z, state.t)) * res.z
+            scale = max(abs(res.price), 1e-3 * res.z)
+            checks.append(_check(f"fd {name} option relative error",
+                                 res.price, fd, 1e-3, scale=scale))
     return checks
 
 

@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DegenerateVariance, DomainError, InvalidTenor
+from .errors import DomainError, InvalidTenor
 
 # Below theta*tau = _SMALL_THETA_TAU the exponential antiderivatives are
 # evaluated by Taylor expansion; the closed forms lose ~2/z (h1) and ~3/z^2
@@ -190,11 +190,3 @@ def cum_variance(t: float, T1: float, T: float, params: ModelParams) -> float:
         raise DomainError(f"variance over [{t}, {T1}] is {val}, not finite")
     return max(0.0, val)
 
-
-def delta_bar(t: float, T1: float, T: float, params: ModelParams) -> float:
-    """Correlation sqrt(int_t^T1 sigma_x2 du / int_t^T sigma_x2 du) in [0, 1]."""
-    total = cum_variance(t, T, T, params)
-    if total <= _MIN_VARIANCE:
-        raise DegenerateVariance("total variance over [t, T] is numerically zero")
-    part = cum_variance(t, T1, T, params)
-    return min(1.0, math.sqrt(part / total))

@@ -27,8 +27,8 @@ from statistics import NormalDist
 import numpy as np
 
 from . import analytics, model
-from .bond import (BondPriceResult, BondSpec, _bond_inputs, _d,
-                   _straight_bond, _survival, _unit_value, bond_price)
+from .bond import (BondPriceResult, BondSpec, _bond_inputs, _straight_bond,
+                   _survival, _unit_value, bond_price)
 from .errors import DomainError, InvalidExercise, InvalidTenor, NoConvergence
 from .model import _LOG_HUGE, _MIN_VARIANCE
 
@@ -50,6 +50,7 @@ class _Scalar:
     """
 
     sqrt, minimum, maximum = math.sqrt, min, max
+    where = staticmethod(lambda condition, yes, no: yes if condition else no)
     # a ratio that underflowed to 0 has the d-value -inf, as numpy's log gives
     log = staticmethod(lambda ratio: math.log(ratio) if ratio else -math.inf)
     # (v/B) block: a block of 0 adds 0, also where v/B overflows
@@ -74,6 +75,7 @@ class _Array:
     """
 
     log, sqrt, minimum, maximum = np.log, np.sqrt, np.minimum, np.maximum
+    where = staticmethod(np.where)
     scale = staticmethod(lambda v, b, block: (v / b) * block)
 
     @staticmethod
@@ -137,9 +139,10 @@ def find_boundary_l(spec: OptionSpec, bond: BondSpec,
     ln(max float) tells whether the root, and so L, is beyond the float range.
     Newton's method in u, with the closed-form slope dW/du, finds it; a step
     that would leave the bracket bisects it instead, and the iteration stops
-    once the step or the residual is down to roundoff.  When no variance
-    remains (I <= 1e-16), W = 1 everywhere above the barrier and L = B.
-    Raises DomainError where L is not a finite float.
+    once the step or the residual is down to roundoff.  L = B exactly when
+    no variance remains (I <= 1e-16), where W = 1 everywhere above the
+    barrier; otherwise the root u is positive, and an L that rounds to B is
+    taken one ulp above it.  Raises DomainError where L is not a finite float.
     """
     _validate(spec, bond, params)
     b = params.barrier_b
@@ -175,9 +178,9 @@ def find_boundary_l(spec: OptionSpec, bond: BondSpec,
 
 
 def _boundary(b: float, u: float) -> float:
-    """L = B e^u, raising DomainError where it is not a finite float."""
+    """L = B e^u, above B, raising DomainError where it is not a finite float."""
     if u <= _LOG_HUGE and (boundary_l := b * math.exp(u)) < math.inf:
-        return boundary_l
+        return max(boundary_l, math.nextafter(b, math.inf))
     raise DomainError(f"boundary L = {b} e^{u} is beyond the float range")
 
 
@@ -212,14 +215,21 @@ def _expiry_payoff(units, spec: OptionSpec, call: bool) -> np.ndarray:
     return np.maximum(spec.exercise_e - units, 0.0)
 
 
+def _d(ratio, half_variance, root, log):
+    # (ln ratio - I/2) / sqrt(I), given I/2 and sqrt(I)
+    return (log(ratio) - half_variance) / root
+
+
 def _d_arguments(x, boundary_l, b, total, first, k=_Scalar) -> dict:
     """The d-values at x and (tilde) at the image point B^2/x, and delta_bar.
 
     total and first are the variances over [t, T] and [t, T1]; k is _Scalar
-    for one price or _Array for arrays of points.
+    for one price or _Array for arrays of points.  L = B says that no
+    variance remains after T1, so there total is taken as first and
+    delta_bar is 1.
     """
     # the variance over [t, T] is at least that over [t, T1] but for roundoff
-    total = k.maximum(total, first)
+    total = k.where(boundary_l == b, first, k.maximum(total, first))
     half_t, root_t = 0.5 * total, k.sqrt(total)
     half_f, root_f = 0.5 * first, k.sqrt(first)
     log = k.log
@@ -309,7 +319,8 @@ def put_call_parity_gap(state: model.MarketState, spec: OptionSpec,
     """put - call - Z*[(E-R)*W1 - (1-R)*W_T]; zero up to roundoff.
 
     W1 is the survival functional over [t, T1] (first-horizon variance) and
-    W_T the full-maturity one; the identity follows from linearity of the
+    W_T the full-maturity one, W1 itself where L = B leaves no variance after
+    T1, as the prices take it; the identity follows from linearity of the
     reduced PDE with the two option payoffs summing to E - R - (1-R)*W on
     x > B, and is validated against the finite-difference oracle in tests
     before being used as a check.  Its put is the paper's four-term block,
@@ -318,8 +329,6 @@ def put_call_parity_gap(state: model.MarketState, spec: OptionSpec,
     z, x, total, first = _option_inputs(state, spec, bond, params)
     b, e, recovery = params.barrier_b, spec.exercise_e, params.recovery_r
     u = math.log(x / b)
-    # W = 1 above the barrier where no variance remains (s_V = 0, T1 -> T)
-    w_full = _survival(u, total)[0]
     if first is None:
         # no variance remains before T1: both prices are the T1 payoffs
         w1 = 1.0
@@ -328,10 +337,14 @@ def put_call_parity_gap(state: model.MarketState, spec: OptionSpec,
                      for c in (False, True))
     else:
         w1 = _survival(u, first)[0]
-        d = _d_arguments(x, find_boundary_l(spec, bond, params), b, total,
-                         first)
+        boundary_l = find_boundary_l(spec, bond, params)
+        d = _d_arguments(x, boundary_l, b, total, first)
         put, call = (_option_value(block, z, state.v, b, e, recovery, d)
                      for block in (_paper_put_block, _call_block))
+        if boundary_l == b:  # no variance after T1, as the prices take it
+            total = first
+    # W = 1 above the barrier where no variance remains (s_V = 0, T1 -> T)
+    w_full = _survival(u, total)[0]
     synthetic = z * ((e - recovery) * w1 - (1.0 - recovery) * w_full)
     return put - call - synthetic
 

@@ -7,7 +7,8 @@ import pytest
 
 from credbond import BondSpec, MarketState, ModelParams, bond_price, survival_w
 from credbond import analytics
-from credbond.bond import _TAIL_U, _survival, _unit_value, d_fn, survival_curve
+from credbond.options import _d
+from credbond.bond import _TAIL_U, _survival, _unit_value, survival_curve
 from credbond.errors import (
     BelowBarrier,
     DegenerateVariance,
@@ -33,19 +34,12 @@ class TestBondSpec:
 
 class TestDFn:
     def test_matches_definition(self):
+        # the d-value (ln ratio - I/2) / sqrt(I) of the option formulas
         ratio = 1.7
         var = cum_variance(0.0, 1.0, 2.0, BENCH)
         expect = (math.log(ratio) - 0.5 * var) / math.sqrt(var)
-        assert d_fn(ratio, 0.0, 1.0, 2.0, BENCH) == pytest.approx(
+        assert _d(ratio, 0.5 * var, math.sqrt(var), math.log) == pytest.approx(
             expect, abs=1e-15)
-
-    def test_rejects_bad_ratio(self):
-        with pytest.raises(DomainError):
-            d_fn(0.0, 0.0, 1.0, 2.0, BENCH)
-
-    def test_rejects_zero_variance(self):
-        with pytest.raises(DegenerateVariance):
-            d_fn(1.5, 1.0, 1.0, 2.0, BENCH)
 
 
 class TestSurvival:
@@ -64,6 +58,12 @@ class TestSurvival:
     def test_below_barrier_rejected(self):
         with pytest.raises(DomainError):
             survival_w(0.5, 0.0, BOND, BENCH)
+
+    @pytest.mark.parametrize("t,T1,T", [(1.0, 1.0, 2.0), (0.0, 0.0, 0.0)])
+    def test_zero_variance_rejected(self, t, T1, T):
+        # no variance over [t, T1] to divide the d-values by
+        with pytest.raises(DegenerateVariance):
+            survival_curve(1.5, t, T1, T, BENCH)
 
     def test_general_horizon_consistency(self):
         full = survival_curve(1.1, 0.0, 2.0, 2.0, BENCH)

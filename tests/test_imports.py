@@ -78,7 +78,7 @@ def test_oracle_names_load_the_oracles_on_access():
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from credbond import *", namespace)
-    assert len(credbond.__all__) == 21
+    assert len(credbond.__all__) == 20
     for name in credbond.__all__:
         assert namespace[name] is getattr(credbond, name)
     assert namespace["mc_spot"] is credbond.oracles.mc_spot

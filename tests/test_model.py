@@ -3,17 +3,17 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from credbond import BondSpec, MarketState, ModelParams, OptionSpec
-from credbond.errors import DegenerateVariance, DomainError, InvalidTenor
+from credbond import BondSpec, MarketState, ModelParams, OptionSpec, options
+from credbond.errors import DomainError, InvalidTenor
 from credbond.model import (
     abar,
     bbar,
     cum_variance,
-    delta_bar,
     sigma_x2,
     zcb_price,
 )
@@ -174,18 +174,29 @@ class TestVarianceStructure:
 
 
 class TestDeltaBar:
+    """delta_bar = min(1, sqrt(first / total)), as options._d_arguments forms it."""
+
+    @staticmethod
+    def delta_bar(t, T1, T, p):
+        # at x = 1 and an L above B, on the array kernel, which also takes
+        # the zero variance over [t, t] that no price reaches
+        b = np.array([p.barrier_b])
+        total = np.array([cum_variance(t, T, T, p)])
+        first = np.array([cum_variance(t, T1, T, p)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = options._d_arguments(np.ones(1), 2.0 * b, b, total, first,
+                                     options._Array)
+        return float(d["delta_bar"][0])
+
     def test_limits(self):
-        assert delta_bar(0.0, 0.0, 2.0, BENCH) == 0.0
-        assert delta_bar(0.0, 2.0, 2.0, BENCH) == pytest.approx(1.0, abs=1e-15)
+        assert self.delta_bar(0.0, 0.0, 2.0, BENCH) == 0.0
+        assert self.delta_bar(0.0, 2.0, 2.0, BENCH) == pytest.approx(
+            1.0, abs=1e-15)
 
     def test_monotone_in_t1(self):
-        vals = [delta_bar(0.0, t1, 2.0, BENCH) for t1 in (0.2, 0.8, 1.5, 1.9)]
+        vals = [self.delta_bar(0.0, t1, 2.0, BENCH)
+                for t1 in (0.2, 0.8, 1.5, 1.9)]
         assert vals == sorted(vals)
-
-    def test_degenerate_variance(self):
-        # zero horizon leaves no variance to normalize by
-        with pytest.raises(DegenerateVariance):
-            delta_bar(0.0, 0.0, 0.0, params())
 
 
 def test_frozen_dataclasses():

@@ -24,14 +24,14 @@ from credbond import (
 )
 from credbond import bond as bond_mod
 from credbond import analytics, cli, model, options
-from credbond.bond import d_fn, survival_curve
+from credbond.bond import survival_curve
 from credbond.errors import (
     BelowBarrier,
     DomainError,
     InvalidExercise,
     InvalidTenor,
 )
-from credbond.model import cum_variance, delta_bar, zcb_price
+from credbond.model import cum_variance, zcb_price
 
 BENCH = ModelParams(theta=1.0, mu=0.05, s_r=0.01, s_V=0.2, rho=-0.3,
                     barrier_b=0.6, recovery_r=0.4)
@@ -243,22 +243,26 @@ class TestBoundarySolve:
             assert len(calls) <= 12, (params, spec, bond, len(calls))
 
     def test_d_arguments_match_d_fn(self):
+        def d_fn(ratio, variance):
+            return (math.log(ratio) - 0.5 * variance) / math.sqrt(variance)
+
         for params, spec, bond in BOX_CASES[:60]:
             b = params.barrier_b
             L = find_boundary_l(spec, bond, params)
             T1, T = spec.expiry_T1, bond.maturity_T
+            t = 0.3 * T1
+            total = cum_variance(t, T, T, params)
+            first = cum_variance(t, T1, T, params)
             for x in (b * (1.0 + 1e-6), 0.5 * (b + L), L, 2.0 * L):
-                t = 0.3 * T1
-                d = options._d_arguments(x, L, b, cum_variance(t, T, T, params),
-                                         cum_variance(t, T1, T, params))
+                d = options._d_arguments(x, L, b, total, first)
                 ratios = {"b1": x / b, "b2": x / L, "b3": (L / b) * (x / b),
                           "b1_tilde": b / x, "b2_tilde": (b / L) * (b / x),
                           "b3_tilde": L / x}
-                assert d["a"] == d_fn(x / b, t, T, T, params)
-                assert d["a_tilde"] == d_fn(b / x, t, T, T, params)
+                assert d["a"] == d_fn(x / b, total)
+                assert d["a_tilde"] == d_fn(b / x, total)
                 for name, ratio in ratios.items():
-                    assert d[name] == d_fn(ratio, t, T1, T, params), name
-                assert d["delta_bar"] == delta_bar(t, T1, T, params)
+                    assert d[name] == d_fn(ratio, first), name
+                assert d["delta_bar"] == min(1.0, math.sqrt(first / total))
 
     def test_composites_price_straight_and_option_once(self):
         for instrument, pricer, sign in (("puttable", put_price, 1.0),
@@ -325,6 +329,41 @@ class TestZeroRemainingVariance:
                 if t < self.SPEC.expiry_T1:
                     gap = put_call_parity_gap(st, self.SPEC, BOND, self.PARAMS)
                     assert abs(gap) <= 1e-9 * z
+
+
+class TestBoundaryAtBarrierOnlyWithoutVariance:
+    """L = B exactly when no variance remains after T1; the prices then take
+    the variance over [t, T] as that over [t, T1], so delta_bar = 1."""
+
+    # maturity 1e-12 and x/B - 1 near 1e-12: 9.8e-17 of the 2.4e-16 variance
+    # over [t, T] falls after T1, which is numerically no variance
+    TINY = (ModelParams(theta=0.003024021692766978, mu=-0.0689850449637792,
+                        s_r=0.00677742550760443, s_V=0.015504796021410411,
+                        rho=0.19624707338557545, barrier_b=0.5438315145209475,
+                        recovery_r=0.14048858074358192),
+            OptionSpec(5.931970905767376e-13, 0.9641759062419558),
+            BondSpec(1e-12), MarketState(0.05, 0.5438315145214728, 0.0))
+
+    def test_call_at_tiny_maturity_within_the_clamp(self):
+        params, spec, bond, state = self.TINY
+        call = call_price(state, spec, bond, params)
+        # the 1e-16 threshold reads the 9.8e-17 after T1 as none: L = B
+        if call.boundary_l == params.barrier_b:
+            assert call.dvalues["delta_bar"] == 1.0
+        assert call.price >= -1e-12 * call.z
+        gap = put_call_parity_gap(state, spec, bond, params)
+        assert abs(gap) <= 1e-9 * call.z
+
+    def test_exercise_one_ulp_above_recovery(self):
+        # the root u is positive however small: L stays above B
+        spec = OptionSpec(OPT.expiry_T1,
+                          math.nextafter(BENCH.recovery_r, 1.0))
+        assert find_boundary_l(spec, BOND, BENCH) > BENCH.barrier_b
+        z = zcb_price(0.05, 0.0, BOND.maturity_T, BENCH)
+        for v in (0.62, 1.0, 1.6):
+            gap = put_call_parity_gap(MarketState(0.05, v, 0.0), spec, BOND,
+                                      BENCH)
+            assert abs(gap) <= 1e-9 * z
 
 
 class TestRoundoffBeforeExpiry:
@@ -581,7 +620,10 @@ class TestTwoTermPut:
                 assert abs(price - want) <= 1e-15 * z
 
     def test_scalar_and_array_agree_over_the_box(self):
-        for params, spec, bond in BOX_CASES:
+        # the last case has L = B and variance before T1 at t = 0.3 T1
+        at_barrier = (dataclasses.replace(BENCH, s_V=0.02),
+                      OptionSpec(8e-13, 0.9), BondSpec(1e-12))
+        for params, spec, bond in BOX_CASES + [at_barrier]:
             states, z, L, total, first = self._points(params, spec, bond)
             vs = np.array([state.v for state in states])
             ones = np.ones_like(vs)
