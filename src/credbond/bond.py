@@ -15,7 +15,7 @@ import numpy as np
 
 from . import analytics, model
 from .errors import BelowBarrier, DegenerateVariance, DomainError, InvalidTenor
-from .model import _LOG_HUGE, _MIN_VARIANCE
+from .model import _LOG_HUGE
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Above this u = ln(x/B), _survival forms its tail without e^u.  There
@@ -60,12 +60,12 @@ def _survival(u: float, variance: float) -> tuple[float, float]:
 
     W = N(d1) - e^u N(d2) with d1, d2 = (+-u - I/2) / sqrt(I).  Since
     e^u phi(d2) = phi(d1), the slope is dW/du = 2 phi(d1)/sqrt(I) - e^u N(d2).
-    Once no variance remains (I <= _MIN_VARIANCE) a firm above the barrier
-    (u > 0) cannot reach it: W = 1 and the slope is 0.  Above u = _TAIL_U,
-    where e^u nears overflow, the tail e^u N(d2) is phi(d1) M(-d2) with M the
-    Mills ratio; u may then be +inf, where W = 1.
+    Where no variance remains (I = 0) a firm above the barrier (u > 0)
+    cannot reach it: W = 1 and the slope is 0, their limits as I -> 0+.
+    Above u = _TAIL_U, where e^u nears overflow, the tail e^u N(d2) is
+    phi(d1) M(-d2) with M the Mills ratio; u may then be +inf, where W = 1.
     """
-    if variance <= _MIN_VARIANCE:
+    if variance == 0.0:
         return 1.0, 0.0
     root = math.sqrt(variance)
     d1 = (u - 0.5 * variance) / root
@@ -85,7 +85,7 @@ def survival_curve(x: float, t: float, T1: float, T: float,
 
     survival_w is the T1 = T case; the option formulas also need the
     [T1, T] remaining-variance and [t, T1] first-horizon variants.  Raises
-    DegenerateVariance above the barrier where no variance remains.
+    DegenerateVariance above the barrier where no variance remains (I = 0).
     """
     b = params.barrier_b
     if x < b:
@@ -93,7 +93,7 @@ def survival_curve(x: float, t: float, T1: float, T: float,
     if x == b:
         return 0.0
     variance = model.cum_variance(t, T1, T, params)
-    if variance <= _MIN_VARIANCE:
+    if variance == 0.0:
         raise DegenerateVariance(
             f"variance over [{t}, {T1}] is numerically zero")
     return _survival(math.log(x / b), variance)[0]
@@ -109,11 +109,11 @@ def _bond_units(x, b, recovery, variance) -> tuple[np.ndarray, np.ndarray]:
     """(R + (1-R) W, W) elementwise, with x, B, R and the variance I broadcast.
 
     The array form of _survival: W = 0 at or below the barrier, and W = 1
-    above it where no variance remains (I <= _MIN_VARIANCE).  An x/B beyond
+    above it where no variance remains (I = 0).  An x/B beyond
     the float range is u = inf, where W = 1.
     """
     x = np.asarray(x, dtype=float)
-    live = variance > _MIN_VARIANCE
+    live = variance > 0.0
     variance = np.where(live, variance, 1.0)  # any positive stand-in
     with np.errstate(over="ignore"):
         u = np.log(x / b)

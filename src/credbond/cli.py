@@ -350,8 +350,9 @@ def _verify_fd(cfg: RunConfig) -> list[dict]:
     checks.append(_check("fd straight bond max relative error", 0.0, worst, 1e-4))
 
     spec = cfg.option
-    # from T1 on the option is its payoff or gone: nothing to check
-    if spec is not None and state.t < spec.expiry_T1:
+    # from T1 on the option is its payoff or gone, and one ulp before it the
+    # FD window has no room for a step: nothing to check
+    if spec is not None and math.nextafter(state.t, math.inf) < spec.expiry_T1:
         T1 = spec.expiry_T1
         # the payoffs take the bond's value at T1 from its FD solve, on the
         # same ln x grid, so that the oracle shares neither L nor the bond's
@@ -359,10 +360,6 @@ def _verify_fd(cfg: RunConfig) -> list[dict]:
         for name, pricer in (("put", options.put_price),
                              ("call", options.call_price)):
             res = pricer(state, spec, bond_spec, params)
-            # no d-values: no variance remains before T1, the pricer took
-            # the payoff, and the FD window is too narrow to step
-            if not res.dvalues:
-                break
             osol = oracles.cn_solve(
                 lambda x: options._expiry_payoff(fd_units(x, T1), spec,
                                                  name == "call"),

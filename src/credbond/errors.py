@@ -10,7 +10,7 @@ class InvalidTenor(CredBondError):
 
 
 class DegenerateVariance(CredBondError):
-    """Total log-variance over the pricing horizon is (numerically) zero."""
+    """The log-variance over the horizon is 0, or too small for an FD grid."""
 
 
 class DomainError(CredBondError):

@@ -165,14 +165,11 @@ def sigma_x2(t: float, T: float, params: ModelParams) -> float:
     return max(0.0, val)
 
 
-# A cumulative variance at or below this is numerically zero: no diffusion
-# remains over the interval.
-_MIN_VARIANCE = 1e-16
-
-
 def cum_variance(t: float, T1: float, T: float, params: ModelParams) -> float:
     """int_t^T1 sigma_x2(u; T) du in closed form (additive over intervals).
 
+    It is exactly 0.0 on an empty interval and where the sum rounds to 0 or
+    below; that, and only that, is "no variance remains" to every pricer.
     Raises DomainError where the sum of its finite terms is not finite.
     """
     if not t <= T1 <= T:

@@ -30,7 +30,7 @@ from . import analytics, model
 from .bond import (BondPriceResult, BondSpec, _bond_inputs, _straight_bond,
                    _survival, _unit_value, bond_price)
 from .errors import DomainError, InvalidExercise, InvalidTenor, NoConvergence
-from .model import _LOG_HUGE, _MIN_VARIANCE
+from .model import _LOG_HUGE
 
 # The boundary solve stops once its step or residual is this close to zero
 # (relative to u for the step); both are then at roundoff.
@@ -50,7 +50,6 @@ class _Scalar:
     """
 
     sqrt, minimum, maximum = math.sqrt, min, max
-    where = staticmethod(lambda condition, yes, no: yes if condition else no)
     # a ratio that underflowed to 0 has the d-value -inf, as numpy's log gives
     log = staticmethod(lambda ratio: math.log(ratio) if ratio else -math.inf)
     # (v/B) block: a block of 0 adds 0, also where v/B overflows
@@ -75,7 +74,6 @@ class _Array:
     """
 
     log, sqrt, minimum, maximum = np.log, np.sqrt, np.minimum, np.maximum
-    where = staticmethod(np.where)
     scale = staticmethod(lambda v, b, block: (v / b) * block)
 
     @staticmethod
@@ -140,9 +138,9 @@ def find_boundary_l(spec: OptionSpec, bond: BondSpec,
     Newton's method in u, with the closed-form slope dW/du, finds it; a step
     that would leave the bracket bisects it instead, and the iteration stops
     once the step or the residual is down to roundoff.  L = B exactly when
-    no variance remains (I <= 1e-16), where W = 1 everywhere above the
-    barrier; otherwise the root u is positive, and an L that rounds to B is
-    taken one ulp above it.  Raises DomainError where L is not a finite float.
+    no variance remains (I = 0), where W = 1 everywhere above the barrier;
+    otherwise the root u is positive, and an L that rounds to B is taken
+    one ulp above it.  Raises DomainError where L is not a finite float.
     """
     _validate(spec, bond, params)
     b = params.barrier_b
@@ -150,7 +148,7 @@ def find_boundary_l(spec: OptionSpec, bond: BondSpec,
     target = (spec.exercise_e - recovery) / (1.0 - recovery)
     T = bond.maturity_T
     remaining = model.cum_variance(spec.expiry_T1, T, T, params)
-    if remaining <= _MIN_VARIANCE:
+    if remaining == 0.0:
         return b
     root = math.sqrt(remaining)
     lo, hi = 0.0, 80.0 * root
@@ -191,8 +189,8 @@ def _option_inputs(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
     The option terms are checked first, then the straight bond's z, x and
     total, the variance over [t, T], by bond._bond_inputs; a puttable or
     callable bond is checked in this order too.  first, the variance over
-    [t, T1], is None where no variance remains before expiry (t = T1, or
-    within roundoff of it): the price is then the payoff at T1.  The
+    [t, T1], is None where no variance remains before expiry (it is 0, as
+    at t = T1): the price is then the payoff at T1.  The
     boundary L depends on no state variable and is left to the caller: past
     the checks made here, find_boundary_l raises only NoConvergence or
     DomainError.
@@ -204,7 +202,7 @@ def _option_inputs(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
     z, x, total = _bond_inputs(state, bond, params)
     first = model.cum_variance(state.t, spec.expiry_T1, bond.maturity_T,
                                params)
-    return z, x, total, (first if first > _MIN_VARIANCE else None)
+    return z, x, total, (first if first > 0.0 else None)
 
 
 def _expiry_payoff(units, spec: OptionSpec, call: bool) -> np.ndarray:
@@ -223,13 +221,12 @@ def _d(ratio, half_variance, root, log):
 def _d_arguments(x, boundary_l, b, total, first, k=_Scalar) -> dict:
     """The d-values at x and (tilde) at the image point B^2/x, and delta_bar.
 
-    total and first are the variances over [t, T] and [t, T1]; k is _Scalar
-    for one price or _Array for arrays of points.  L = B says that no
-    variance remains after T1, so there total is taken as first and
-    delta_bar is 1.
+    total and first, the variances over [t, T] and [t, T1], are positive; as
+    they go to 0 the d-values saturate.  k is _Scalar for one price or _Array
+    for arrays of points.
     """
     # the variance over [t, T] is at least that over [t, T1] but for roundoff
-    total = k.where(boundary_l == b, first, k.maximum(total, first))
+    total = k.maximum(total, first)
     half_t, root_t = 0.5 * total, k.sqrt(total)
     half_f, root_f = 0.5 * first, k.sqrt(first)
     log = k.log
@@ -319,8 +316,7 @@ def put_call_parity_gap(state: model.MarketState, spec: OptionSpec,
     """put - call - Z*[(E-R)*W1 - (1-R)*W_T]; zero up to roundoff.
 
     W1 is the survival functional over [t, T1] (first-horizon variance) and
-    W_T the full-maturity one, W1 itself where L = B leaves no variance after
-    T1, as the prices take it; the identity follows from linearity of the
+    W_T the full-maturity one; the identity follows from linearity of the
     reduced PDE with the two option payoffs summing to E - R - (1-R)*W on
     x > B, and is validated against the finite-difference oracle in tests
     before being used as a check.  Its put is the paper's four-term block,
@@ -341,9 +337,7 @@ def put_call_parity_gap(state: model.MarketState, spec: OptionSpec,
         d = _d_arguments(x, boundary_l, b, total, first)
         put, call = (_option_value(block, z, state.v, b, e, recovery, d)
                      for block in (_paper_put_block, _call_block))
-        if boundary_l == b:  # no variance after T1, as the prices take it
-            total = first
-    # W = 1 above the barrier where no variance remains (s_V = 0, T1 -> T)
+    # W = 1 above the barrier where no variance remains over [t, T]
     w_full = _survival(u, total)[0]
     synthetic = z * ((e - recovery) * w1 - (1.0 - recovery) * w_full)
     return put - call - synthetic

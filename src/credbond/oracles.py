@@ -52,8 +52,18 @@ class GridSolution:
     values: np.ndarray  # shape (nt + 1, nx + 1), values[k] at times[k]
 
     def interpolate(self, x, t: float):
-        """u at (x, t): cubic in ln x, linear between stored time slices."""
-        y = np.log(np.asarray(x, dtype=float))
+        """u at (x, t): cubic in ln x, linear between stored time slices.
+
+        Raises ResolutionError for an x beyond the grid's far node, where
+        the spline would extrapolate.
+        """
+        x = np.asarray(x, dtype=float)
+        # the far node as cn_solve formed the x its payoff took
+        reach = np.exp(self.log_x_nodes)[-1]
+        if np.any(x > reach):
+            raise ResolutionError(
+                f"x = {np.max(x)} is beyond the grid's reach x = {reach}")
+        y = np.log(x)
 
         def at(k: int):
             return CubicSpline(self.log_x_nodes, self.values[k])(y)
@@ -85,7 +95,8 @@ def cn_solve(
     the array of x nodes to an array of the same shape.  Rannacher smoothing
     is always on: the first step after the terminal condition is replaced by
     two half-sized fully-implicit steps.  A window too short for grid.nt
-    steps of nonzero length, half steps included, raises ResolutionError.
+    steps of nonzero length, half steps included, raises ResolutionError;
+    a variance too small for grid.nx distinct ln x nodes, DegenerateVariance.
     """
     if grid is None:
         grid = GridConfig()
@@ -96,12 +107,12 @@ def cn_solve(
 
     b = params.barrier_b
     total_var = model.cum_variance(t0, bond_T, bond_T, params)
-    if total_var <= model._MIN_VARIANCE:
-        # the grid width 8 sqrt(I) would be below roundoff
-        raise DegenerateVariance(
-            f"variance over [{t0}, {bond_T}] is numerically zero")
     width = _DOMAIN_WIDTH_SIGMAS * math.sqrt(total_var)
     y = np.linspace(math.log(b), math.log(b) + width, grid.nx + 1)
+    if not np.all(np.diff(y) > 0.0):
+        # the grid width 8 sqrt(I) is below the nodes' roundoff
+        raise DegenerateVariance(
+            f"variance over [{t0}, {bond_T}] is numerically zero")
     h = y[1] - y[0]
     times = np.linspace(t0, t1, grid.nt + 1)
     dt = times[1] - times[0]

@@ -208,9 +208,10 @@ class TestPrice:
             result = runner.invoke(main, ["price", name, "--config", path])
             assert result.exit_code == 0, result.output
             doc = json.loads(result.output)
-            assert doc["diagnostics"]["L"] == 0.6
+            # 2.7e-22 of variance remains after T1, through the rate factor
+            assert 0.6 < doc["diagnostics"]["L"] < 0.6 * (1.0 + 1e-9)
             if name == "put-option":
-                assert doc["price"] == 0.0
+                assert 0.0 <= doc["price"] <= 1e-50 * doc["diagnostics"]["z"]
 
     def test_zero_variance_straight_bond_prices(self, tmp_path):
         def mutate(d):
@@ -604,8 +605,8 @@ class TestVerify:
             assert check["pass"] and abs(check["oracle"]) <= 1e-9 * z
 
     def test_fd_suite_within_roundoff_of_expiry(self, tmp_path):
-        # no variance remains before T1: the options are their payoffs and
-        # only the straight bond is checked against the FD oracle
+        # one ulp before T1 the FD window has no room for a step: only the
+        # straight bond is checked against the FD oracle
         def mutate(d):
             d["state"]["t"] = math.nextafter(1.0, 0.0)
             d["verify"].update(grid_nx=800, grid_nt=800)
@@ -683,6 +684,17 @@ class TestVerify:
                                       "--suite", suite])
         assert result.exit_code == 3, result.output
         assert error in result.output
+
+    def test_fd_suite_beyond_the_grid_exit_3(self, tmp_path):
+        # ln(x/B) = 0.61 but the grid's 8 sqrt(I) is 1.1e-3 wide: the FD
+        # option value at x would be the spline's extrapolation
+        path = make_config(tmp_path, lambda d: d["model"].update(s_r=0.0,
+                                                                 s_V=1e-4))
+        result = runner.invoke(main, ["verify", "--config", path,
+                                      "--suite", "fd"])
+        assert result.exit_code == 3, result.output
+        assert "ResolutionError" in result.output
+        assert "beyond the grid's reach" in result.output
 
     def test_fd_suite_with_grid_start_below_barrier(self, tmp_path):
         # exp(ln B) rounds to just below B = 0.3025, the grid's first node

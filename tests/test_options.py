@@ -309,21 +309,26 @@ class TestBoundarySolve:
 
 
 class TestZeroRemainingVariance:
-    """s_V = 0 and T1 -> T leave no variance after expiry: W = 1 above B."""
+    """s_V = 0 and T1 -> T leave almost no variance after expiry: only the
+    rate factor moves x = V/Z, by 2.7e-22 of variance, so L is within 1e-9
+    above B and the put is at most 1e-50 Z."""
 
     PARAMS = ModelParams(theta=1.0, mu=0.05, s_r=0.01, s_V=0.0, rho=-0.3,
                          barrier_b=0.6, recovery_r=0.4)
     SPEC = OptionSpec(expiry_T1=2.0 * (1.0 - 1e-6), exercise_e=0.9)
 
     def test_boundary_is_barrier(self):
-        assert find_boundary_l(self.SPEC, BOND, self.PARAMS) == 0.6
+        L = find_boundary_l(self.SPEC, BOND, self.PARAMS)
+        assert L == _reference_l(self.SPEC, BOND, self.PARAMS)
+        assert 0.6 < L < 0.6 * (1.0 + 1e-9)
 
     def test_prices(self):
         for v in (0.62, 1.0, 1.6):
             for t in (0.0, 1.0, self.SPEC.expiry_T1):
                 st = MarketState(0.05, v, t)
                 z = zcb_price(0.05, t, 2.0, self.PARAMS)
-                assert put_price(st, self.SPEC, BOND, self.PARAMS).price == 0.0
+                put = put_price(st, self.SPEC, BOND, self.PARAMS).price
+                assert 0.0 <= put <= 1e-50 * z
                 call = call_price(st, self.SPEC, BOND, self.PARAMS).price
                 assert 0.0 <= call <= (1.0 - self.SPEC.exercise_e) * z
                 if t < self.SPEC.expiry_T1:
@@ -332,11 +337,12 @@ class TestZeroRemainingVariance:
 
 
 class TestBoundaryAtBarrierOnlyWithoutVariance:
-    """L = B exactly when no variance remains after T1; the prices then take
-    the variance over [t, T] as that over [t, T1], so delta_bar = 1."""
+    """L = B exactly when no variance remains after T1, where the variances
+    over [t, T] and [t, T1] are one and delta_bar = 1; however little
+    remains, L lies above B."""
 
     # maturity 1e-12 and x/B - 1 near 1e-12: 9.8e-17 of the 2.4e-16 variance
-    # over [t, T] falls after T1, which is numerically no variance
+    # over [t, T] falls after T1, so L = B (1 + 2.0e-8)
     TINY = (ModelParams(theta=0.003024021692766978, mu=-0.0689850449637792,
                         s_r=0.00677742550760443, s_V=0.015504796021410411,
                         rho=0.19624707338557545, barrier_b=0.5438315145209475,
@@ -347,12 +353,34 @@ class TestBoundaryAtBarrierOnlyWithoutVariance:
     def test_call_at_tiny_maturity_within_the_clamp(self):
         params, spec, bond, state = self.TINY
         call = call_price(state, spec, bond, params)
-        # the 1e-16 threshold reads the 9.8e-17 after T1 as none: L = B
+        # L = B only where nothing remains after T1; here 9.8e-17 does
         if call.boundary_l == params.barrier_b:
             assert call.dvalues["delta_bar"] == 1.0
         assert call.price >= -1e-12 * call.z
         gap = put_call_parity_gap(state, spec, bond, params)
         assert abs(gap) <= 1e-9 * call.z
+
+    def test_variance_below_1e_16_on_both_sides_of_expiry(self):
+        # maturity 1e-12, x one ulp above B, 7.1e-17 of variance before T1
+        # and 6.8e-17 after it: L is above B, so the call takes W over
+        # [T1, T] from L, as the straight bond takes W over [t, T]
+        params = ModelParams(
+            theta=0.21732217907663975, mu=0.02068281676635038,
+            s_r=0.0036896740061445354, s_V=0.011819213038250878,
+            rho=-0.04029209017264801, barrier_b=0.4566208086369353,
+            recovery_r=0.007413541799852318)
+        spec = OptionSpec(5.118189491054939e-13, 0.45317317646807853)
+        bond = BondSpec(1e-12)
+        state = MarketState(0.05, 0.4566208086369126, 0.0)
+        call = call_price(state, spec, bond, params)
+        z, recovery = call.z, params.recovery_r
+        w1 = survival_curve(call.x, state.t, spec.expiry_T1, bond.maturity_T,
+                            params)
+        assert call.price <= (1.0 - spec.exercise_e) * w1 * z
+        callable_ = callable_bond_price(state, spec, bond, params)
+        assert recovery * z <= callable_ <= z
+        gap = put_call_parity_gap(state, spec, bond, params)
+        assert abs(gap) <= 1e-9 * z
 
     def test_exercise_one_ulp_above_recovery(self):
         # the root u is positive however small: L stays above B
@@ -367,7 +395,7 @@ class TestBoundaryAtBarrierOnlyWithoutVariance:
 
 
 class TestRoundoffBeforeExpiry:
-    """Within roundoff of T1 no first-horizon variance remains: the payoff at T1."""
+    """Within roundoff of T1 the formula's limit is the payoff at T1."""
 
     PRICERS = {
         "put": lambda st: put_price(st, OPT, BOND, BENCH).price,
@@ -620,7 +648,8 @@ class TestTwoTermPut:
                 assert abs(price - want) <= 1e-15 * z
 
     def test_scalar_and_array_agree_over_the_box(self):
-        # the last case has L = B and variance before T1 at t = 0.3 T1
+        # the last case has L = B (1 + 1.2e-8), with 2.2e-16 of variance
+        # before T1 at t = 0.3 T1 and 8e-17 after it
         at_barrier = (dataclasses.replace(BENCH, s_V=0.02),
                       OptionSpec(8e-13, 0.9), BondSpec(1e-12))
         for params, spec, bond in BOX_CASES + [at_barrier]:
