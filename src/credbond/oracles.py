@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from . import model
 from .bond import BondSpec, _unit_value
@@ -25,6 +25,7 @@ from .options import OptionSpec, _expiry_payoff
 from .errors import (
     BelowBarrier,
     DegenerateVariance,
+    DomainError,
     InvalidTenor,
     ResolutionError,
     SeedError,
@@ -79,6 +80,20 @@ class GridSolution:
         return (1.0 - w_hi) * at(k - 1) + w_hi * at(k)
 
 
+def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+                       rhs: np.ndarray) -> np.ndarray:
+    """x with A x = rhs, for A given by its sub-, main and super-diagonal.
+
+    LAPACK gtsv with partial pivoting, as solve_banded((1, 1), ...) calls it,
+    so the result is the same to the bit.  All four arrays are overwritten.
+    Raises ResolutionError where gtsv reports the system singular.
+    """
+    *_, x, info = dgtsv(sub, diag, sup, rhs, 1, 1, 1, 1)
+    if info != 0:
+        raise ResolutionError(f"Crank-Nicolson system singular (gtsv info {info})")
+    return x
+
+
 def cn_solve(
     terminal_payoff: Callable[[np.ndarray], np.ndarray],
     t0: float,
@@ -97,6 +112,11 @@ def cn_solve(
     two half-sized fully-implicit steps.  A window too short for grid.nt
     steps of nonzero length, half steps included, raises ResolutionError;
     a variance too small for grid.nx distinct ln x nodes, DegenerateVariance.
+    Each step's tridiagonal system is solved by LAPACK gtsv, the routine
+    scipy.linalg.solve_banded calls for one band each side, without that
+    function's per-call input checks.  So the payoff is checked up front: a
+    non-finite one raises DomainError before the first step.  A surface that
+    overflows on the way raises DomainError too.
     """
     if grid is None:
         grid = GridConfig()
@@ -129,6 +149,8 @@ def cn_solve(
 
     values = np.empty((grid.nt + 1, grid.nx + 1))
     values[grid.nt] = terminal_payoff(np.exp(y))
+    if not np.all(np.isfinite(values[grid.nt])):
+        raise DomainError("terminal payoff is not finite on the grid")
     values[grid.nt, 0] = 0.0
     far = values[grid.nt, -1]
 
@@ -151,21 +173,24 @@ def cn_solve(
         rhs[-1] += span * implicit_weight * upper * u_new[-1]
 
         n_int = len(rhs)
-        ab = np.zeros((3, n_int))
-        ab[0, 1:] = -span * implicit_weight * upper
-        ab[1, :] = 1.0 - span * implicit_weight * diag
-        ab[2, :-1] = -span * implicit_weight * lower
-        u_new[1:-1] = solve_banded((1, 1), ab, rhs)
+        u_new[1:-1] = _solve_tridiagonal(
+            np.full(n_int - 1, -span * implicit_weight * lower),
+            np.full(n_int, 1.0 - span * implicit_weight * diag),
+            np.full(n_int - 1, -span * implicit_weight * upper), rhs)
         return u_new
 
-    for n in range(grid.nt - 1, -1, -1):
-        t_lo, t_hi = times[n], times[n + 1]
-        if n == grid.nt - 1:
-            u = step(values[n + 1], mid, t_hi, implicit_weight=1.0)
-            u = step(u, t_lo, mid, implicit_weight=1.0)
-        else:
-            u = step(values[n + 1], t_lo, t_hi, implicit_weight=0.5)
-        values[n] = u
+    # an overflow is caught on the whole surface, below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(grid.nt - 1, -1, -1):
+            t_lo, t_hi = times[n], times[n + 1]
+            if n == grid.nt - 1:
+                u = step(values[n + 1], mid, t_hi, implicit_weight=1.0)
+                u = step(u, t_lo, mid, implicit_weight=1.0)
+            else:
+                u = step(values[n + 1], t_lo, t_hi, implicit_weight=0.5)
+            values[n] = u
+    if not np.all(np.isfinite(values)):
+        raise DomainError("the FD surface overflowed: payoff too large")
 
     return GridSolution(log_x_nodes=y, times=times, values=values)
 
@@ -367,24 +392,59 @@ def mc_spot(
         alive = np.ones(shape, dtype=bool)
         value = np.zeros(shape)
         at_expiry = []
+        # the path-step writes into these, one numpy operation per line in
+        # the order the formulas in the comments evaluate; a 1-d buffer holds
+        # a pair's shared term, which row 0 adds and row 1 subtracts
+        z = np.empty(shape)
+        z1, z2 = z
+        en, zv, shock, pair = (np.empty(shape[1]) for _ in range(4))
+        r_new, drift, tmp, log_z, gap_new = (np.empty(shape) for _ in range(5))
+        crossed, hit = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+        half_s_v2 = 0.5 * s_v * s_v
         for i, (dt, exp_th, r_std, sqrt_dt) in enumerate(steps):
-            z1, z2 = rng.standard_normal(shape)
-            en = rng.standard_exponential(shape[1])
-            zv = rho * z1 + rho_c * z2
-            r_new = mu + (r - mu) * exp_th + _SIGNS * (r_std * z1)
-            lnv = lnv + ((r - 0.5 * s_v * s_v) * dt
-                         + _SIGNS * (s_v * sqrt_dt * zv))
-            disc = disc + 0.5 * (r + r_new) * dt
-            r = r_new
-            log_z = ab[i + 1] - bb[i + 1] * r
-            gap_new = lnv - log_z - log_b
+            rng.standard_normal(out=z)
+            rng.standard_exponential(out=en)
+            # zv = rho z1 + rho_c z2
+            np.multiply(rho, z1, out=zv)
+            np.multiply(rho_c, z2, out=shock)
+            zv += shock
+            # r_new = mu + (r - mu) exp_th +- r_std z1
+            np.subtract(r, mu, out=r_new)
+            r_new *= exp_th
+            r_new += mu
+            np.multiply(r_std, z1, out=shock)
+            r_new[0] += shock
+            r_new[1] -= shock
+            # lnv += (r - s_v^2 / 2) dt +- s_v sqrt(dt) zv
+            np.subtract(r, half_s_v2, out=drift)
+            drift *= dt
+            np.multiply(s_v * sqrt_dt, zv, out=shock)
+            drift[0] += shock
+            drift[1] -= shock
+            lnv += drift
+            # disc += (r + r_new) / 2 dt
+            np.add(r, r_new, out=tmp)
+            tmp *= 0.5
+            tmp *= dt
+            disc += tmp
+            r, r_new = r_new, r
+            # log_z = abar - bbar r; gap_new = lnv - log_z - ln B
+            np.multiply(bb[i + 1], r, out=log_z)
+            np.subtract(ab[i + 1], log_z, out=log_z)
+            np.subtract(lnv, log_z, out=gap_new)
+            gap_new -= log_b
             # the bridge crosses w.p. exp(-2 g+ g' / v_step), g+ = max(gap, 0)
             # and g' = gap_new: when the pair's shared Exp(1) draw E has
             # E v_step > 2 g+ g'
-            hit = alive & ((gap_new <= 0.0)
-                           | (en * step_vars[i]
-                              > 2.0 * np.maximum(gap, 0.0) * gap_new))
-            gap = gap_new
+            np.less_equal(gap_new, 0.0, out=crossed)
+            np.multiply(en, step_vars[i], out=pair)
+            np.maximum(gap, 0.0, out=tmp)
+            tmp *= 2.0
+            tmp *= gap_new
+            np.greater(pair, tmp, out=hit)
+            hit |= crossed
+            hit &= alive
+            gap, gap_new = gap_new, gap
             if hit.any():
                 value[hit] = (np.exp(-disc[hit]) * params.recovery_r
                               * np.exp(log_z[hit]))

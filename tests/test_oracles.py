@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from credbond import (
     BondSpec,
@@ -20,9 +21,12 @@ from credbond import (
     put_price,
     puttable_bond_price,
 )
-from credbond.bond import survival_curve
+from credbond import model, oracles
+from credbond.bond import _unit_value, survival_curve
+from credbond.options import _expiry_payoff
 from credbond.errors import (
     BelowBarrier,
+    DomainError,
     InvalidTenor,
     ResolutionError,
     SeedError,
@@ -90,6 +94,22 @@ class TestCnSolve:
             cn_solve(unit_payoff, t0, 1.0, 2.0, BENCH,
                      grid=GridConfig(nx=800, nt=nt))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_payoff(self, bad):
+        def payoff(x):
+            out = np.ones_like(x)
+            out[len(x) // 2] = bad
+            return out
+        with pytest.raises(DomainError):
+            cn_solve(payoff, 0.0, 2.0, 2.0, BENCH,
+                     grid=GridConfig(nx=50, nt=50))
+
+    def test_rejects_overflowing_surface(self):
+        # a finite payoff whose first step overflows the right-hand side
+        with pytest.raises(DomainError):
+            cn_solve(lambda x: np.full_like(x, 1e308), 0.0, 2.0, 2.0, BENCH,
+                     grid=GridConfig(nx=50, nt=50))
+
     def test_second_order_convergence(self):
         errs = []
         for n in (100, 200, 400):
@@ -99,6 +119,28 @@ class TestCnSolve:
             errs.append(abs(float(sol.interpolate(1.1, 0.0)) - exact))
         assert 3.2 <= errs[0] / errs[1] <= 4.8
         assert 3.2 <= errs[1] / errs[2] <= 4.8
+
+
+class TestSolveTridiagonal:
+    @pytest.mark.parametrize("n", [5, 799])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_solve_banded(self, n, seed):
+        rng = np.random.default_rng(seed)
+        sub, sup = rng.uniform(-1.0, 1.0, (2, n - 1))
+        diag = rng.choice([-1.0, 1.0], n) * rng.uniform(2.0, 3.0, n)
+        rhs = rng.standard_normal(n)
+        ab = np.zeros((3, n))
+        ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
+        expected = solve_banded((1, 1), ab, rhs)
+        got = oracles._solve_tridiagonal(sub.copy(), diag.copy(), sup.copy(),
+                                         rhs.copy())
+        assert np.array_equal(got, expected)
+
+    def test_singular_system_raises(self):
+        # a zero main and super-diagonal: the last column is zero
+        with pytest.raises(ResolutionError):
+            oracles._solve_tridiagonal(np.ones(3), np.zeros(4), np.zeros(3),
+                                       np.ones(4))
 
 
 class TestMcForward:
@@ -211,3 +253,99 @@ class TestMcSpot:
         puttable_est = spot_with_option["puttable"]
         assert puttable_est.mean >= bond_est.mean - 3.0 * (
             bond_est.std_error + puttable_est.std_error)
+
+
+def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
+                      seed):
+    """mc_spot with a path-step that allocates every intermediate array.
+
+    Written out from the engine as it stood before its path-step reused
+    buffers: the chunking, seeding and reduction are the engine's own, so a
+    difference can only come from the step.
+    """
+    T = bond.maturity_T
+    n_steps = max(1, math.ceil((T - state.t) * steps_per_year))
+    dt = (T - state.t) / n_steps
+    grid_times = np.append(state.t + dt * np.arange(n_steps), T)
+    step_dts = [dt] * n_steps
+    expiry_step = None
+    if option is not None:
+        T1 = option.expiry_T1
+        k = int(np.searchsorted(grid_times, T1))
+        if grid_times[k] != T1:
+            step_dts[k - 1:k] = [T1 - grid_times[k - 1], grid_times[k] - T1]
+            grid_times = np.insert(grid_times, k, T1)
+        expiry_step = k - 1
+    theta, mu, s_r, s_v, rho = (params.theta, params.mu, params.s_r,
+                                params.s_V, params.rho)
+    steps = [(h, math.exp(-theta * h),
+              s_r * math.sqrt(-math.expm1(-2.0 * theta * h) / (2.0 * theta)),
+              math.sqrt(h)) for h in step_dts]
+    rho_c = math.sqrt(1.0 - rho * rho)
+    ab = np.array([model.abar(u, T, params) for u in grid_times])
+    bb = np.array([model.bbar(u, T, params) for u in grid_times])
+    step_vars = np.array([
+        model.cum_variance(grid_times[i], grid_times[i + 1], T, params)
+        for i in range(len(step_dts))])
+    log_b = math.log(params.barrier_b)
+    signs = np.array([[1.0], [-1.0]])
+
+    def run_chunk(chunk_index, size):
+        rng = oracles._chunk_rng(seed, chunk_index)
+        shape = (2, (size + 1) // 2)
+        r = np.full(shape, state.r)
+        lnv = np.full(shape, math.log(state.v))
+        gap = lnv - (ab[0] - bb[0] * r) - log_b
+        disc = np.zeros(shape)
+        alive = np.ones(shape, dtype=bool)
+        value = np.zeros(shape)
+        at_expiry = []
+        for i, (dt, exp_th, r_std, sqrt_dt) in enumerate(steps):
+            z1, z2 = rng.standard_normal(shape)
+            en = rng.standard_exponential(shape[1])
+            zv = rho * z1 + rho_c * z2
+            r_new = mu + (r - mu) * exp_th + signs * (r_std * z1)
+            lnv = lnv + ((r - 0.5 * s_v * s_v) * dt
+                         + signs * (s_v * sqrt_dt * zv))
+            disc = disc + 0.5 * (r + r_new) * dt
+            r = r_new
+            log_z = ab[i + 1] - bb[i + 1] * r
+            gap_new = lnv - log_z - log_b
+            hit = alive & ((gap_new <= 0.0)
+                           | (en * step_vars[i]
+                              > 2.0 * np.maximum(gap, 0.0) * gap_new))
+            gap = gap_new
+            if hit.any():
+                value[hit] = (np.exp(-disc[hit]) * params.recovery_r
+                              * np.exp(log_z[hit]))
+                alive &= ~hit
+            if i == expiry_step:
+                z_t1 = np.exp(log_z[alive])
+                scale = np.exp(-disc[alive]) * z_t1
+                units = _unit_value(np.exp(lnv[alive]) / z_t1, T1, T, params)
+                put, call = np.zeros(shape), np.zeros(shape)
+                put[alive] = scale * _expiry_payoff(units, option, call=False)
+                call[alive] = scale * _expiry_payoff(units, option, call=True)
+                held = value.copy()
+                held[alive] = scale * units
+                at_expiry = [put, call, held + put, held - call]
+        value[alive] = np.exp(-disc[alive])
+        return [oracles._pair_means(v, size) for v in (value, *at_expiry)]
+
+    keys = ("bond", "put", "call", "puttable", "callable")
+    return dict(zip(keys, oracles._reduce_chunks(run_chunk, n_paths, 1, seed)))
+
+
+class TestMcSpotPathStep:
+    # three chunks, the last of 1001 paths: an odd one
+    N_PATHS = 2 * oracles._CHUNK + 1001
+
+    # T1 = 1.013 is no node of the 50-per-year grid: the step across it splits
+    @pytest.mark.parametrize("option", [None, OptionSpec(expiry_T1=1.013,
+                                                         exercise_e=0.9)])
+    def test_equals_allocating_step(self, option):
+        args = (STATE, BOND, option, BENCH, self.N_PATHS)
+        got = mc_spot(*args, steps_per_year=50, seed=5)
+        expected = reference_mc_spot(*args, steps_per_year=50, seed=5)
+        assert len(got) == (1 if option is None else 5)
+        assert got == expected
