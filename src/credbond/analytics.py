@@ -1,8 +1,7 @@
-"""Special functions and root finding shared by the pricing modules.
+"""Standard normal and bivariate normal CDFs, and a bracketed root finder.
 
-Univariate/bivariate standard normal CDFs, each also in an elementwise
-array form, and a bracketed root finder.  All functions here are pure and
-thread-safe.
+Each CDF also has an elementwise array form.  All functions here are pure
+and thread-safe.
 
 Both normal CDFs, scalar and array, are 0.5 erfc(-x/sqrt 2) from
 ``math.erfc``, so the CDFs need only ``math`` and numpy.  ``find_root``
@@ -65,9 +64,9 @@ _GL20 = _leggauss(20)
 # The same rules for the array form, as column vectors of t and w
 _GL_COLUMNS = tuple(tuple(np.array(column)[:, None] for column in zip(*rule))
                     for rule in (_GL6, _GL12, _GL20))
-# Upper ends of the |rho| ranges of the array form's branches: the 6-, 12-
-# and 20-node rules, the high-correlation form, and |rho| = 1.
-_RHO_BOUNDS = np.array([0.3, 0.75, 0.925, 1.0])
+# Upper ends of the |rho| ranges of the array form's 6-, 12- and 20-node
+# rules
+_RHO_BOUNDS = np.array([0.3, 0.75, 0.925])
 
 
 def binorm_cdf(a: float, b: float, rho: float) -> float:
@@ -158,24 +157,28 @@ def binorm_cdf(a: float, b: float, rho: float) -> float:
 def binorm_cdf_array(a, b, rho) -> np.ndarray:
     """binorm_cdf elementwise over a, b and rho broadcast together.
 
-    The same scheme as binorm_cdf: each element takes its 6/12/20-node rule
-    and its branch (|rho| < 0.925 or the high-correlation complement) by
-    mask.  The node sums run in the scalar form's order, and the two forms
-    agree to 1e-15 absolute.  The rest (a saturated argument, |rho| = 1, NaN
-    or |rho| > 1) goes to binorm_cdf itself, element by element.
+    An element with |rho| < 0.925 and neither argument saturated takes its
+    6/12/20-node rule by mask, with the node sums in the scalar form's
+    order; the two forms agree to 1e-15 absolute there.  The rest (0.925 <=
+    |rho| < 1, |rho| = 1, a saturated argument, NaN or |rho| > 1) goes to
+    binorm_cdf itself, element by element.
     """
     a, b, rho = np.broadcast_arrays(np.asarray(a, dtype=float),
                                     np.asarray(b, dtype=float),
                                     np.asarray(rho, dtype=float))
     shape = a.shape
     a, b, rho = a.ravel(), b.ravel(), rho.ravel()
-    # branch 0-2: a quadrature rule, 3: high correlation, 4: the rest
+    # branch 0-2: a quadrature rule, 3: binorm_cdf one element at a time
     branch = _RHO_BOUNDS.searchsorted(np.abs(rho), side="right")
-    branch[~(np.maximum(np.abs(a), np.abs(b)) < SATURATION)] = 4
+    branch[~(np.maximum(np.abs(a), np.abs(b)) < SATURATION)] = 3
     out = np.empty(a.size)
     for i in np.flatnonzero(np.bincount(branch)):
         sel = branch == i
-        out[sel] = _BINORM_BRANCHES[i](a[sel], b[sel], rho[sel])
+        if i < 3:
+            out[sel] = _binorm_low(a[sel], b[sel], rho[sel], i)
+        else:
+            out[sel] = list(map(binorm_cdf, a[sel].tolist(), b[sel].tolist(),
+                                rho[sel].tolist()))
     return out.reshape(shape)
 
 
@@ -192,50 +195,6 @@ def _binorm_low(a: np.ndarray, b: np.ndarray, rho: np.ndarray,
     bvn = (weights * np.exp((sn * hk - hs) / (1.0 - sn * sn))).sum(axis=0)
     bvn = bvn * asr / _FOUR_PI + _ndtr(-h) * _ndtr(-k)
     return np.minimum(1.0, np.maximum(0.0, bvn))
-
-
-def _binorm_high(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    # 0.925 <= |rho| < 1: the 20-node rule on the complementary form
-    h, k = -a, np.where(rho < 0.0, b, -b)
-    hk = h * k
-    ass = (1.0 - rho) * (1.0 + rho)
-    aa = np.sqrt(ass)
-    bs = (h - k) ** 2
-    c = (4.0 - hk) / 8.0
-    d = (12.0 - hk) / 16.0
-    asr = -(bs / ass + hk) / 2.0
-    bvn = np.where(asr > -100.0, aa * np.exp(asr) * (
-        1.0 - c * (bs - ass) * (1.0 - d * bs / 5.0) / 3.0
-        + c * d * ass * ass / 5.0), 0.0)
-    near = -hk < 100.0
-    bb = np.sqrt(bs)
-    sp = _SQRT_2PI * _ndtr(-bb / aa)
-    # exp(-hk/2) is taken only where the scalar form takes it: it overflows
-    # elsewhere
-    bvn = bvn - np.where(near, np.exp(np.where(near, -hk / 2.0, 0.0)) * sp * bb * (
-        1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0), 0.0)
-    t, w = _GL_COLUMNS[2]
-    xsq = (aa * t) ** 2
-    rs = np.sqrt(1.0 - xsq)
-    asr1 = -(bs / xsq + hk) / 2.0
-    terms = np.where(asr1 > -100.0, aa / 2.0 * w * np.exp(asr1) * (
-        np.exp(-hk * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
-        - (1.0 + c * xsq * (1.0 + d * xsq))), 0.0)
-    terms[0] += bvn
-    bvn = -terms.sum(axis=0) / _TWO_PI
-    bvn = np.where(rho > 0.0, bvn + _ndtr(-np.maximum(h, k)),
-                   np.where(k > h, -bvn + (_ndtr(k) - _ndtr(h)), -bvn))
-    return np.minimum(1.0, np.maximum(0.0, bvn))
-
-
-_BINORM_BRANCHES = (
-    lambda a, b, rho: _binorm_low(a, b, rho, 0),
-    lambda a, b, rho: _binorm_low(a, b, rho, 1),
-    lambda a, b, rho: _binorm_low(a, b, rho, 2),
-    _binorm_high,
-    lambda a, b, rho: np.array(
-        list(map(binorm_cdf, a.tolist(), b.tolist(), rho.tolist()))),
-)
 
 
 def find_root(

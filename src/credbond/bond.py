@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics, model
-from .errors import BelowBarrier, DegenerateVariance, DomainError, InvalidTenor
+from .errors import BelowBarrier, DomainError, InvalidTenor
 from .model import _LOG_HUGE
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -83,20 +83,15 @@ def survival_curve(x: float, t: float, T1: float, T: float,
                    params: model.ModelParams) -> float:
     """Down-and-out survival functional with variance int_t^T1 sigma_x2(u; T) du.
 
-    survival_w is the T1 = T case; the option formulas also need the
-    [T1, T] remaining-variance and [t, T1] first-horizon variants.  Raises
-    DegenerateVariance above the barrier where no variance remains (I = 0).
+    survival_w is the T1 = T case.  Above the barrier where no variance
+    remains (I = 0) it is 1, the limit _survival and bond_price take.
     """
     b = params.barrier_b
     if x < b:
         raise DomainError(f"x={x} is below the barrier {b}")
     if x == b:
         return 0.0
-    variance = model.cum_variance(t, T1, T, params)
-    if variance == 0.0:
-        raise DegenerateVariance(
-            f"variance over [{t}, {T1}] is numerically zero")
-    return _survival(math.log(x / b), variance)[0]
+    return _survival(math.log(x / b), model.cum_variance(t, T1, T, params))[0]
 
 
 def _unit_value(x, t: float, T: float, params: model.ModelParams) -> np.ndarray:

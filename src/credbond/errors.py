@@ -10,7 +10,7 @@ class InvalidTenor(CredBondError):
 
 
 class DegenerateVariance(CredBondError):
-    """The log-variance over the horizon is 0, or too small for an FD grid."""
+    """The log-variance over the horizon is too small for an FD grid."""
 
 
 class DomainError(CredBondError):

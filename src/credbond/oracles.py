@@ -4,8 +4,8 @@ A Crank-Nicolson solver for the reduced one-dimensional barrier PDE
   u_t + 0.5 * sigma_x^2(t; T) * x^2 * u_xx = 0   (x > B)
 and two Monte-Carlo pricers: a forward-measure engine for the driftless
 numeraire ratio x (exact lognormal stepping with Brownian-bridge barrier
-correction) and a risk-neutral two-factor engine simulating (r, V) jointly
-with discrete default monitoring.
+correction) and a risk-neutral two-factor engine simulating (r, V) jointly,
+default monitored at each step with a Brownian-bridge check between steps.
 """
 
 from __future__ import annotations

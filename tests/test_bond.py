@@ -11,7 +11,6 @@ from credbond.options import _d
 from credbond.bond import _TAIL_U, _survival, _unit_value, survival_curve
 from credbond.errors import (
     BelowBarrier,
-    DegenerateVariance,
     DomainError,
     InvalidTenor,
 )
@@ -60,10 +59,18 @@ class TestSurvival:
             survival_w(0.5, 0.0, BOND, BENCH)
 
     @pytest.mark.parametrize("t,T1,T", [(1.0, 1.0, 2.0), (0.0, 0.0, 0.0)])
-    def test_zero_variance_rejected(self, t, T1, T):
-        # no variance over [t, T1] to divide the d-values by
-        with pytest.raises(DegenerateVariance):
-            survival_curve(1.5, t, T1, T, BENCH)
+    def test_zero_variance_survives(self, t, T1, T):
+        # no variance over [t, T1]: above the barrier the firm cannot reach it
+        assert survival_curve(1.5, t, T1, T, BENCH) == 1.0
+
+    def test_zero_variance_matches_bond_price(self):
+        # s_r = 1e-200 squares to 0 and s_V = 0: cum_variance is exactly 0
+        params = ModelParams(theta=1.0, mu=0.05, s_r=1e-200, s_V=0.0, rho=0.0,
+                             barrier_b=0.6, recovery_r=0.4)
+        bond = BondSpec(maturity_T=2.0)
+        result = bond_price(MarketState(r=0.05, v=1.0, t=0.0), bond, params)
+        assert result.total_variance == 0.0
+        assert survival_w(result.x, 0.0, bond, params) == result.w == 1.0
 
     def test_general_horizon_consistency(self):
         full = survival_curve(1.1, 0.0, 2.0, 2.0, BENCH)

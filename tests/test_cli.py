@@ -10,7 +10,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from credbond import BondSpec, MarketState, ModelParams, OptionSpec, cli, options
+from credbond import (BondSpec, MarketState, ModelParams, OptionSpec, analytics,
+                      cli, options)
 from credbond.cli import load_config, main
 from credbond.errors import (
     ConfigError,
@@ -442,6 +443,26 @@ class TestSweepMatchesPerPoint:
     def test_every_instrument_and_axis(self, instrument, axis):
         lo, hi, _ = SWEEP_RANGES[axis]
         _assert_sweep_matches((instrument, axis, lo, hi, 21))
+
+    @pytest.mark.parametrize("instrument", ["put-option", "puttable"])
+    @pytest.mark.parametrize("axis", ["V", "rho"])
+    def test_high_correlation(self, monkeypatch, instrument, axis):
+        # at T1 = 1.9 of T = 2, delta_bar >= 0.925: the array form hands those
+        # elements to the scalar binorm_cdf
+        cfg = _bench_config()
+        cfg = dataclasses.replace(
+            cfg, option=dataclasses.replace(cfg.option, expiry_T1=1.9))
+        rhos = []
+        array_form = analytics.binorm_cdf_array
+
+        def recorded(a, b, rho):
+            rhos.append(np.abs(rho).max())
+            return array_form(a, b, rho)
+
+        monkeypatch.setattr(analytics, "binorm_cdf_array", recorded)
+        lo, hi, _ = SWEEP_RANGES[axis]
+        _assert_sweep_matches((instrument, axis, lo, hi, 21), cfg)
+        assert max(rhos) >= 0.925
 
 
 # One field of the README config set where Z, V/Z or the boundary L leaves
