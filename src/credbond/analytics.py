@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import DomainError, NoBracket, NoConvergence
 
-# Arguments with |x| >= SATURATION are treated as +-infinity.
+# binorm_cdf takes |x| >= SATURATION as +-infinity.  norm_cdf needs no such
+# test: 0.5 erfc(-x/sqrt 2) is exactly 1 for x >= 40 and 0 for x <= -40.
 SATURATION = 40.0
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -30,10 +31,6 @@ def norm_cdf(x: float) -> float:
     """Standard normal CDF, accurate to ~1e-16 absolute, saturating in the tails."""
     if x != x:
         raise DomainError("norm_cdf argument is NaN")
-    if x >= SATURATION:
-        return 1.0
-    if x <= -SATURATION:
-        return 0.0
     return 0.5 * math.erfc(-x * _SQRT_HALF)
 
 

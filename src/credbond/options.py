@@ -28,7 +28,7 @@ import numpy as np
 
 from . import analytics, model
 from .bond import (BondPriceResult, BondSpec, _bond_inputs, _straight_bond,
-                   _survival, _unit_value, bond_price)
+                   _survival, _unit_value, bond_price, survival_curve)
 from .errors import DomainError, InvalidExercise, InvalidTenor, NoConvergence
 from .model import _LOG_HUGE
 
@@ -213,6 +213,12 @@ def _expiry_payoff(units, spec: OptionSpec, call: bool) -> np.ndarray:
     return np.maximum(spec.exercise_e - units, 0.0)
 
 
+def _expiry_price(z, x, spec, bond, params, call: bool) -> float:
+    """The payoff at T1 on the straight bond at x, in units of Z, times z."""
+    units = _unit_value(x, spec.expiry_T1, bond.maturity_T, params)
+    return float(_expiry_payoff(units, spec, call)) * z
+
+
 def _d(ratio, half_variance, root, log):
     # (ln ratio - I/2) / sqrt(I), given I/2 and sqrt(I)
     return (log(ratio) - half_variance) / root
@@ -287,9 +293,7 @@ def _option_price(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
     z, x, total, first = _option_inputs(state, spec, bond, params)
     boundary_l = find_boundary_l(spec, bond, params)
     if first is None:
-        units = _unit_value(x, spec.expiry_T1, bond.maturity_T, params)
-        price = float(_expiry_payoff(units, spec, call)) * z
-        d = {}
+        price, d = _expiry_price(z, x, spec, bond, params, call), {}
     else:
         b = params.barrier_b
         d = _d_arguments(x, boundary_l, b, total, first)
@@ -315,32 +319,25 @@ def put_call_parity_gap(state: model.MarketState, spec: OptionSpec,
                         bond: BondSpec, params: model.ModelParams) -> float:
     """put - call - Z*[(E-R)*W1 - (1-R)*W_T]; zero up to roundoff.
 
-    W1 is the survival functional over [t, T1] (first-horizon variance) and
-    W_T the full-maturity one; the identity follows from linearity of the
-    reduced PDE with the two option payoffs summing to E - R - (1-R)*W on
-    x > B, and is validated against the finite-difference oracle in tests
-    before being used as a check.  Its put is the paper's four-term block,
-    so that the gap does not vanish by construction.
+    W1 is the survival functional over [t, T1] and W_T that over [t, T]; the
+    identity follows from linearity of the reduced PDE with the two option
+    payoffs summing to E - R - (1-R)*W on x > B, and is validated against
+    the finite-difference oracle in tests before being used as a check.  The
+    put is the paper's four-term block at call_price's d-values, or the T1
+    payoff where there are none; the gap raises what call_price raises.
     """
-    z, x, total, first = _option_inputs(state, spec, bond, params)
-    b, e, recovery = params.barrier_b, spec.exercise_e, params.recovery_r
-    u = math.log(x / b)
-    if first is None:
-        # no variance remains before T1: both prices are the T1 payoffs
-        w1 = 1.0
-        units = _unit_value(x, spec.expiry_T1, bond.maturity_T, params)
-        put, call = (z * float(_expiry_payoff(units, spec, c))
-                     for c in (False, True))
+    call = call_price(state, spec, bond, params)
+    z, x, e, recovery = call.z, call.x, spec.exercise_e, params.recovery_r
+    if call.dvalues:
+        put = _option_value(_paper_put_block, z, state.v, params.barrier_b,
+                            e, recovery, call.dvalues)
     else:
-        w1 = _survival(u, first)[0]
-        boundary_l = find_boundary_l(spec, bond, params)
-        d = _d_arguments(x, boundary_l, b, total, first)
-        put, call = (_option_value(block, z, state.v, b, e, recovery, d)
-                     for block in (_paper_put_block, _call_block))
-    # W = 1 above the barrier where no variance remains over [t, T]
-    w_full = _survival(u, total)[0]
+        put = _expiry_price(z, x, spec, bond, params, call=False)
+    T = bond.maturity_T
+    w1, w_full = (survival_curve(x, state.t, horizon, T, params)
+                  for horizon in (spec.expiry_T1, T))
     synthetic = z * ((e - recovery) * w1 - (1.0 - recovery) * w_full)
-    return put - call - synthetic
+    return put - call.price - synthetic
 
 
 def _bond_with_option(state: model.MarketState, spec: OptionSpec,

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from credbond import (BondSpec, MarketState, ModelParams, OptionSpec, analytics,
@@ -586,6 +586,79 @@ class TestRatiosBeyondTheFloatRange:
         _assert_sweep_matches((instrument, "V", 1e299, 1e300, 3), cfg)
 
 
+@st.composite
+def _box_docs(draw):
+    """A config over the parameter box, its limits drawn on purpose:
+    theta -> 0, |rho| = 1, s_V = 0, T1 -> T, x -> B+ (and below B),
+    maturities down to 1e-12 and v up to 1.7e308."""
+    def pick(limits, lo, hi):
+        return draw(st.one_of(st.sampled_from(limits), st.floats(lo, hi)))
+
+    model = {"theta": pick([1e-12, 1e-300], 1e-3, 5.0),
+             "mu": draw(st.floats(-0.05, 0.1)),
+             "s_r": pick([0.0], 0.0, 0.05), "s_V": pick([0.0], 0.0, 0.8),
+             "rho": pick([-1.0, 1.0], -1.0, 1.0),
+             "barrier_b": draw(st.floats(0.1, 0.95)),
+             "recovery_r": draw(st.floats(0.0, 0.9))}
+    maturity = pick([1e-12, 1e-9], 0.1, 10.0)
+    expiry = maturity * pick([1.0 - 1e-12, 1e-12], 0.05, 0.95)
+    recovery = model["recovery_r"]
+    exercise = recovery + (1.0 - recovery) * pick([1e-12, 1.0 - 1e-12],
+                                                  0.01, 0.99)
+    t = expiry * pick([1.0, 0.0], 0.0, 1.0)
+    r = draw(st.floats(-0.02, 0.15))
+    try:
+        z = zcb_price(r, t, maturity, ModelParams(**model))
+    except (CredBondError, ValueError):  # the CLI reports these itself
+        z = 1.0
+    # x = V/Z a multiple of B, from below it to far above it, or V at the
+    # float maximum
+    ratio = pick([1.0 + 1e-15, 1.0 + 1e-9, 0.3], 0.3, 3.0)
+    v = draw(st.one_of(st.just(min(model["barrier_b"] * ratio * z, 1.7e308)),
+                       st.sampled_from([1.5e308, 1.7e308])))
+    return {"model": model, "bond": {"maturity_T": maturity},
+            "option": {"expiry_T1": expiry, "exercise_e": exercise},
+            "state": {"r": r, "v": v, "t": t}}
+
+
+class TestWholeBox:
+    """The CLI's exit-code contract over the parameter box and its limits."""
+
+    @given(_box_docs(), st.sampled_from(cli.INSTRUMENTS),
+           st.sampled_from(cli.SWEEP_AXES))
+    @settings(max_examples=100, deadline=None)
+    # every scaled state below the barrier, and 1.1 v beyond the float range
+    @example({**BENCH_DOC, "state": {"r": 0.05, "v": 0.3, "t": 0.0}},
+             "bond", "V")
+    @example({**BENCH_DOC, "state": {"r": 0.05, "v": 1.5e308, "t": 0.0}},
+             "bond", "V")
+    def test_price_sweep_and_parity(self, tmp_path_factory, doc, instrument,
+                                    axis):
+        path = tmp_path_factory.mktemp("box") / "run.json"
+        path.write_text(json.dumps(doc))
+        path = str(path)
+        for name in cli.INSTRUMENTS:
+            result = runner.invoke(main, ["price", name, "--config", path])
+            assert result.exit_code in (0, 2, 3), (name, result.output)
+            if result.exit_code == 0:
+                assert math.isfinite(json.loads(result.output)["price"]), name
+        section, key = AXIS_FIELDS[axis]
+        value = doc[section][key]
+        result = runner.invoke(main, [
+            "sweep", instrument, "--config", path, "--axis", axis,
+            "--lo", repr(0.9 * value), "--hi", repr(value), "--n", "3"])
+        assert result.exit_code in (0, 2, 3), result.output
+        if result.exit_code == 0:
+            prices = [row.split(",")[1]
+                      for row in result.output.splitlines()[1:]]
+            assert all(math.isfinite(float(p)) for p in prices if p), prices
+        result = runner.invoke(main, ["verify", "--config", path,
+                                      "--suite", "parity"])
+        assert result.exit_code in (0, 2, 3, 4), result.output
+        if result.exit_code == 0:
+            assert json.loads(result.output)["checks"], result.output
+
+
 class TestCheckOrder:
     """A puttable or callable bond is checked in its option's order."""
 
@@ -624,6 +697,27 @@ class TestVerify:
         assert len(report["checks"]) == 5
         for check in report["checks"]:
             assert check["pass"] and abs(check["oracle"]) <= 1e-9 * z
+
+    def test_parity_suite_below_the_barrier_exit_3(self, tmp_path):
+        # every scaled state is below the barrier too: the configured one
+        # fails as price does, instead of a pass with no checks
+        path = make_config(tmp_path, lambda d: d["state"].update(v=0.3))
+        for args in (["price", "bond"], ["verify", "--suite", "parity"]):
+            result = runner.invoke(main, [*args, "--config", path])
+            assert result.exit_code == 3, result.output
+            assert "BelowBarrier" in result.output
+
+    def test_parity_suite_near_the_float_maximum(self, tmp_path):
+        # 1.1 v and 1.25 v are inf: those two states are skipped
+        path = make_config(tmp_path, lambda d: d["state"].update(v=1.5e308))
+        result = runner.invoke(main, ["verify", "--config", path,
+                                      "--suite", "parity"])
+        assert result.exit_code == 0, (result.output, result.exception)
+        report = json.loads(result.output)
+        assert [c["name"] for c in report["checks"]] == [
+            f"parity gap at v={v}" for v in (1.5e308, 0.9 * 1.5e308,
+                                              0.8 * 1.5e308)]
+        assert report["pass"] is True
 
     def test_fd_suite_within_roundoff_of_expiry(self, tmp_path):
         # one ulp before T1 the FD window has no room for a step: only the

@@ -536,6 +536,16 @@ class TestParityAtExpiry:
             assert abs(gap - want) <= 1e-15 * z
             assert abs(gap) <= 1e-9 * z
 
+    def test_gap_raises_what_call_price_raises(self):
+        # at s_V = 40 the boundary L lies beyond the float range: at T1
+        # call_price raises DomainError, and so does the gap built on it
+        params = dataclasses.replace(BENCH, s_V=40.0)
+        state = MarketState(0.05, 1.0, OPT.expiry_T1)
+        with pytest.raises(DomainError):
+            call_price(state, OPT, BOND, params)
+        with pytest.raises(DomainError):
+            put_call_parity_gap(state, OPT, BOND, params)
+
 
 class TestScalarAndArrayKernels:
     def test_clamp_agrees(self):
