@@ -34,6 +34,9 @@ from .errors import (
 
 _CHUNK = 8192
 _DOMAIN_WIDTH_SIGMAS = 8.0
+# c with exp(-c) == 0.0: mc_spot draws a path's bridge only where
+# 2 g+ g' <= c v_step, since beyond it the crossing probability underflows
+_BRIDGE_CUTOFF = 746.0
 
 
 @dataclass
@@ -111,7 +114,8 @@ def cn_solve(
     is always on: the first step after the terminal condition is replaced by
     two half-sized fully-implicit steps.  A window too short for grid.nt
     steps of nonzero length, half steps included, raises ResolutionError;
-    a variance too small for grid.nx distinct ln x nodes, DegenerateVariance.
+    a variance too small for grid.nx distinct ln x nodes, DegenerateVariance;
+    a far node beyond the float range, DomainError.
     Each step's tridiagonal system is solved by LAPACK gtsv, the routine
     scipy.linalg.solve_banded calls for one band each side, without that
     function's per-call input checks.  So the payoff is checked up front: a
@@ -128,6 +132,9 @@ def cn_solve(
     b = params.barrier_b
     total_var = model.cum_variance(t0, bond_T, bond_T, params)
     width = _DOMAIN_WIDTH_SIGMAS * math.sqrt(total_var)
+    if not math.log(b) + width <= model._LOG_HUGE:
+        raise DomainError(
+            f"the grid's far node B e^{width} is beyond the float range")
     y = np.linspace(math.log(b), math.log(b) + width, grid.nx + 1)
     if not np.all(np.diff(y) > 0.0):
         # the grid width 8 sqrt(I) is below the nodes' roundoff
@@ -233,10 +240,19 @@ def _reduce_chunks(run_chunk, n_paths: int, workers: int,
 
     The samples are antithetic pair means (see _pair_means), so the mean and
     its standard error count len(array) samples per chunk, not its paths.
+    Each chunk gives its mean and centred sum of squares, taken about its
+    first sample and then about the mean of the shifted samples, so that
+    equal samples give exactly 0; the chunks merge in order (Chan et al.).
     """
     def moments(job):
         values = run_chunk(*job)
-        return len(values[0]), [(v.sum(), (v * v).sum()) for v in values]
+        out = []
+        for v in values:
+            shifted = v - v[0]
+            mean = shifted.mean()
+            centred = shifted - mean
+            out.append((v[0] + mean, (centred * centred).sum()))
+        return len(values[0]), np.array(out)
 
     jobs = list(enumerate(min(_CHUNK, n_paths - start)
                           for start in range(0, n_paths, _CHUNK)))
@@ -247,14 +263,16 @@ def _reduce_chunks(run_chunk, n_paths: int, workers: int,
         results = [moments(job) for job in jobs]
     # fixed chunk size and in-order reduction keep the result independent of
     # the worker count and bit-reproducible for a given seed
-    n = sum(count for count, _ in results)
-    sums = np.zeros((len(results[0][1]), 2))
-    for _, chunk in results:
-        sums += chunk
-    mean = sums[:, 0] / n
+    n = 0
+    mean = m2 = np.zeros(len(results[0][1]))
+    for count, chunk in results:
+        total = n + count
+        delta = chunk[:, 0] - mean
+        mean = mean + delta * (count / total)
+        m2 = m2 + chunk[:, 1] + delta * delta * (n * count / total)
+        n = total
     if n > 1:
-        var = np.maximum(0.0, (sums[:, 1] - n * mean * mean) / (n - 1))
-        std_error = np.sqrt(var / n)
+        std_error = np.sqrt(m2 / (n - 1) / n)
     else:
         std_error = np.full(len(mean), math.inf)
     return [McEstimate(mean=float(m), std_error=float(se), n_paths=n_paths,
@@ -339,8 +357,16 @@ def mc_spot(
     the call; a hit before T1 leaves the put and call worthless.  Returns
     {"bond": ...}, with an option also "put", "call", "puttable", "callable".
     Paths run in antithetic pairs, both normals of a step negated on the
-    partner, which shares the bridge draw; each estimate and its std_error
-    are over the pair means (see _pair_means for an odd chunk).
+    partner; each estimate and its std_error are over the pair means (see
+    _pair_means for an odd chunk).  r - mu, ln V and the trapezoid are
+    linear in the normals, so a pair is a deterministic path, computed once
+    per call, plus a deviation that one path adds and its partner subtracts;
+    one 3x5 matrix product per step advances the deviations.  The bridge
+    crosses with probability exp(-2 g+ g' / v_step), g+ = max(g, 0) and g'
+    the new gap: an Exp(1) draw E crosses it where E v_step > 2 g+ g'.  Such
+    a draw is made only for an alive, uncrossed path with
+    2 g+ g' <= _BRIDGE_CUTOFF v_step, since beyond that the probability
+    underflows to 0.
     """
     if n_paths <= 0:
         raise SeedError("n_paths must be positive")
@@ -368,98 +394,99 @@ def mc_spot(
         expiry_step = k - 1
     theta, mu, s_r, s_v, rho = (params.theta, params.mu, params.s_r,
                                 params.s_V, params.rho)
-    # per step: dt, the rate's decay and shock scale, sqrt(dt)
-    steps = [(h, math.exp(-theta * h),
-              s_r * math.sqrt(-math.expm1(-2.0 * theta * h) / (2.0 * theta)),
-              math.sqrt(h)) for h in step_dts]
     rho_c = math.sqrt(1.0 - rho * rho)
-
     ab = np.array([model.abar(u, T, params) for u in grid_times])
     bb = np.array([model.bbar(u, T, params) for u in grid_times])
-    step_vars = np.array([
-        model.cum_variance(grid_times[i], grid_times[i + 1], T, params)
-        for i in range(len(step_dts))
-    ])
-    log_b = math.log(params.barrier_b)
+    step_vars = [model.cum_variance(u, w, T, params)
+                 for u, w in zip(grid_times[:-1], grid_times[1:])]
+    # y = r - mu, ln V and the trapezoid of int r du are linear in the
+    # normals: each is a deterministic path, stepped here once per call on
+    # zero normals, plus a pair deviation that row 0 adds and row 1
+    # subtracts.  kernels[i] takes the deviations of (g, y, d) at node i and
+    # the step's normals (z1, z2) to the deviations at node i + 1, with g the
+    # gap ln V - ln Z - ln B, ln Z = abar - bbar r, and d the trapezoid.
+    kernels = np.empty((len(step_dts), 3, 5))
+    y_det, lnv_det, disc_det = [state.r - mu], [math.log(state.v)], [0.0]
+    for i, h in enumerate(step_dts):
+        decay = math.exp(-theta * h)
+        r_std = s_r * math.sqrt(-math.expm1(-2.0 * theta * h) / (2.0 * theta))
+        v_std = s_v * math.sqrt(h)
+        y = y_det[-1]
+        y_det.append(y * decay)
+        lnv_det.append(lnv_det[-1] + (mu + y - 0.5 * s_v * s_v) * h)
+        disc_det.append(disc_det[-1] + (mu + 0.5 * (y + y_det[-1])) * h)
+        kernels[i] = (
+            (1.0, h - bb[i] + bb[i + 1] * decay, 0.0,
+             rho * v_std + bb[i + 1] * r_std, rho_c * v_std),
+            (0.0, decay, 0.0, r_std, 0.0),
+            (0.0, 0.5 * h * (1.0 + decay), 1.0, 0.5 * h * r_std, 0.0))
+    log_z_det = ab - bb * (mu + np.array(y_det))
+    gap_det = np.array(lnv_det) - log_z_det - math.log(params.barrier_b)
+    # ln(Z e^{-int r du}), the discounted Z that a rebate R Z is paid on
+    log_disc_z_det = log_z_det - np.array(disc_det)
+    # a path draws its bridge where g+ g' <= near_cut, 2 g+ g' <= c v_step
+    near_cut = [0.5 * _BRIDGE_CUTOFF * v for v in step_vars]
 
     def run_chunk(chunk_index: int, size: int) -> list[np.ndarray]:
         rng = _chunk_rng(seed, chunk_index)
-        shape = (2, (size + 1) // 2)
-        r = np.full(shape, state.r)
-        lnv = np.full(shape, math.log(state.v))
-        gap = lnv - (ab[0] - bb[0] * r) - log_b
-        disc = np.zeros(shape)
+        pairs = (size + 1) // 2
+        shape = (2, pairs)
+        # rows 0-2 hold the deviations of (g, y, d), rows 3-4 the normals
+        dev, dev_next = np.zeros((5, pairs)), np.empty((5, pairs))
+        # the gap of every path at the last node and at this one
+        gap_last, gap = np.full(shape, max(gap_det[0], 0.0)), np.empty(shape)
+        prod = np.empty(shape)
+        near = np.empty(shape, dtype=bool)
         alive = np.ones(shape, dtype=bool)
         value = np.zeros(shape)
         at_expiry = []
-        # the path-step writes into these, one numpy operation per line in
-        # the order the formulas in the comments evaluate; a 1-d buffer holds
-        # a pair's shared term, which row 0 adds and row 1 subtracts
-        z = np.empty(shape)
-        z1, z2 = z
-        en, zv, shock, pair = (np.empty(shape[1]) for _ in range(4))
-        r_new, drift, tmp, log_z, gap_new = (np.empty(shape) for _ in range(5))
-        crossed, hit = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
-        half_s_v2 = 0.5 * s_v * s_v
-        for i, (dt, exp_th, r_std, sqrt_dt) in enumerate(steps):
-            rng.standard_normal(out=z)
-            rng.standard_exponential(out=en)
-            # zv = rho z1 + rho_c z2
-            np.multiply(rho, z1, out=zv)
-            np.multiply(rho_c, z2, out=shock)
-            zv += shock
-            # r_new = mu + (r - mu) exp_th +- r_std z1
-            np.subtract(r, mu, out=r_new)
-            r_new *= exp_th
-            r_new += mu
-            np.multiply(r_std, z1, out=shock)
-            r_new[0] += shock
-            r_new[1] -= shock
-            # lnv += (r - s_v^2 / 2) dt +- s_v sqrt(dt) zv
-            np.subtract(r, half_s_v2, out=drift)
-            drift *= dt
-            np.multiply(s_v * sqrt_dt, zv, out=shock)
-            drift[0] += shock
-            drift[1] -= shock
-            lnv += drift
-            # disc += (r + r_new) / 2 dt
-            np.add(r, r_new, out=tmp)
-            tmp *= 0.5
-            tmp *= dt
-            disc += tmp
-            r, r_new = r_new, r
-            # log_z = abar - bbar r; gap_new = lnv - log_z - ln B
-            np.multiply(bb[i + 1], r, out=log_z)
-            np.subtract(ab[i + 1], log_z, out=log_z)
-            np.subtract(lnv, log_z, out=gap_new)
-            gap_new -= log_b
-            # the bridge crosses w.p. exp(-2 g+ g' / v_step), g+ = max(gap, 0)
-            # and g' = gap_new: when the pair's shared Exp(1) draw E has
-            # E v_step > 2 g+ g'
-            np.less_equal(gap_new, 0.0, out=crossed)
-            np.multiply(en, step_vars[i], out=pair)
-            np.maximum(gap, 0.0, out=tmp)
-            tmp *= 2.0
-            tmp *= gap_new
-            np.greater(pair, tmp, out=hit)
-            hit |= crossed
-            hit &= alive
-            gap, gap_new = gap_new, gap
-            if hit.any():
-                value[hit] = (np.exp(-disc[hit]) * params.recovery_r
-                              * np.exp(log_z[hit]))
-                alive &= ~hit
+
+        def discounted_z(node, rows, cols):
+            # Z e^{-int r du} at a node, on the paths (rows, cols)
+            return np.exp(log_disc_z_det[node] - (1.0 - 2.0 * rows)
+                          * (bb[node] * y[cols] + d[cols]))
+
+        for i, kernel in enumerate(kernels):
+            rng.standard_normal(out=dev[3:])
+            np.matmul(kernel, dev, out=dev_next[:3])
+            dev, dev_next = dev_next, dev
+            g, y, d = dev[:3]
+            np.add(gap_det[i + 1], g, out=gap[0])
+            np.subtract(gap_det[i + 1], g, out=gap[1])
+            # g+ g': an alive path's last gap is > 0, and node 0's is clamped
+            np.multiply(gap_last, gap, out=prod)
+            np.less_equal(prod, near_cut[i], out=near)
+            near &= alive
+            idx = near.ravel().nonzero()[0]
+            if idx.size:
+                bridge = gap.ravel()[idx] > 0.0
+                hit = ~bridge
+                # the bridge crosses w.p. exp(-2 g+ g' / v_step): when an
+                # Exp(1) draw E has E v_step > 2 g+ g'
+                en = rng.standard_exponential(np.count_nonzero(bridge))
+                hit[bridge] = (en * step_vars[i]
+                               > 2.0 * prod.ravel()[idx[bridge]])
+                idx = idx[hit]
+            if idx.size:
+                rows, cols = np.divmod(idx, pairs)
+                value[rows, cols] = (params.recovery_r
+                                     * discounted_z(i + 1, rows, cols))
+                alive[rows, cols] = False
             if i == expiry_step:
-                z_t1 = np.exp(log_z[alive])
-                scale = np.exp(-disc[alive]) * z_t1
-                units = _unit_value(np.exp(lnv[alive]) / z_t1, T1, T, params)
+                rows, cols = np.nonzero(alive)
+                scale = discounted_z(i + 1, rows, cols)
+                units = _unit_value(params.barrier_b * np.exp(gap[alive]),
+                                    T1, T, params)
                 put, call = np.zeros(shape), np.zeros(shape)
                 put[alive] = scale * _expiry_payoff(units, option, call=False)
                 call[alive] = scale * _expiry_payoff(units, option, call=True)
                 held = value.copy()  # the straight bond, hits' rebates kept
                 held[alive] = scale * units
                 at_expiry = [put, call, held + put, held - call]
-        value[alive] = np.exp(-disc[alive])
+            gap_last, gap = gap, gap_last
+        rows, cols = np.nonzero(alive)
+        value[rows, cols] = np.exp(-(disc_det[-1]
+                                     + (1.0 - 2.0 * rows) * d[cols]))
         return [_pair_means(v, size) for v in (value, *at_expiry)]
 
     keys = ("bond", "put", "call", "puttable", "callable")

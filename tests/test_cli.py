@@ -816,6 +816,17 @@ class TestVerify:
         assert "ResolutionError" in result.output
         assert "beyond the grid's reach" in result.output
 
+    def test_fd_suite_far_node_beyond_float_range_exit_3(self, tmp_path):
+        # s_V = 120: the grid's far node B e^{8 sqrt(I)} is B e^1358.  It is
+        # refused before any exponential overflows, where pytest's
+        # error::RuntimeWarning filter would make the run exit 1
+        path = make_config(tmp_path, lambda d: d["model"].update(s_V=120.0))
+        result = runner.invoke(main, ["verify", "--config", path,
+                                      "--suite", "fd"])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "DomainError" in result.output
+        assert "far node" in result.output
+
     def test_fd_suite_with_grid_start_below_barrier(self, tmp_path):
         # exp(ln B) rounds to just below B = 0.3025, the grid's first node
         def mutate(d):

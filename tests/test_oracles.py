@@ -94,6 +94,14 @@ class TestCnSolve:
             cn_solve(unit_payoff, t0, 1.0, 2.0, BENCH,
                      grid=GridConfig(nx=800, nt=nt))
 
+    def test_rejects_far_node_beyond_float_range(self):
+        # 8 sqrt(I) = 1358 > ln(max float): refused before np.exp
+        params = ModelParams(theta=1.0, mu=0.05, s_r=0.01, s_V=120.0,
+                             rho=-0.3, barrier_b=0.6, recovery_r=0.4)
+        with pytest.raises(DomainError, match="far node"):
+            cn_solve(unit_payoff, 0.0, 2.0, 2.0, params,
+                     grid=GridConfig(nx=50, nt=50))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_payoff(self, bad):
         def payoff(x):
@@ -170,6 +178,16 @@ class TestMcForward:
         with pytest.raises(SeedError):
             mc_forward(1.1, 0.0, 2.0, BENCH, 0)
 
+    def test_equal_samples_have_zero_std_error(self):
+        # x = B (1 + 1e-7): W = 2.4e-7 and every path is knocked out, so
+        # each sample is R and the sample variance is exactly 0, where
+        # sum(v^2) - n mean^2 read roundoff
+        state = MarketState(r=0.05, v=0.5429231768642653, t=0.0)
+        res = bond_price(state, BOND, BENCH)
+        est = mc_forward(res.x, 0.0, 2.0, BENCH, 16384, seed=1)
+        assert est.mean == BENCH.recovery_r
+        assert est.std_error == 0.0
+
     def test_rejects_start_below_barrier(self):
         with pytest.raises(BelowBarrier):
             mc_forward(0.5, 0.0, 2.0, BENCH, 100)
@@ -220,6 +238,15 @@ class TestMcSpot:
         assert list(est) == ["bond"]
         assert abs(est["bond"].mean - res.price) <= 3.5 * est["bond"].std_error
 
+    def test_bond_within_errors_near_barrier(self):
+        # x = 1.2 B: many paths pass near the barrier, where the engine
+        # draws its bridge crossings
+        state = MarketState(r=0.05, v=0.65, t=0.0)
+        res = bond_price(state, BOND, BENCH)
+        est = mc_spot(state, BOND, None, BENCH, 30_000, steps_per_year=200,
+                      seed=17)["bond"]
+        assert abs(est.mean - res.price) <= 3.5 * est.std_error
+
     @pytest.mark.parametrize("kind", list(CLOSED_FORMS))
     def test_option_kinds_within_errors(self, spot_with_option, kind):
         assert list(spot_with_option) == list(CLOSED_FORMS)
@@ -257,11 +284,14 @@ class TestMcSpot:
 
 def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
                       seed):
-    """mc_spot with a path-step that allocates every intermediate array.
+    """mc_spot with a two-row path-step that allocates every intermediate.
 
     Written out from the engine as it stood before its path-step reused
-    buffers: the chunking, seeding and reduction are the engine's own, so a
-    difference can only come from the step.
+    buffers, r, ln V and the discount stepped on each row, with the engine's
+    bridge-draw protocol: an Exp(1) draw for each alive, uncrossed path with
+    2 g+ g' <= c v_step, in row-major order.  The chunking, seeding and
+    reduction are the engine's own, so a difference can only come from the
+    step's arithmetic.
     """
     T = bond.maturity_T
     n_steps = max(1, math.ceil((T - state.t) * steps_per_year))
@@ -302,7 +332,6 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
         at_expiry = []
         for i, (dt, exp_th, r_std, sqrt_dt) in enumerate(steps):
             z1, z2 = rng.standard_normal(shape)
-            en = rng.standard_exponential(shape[1])
             zv = rho * z1 + rho_c * z2
             r_new = mu + (r - mu) * exp_th + signs * (r_std * z1)
             lnv = lnv + ((r - 0.5 * s_v * s_v) * dt
@@ -311,9 +340,13 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
             r = r_new
             log_z = ab[i + 1] - bb[i + 1] * r
             gap_new = lnv - log_z - log_b
-            hit = alive & ((gap_new <= 0.0)
-                           | (en * step_vars[i]
-                              > 2.0 * np.maximum(gap, 0.0) * gap_new))
+            crossed = gap_new <= 0.0
+            prod = 2.0 * np.maximum(gap, 0.0) * gap_new
+            near = alive & ~crossed & (
+                prod <= oracles._BRIDGE_CUTOFF * step_vars[i])
+            en = np.zeros(shape)
+            en[near] = rng.standard_exponential(np.count_nonzero(near))
+            hit = alive & (crossed | (near & (en * step_vars[i] > prod)))
             gap = gap_new
             if hit.any():
                 value[hit] = (np.exp(-disc[hit]) * params.recovery_r
@@ -340,12 +373,29 @@ class TestMcSpotPathStep:
     # three chunks, the last of 1001 paths: an odd one
     N_PATHS = 2 * oracles._CHUNK + 1001
 
-    # T1 = 1.013 is no node of the 50-per-year grid: the step across it splits
-    @pytest.mark.parametrize("option", [None, OptionSpec(expiry_T1=1.013,
-                                                         exercise_e=0.9)])
-    def test_equals_allocating_step(self, option):
-        args = (STATE, BOND, option, BENCH, self.N_PATHS)
+    def test_cutoff_underflows(self):
+        assert math.exp(-oracles._BRIDGE_CUTOFF) == 0.0
+
+    # T1 = 1.013 is no node of the 50-per-year grid: the step across it
+    # splits; at v = 0.65 the paths start near the barrier and the bridge
+    # draws fire often
+    @pytest.mark.parametrize("v,option", [
+        pytest.param(1.0, None, id="None"),
+        pytest.param(1.0, OptionSpec(expiry_T1=1.013, exercise_e=0.9),
+                     id="option1"),
+        pytest.param(0.65, OptionSpec(expiry_T1=1.013, exercise_e=0.9),
+                     id="near_barrier"),
+    ])
+    def test_equals_allocating_step(self, v, option):
+        # the engine steps a deterministic path plus pair deviations by one
+        # matrix product, so it rounds differently from the two-row step
+        args = (MarketState(r=0.05, v=v, t=0.0), BOND, option, BENCH,
+                self.N_PATHS)
         got = mc_spot(*args, steps_per_year=50, seed=5)
         expected = reference_mc_spot(*args, steps_per_year=50, seed=5)
+        assert list(got) == list(expected)
         assert len(got) == (1 if option is None else 5)
-        assert got == expected
+        for key, est in got.items():
+            assert est.mean == pytest.approx(expected[key].mean, abs=1e-12)
+            assert est.std_error == pytest.approx(expected[key].std_error,
+                                                  abs=1e-12)
