@@ -346,7 +346,12 @@ def _verify_fd(cfg: RunConfig) -> list[dict]:
     for tt in np.linspace(state.t, state.t + 0.9 * (T - state.t), 8):
         closed = bond_mod._unit_value(xs, tt, T, params)
         fd = fd_units(xs, tt)
-        worst = max(worst, float(np.max(np.abs(fd - closed) / closed)))
+        err = np.abs(fd - closed)
+        # at R = 0 the bond is worth 0 where the points round onto the
+        # barrier: there only an FD value of 0 has no relative error
+        rel = np.divide(err, closed, out=np.where(err > 0.0, np.inf, 0.0),
+                        where=closed > 0.0)
+        worst = max(worst, float(np.max(rel)))
     checks.append(_check("fd straight bond max relative error", 0.0, worst, 1e-4))
 
     spec = cfg.option
@@ -354,20 +359,24 @@ def _verify_fd(cfg: RunConfig) -> list[dict]:
     # FD window has no room for a step: nothing to check
     if spec is not None and math.nextafter(state.t, math.inf) < spec.expiry_T1:
         T1 = spec.expiry_T1
-        # the payoffs take the bond's value at T1 from its FD solve, on the
-        # same ln x grid, so that the oracle shares neither L nor the bond's
-        # closed form with the prices it checks
-        for name, pricer in (("put", options.put_price),
-                             ("call", options.call_price)):
-            res = pricer(state, spec, bond_spec, params)
-            osol = oracles.cn_solve(
-                lambda x: options._expiry_payoff(fd_units(x, T1), spec,
-                                                 name == "call"),
-                state.t, T1, T, params, grid=grid)
-            fd = float(osol.interpolate(state.v / res.z, state.t)) * res.z
+
+        def payoffs(x):
+            # the put's and call's payoffs take the bond's value at T1 from
+            # its FD solve, on the same ln x grid, so that the oracle shares
+            # neither L nor the bond's closed form with the prices it checks
+            units = fd_units(x, T1)
+            return np.array([options._expiry_payoff(units, spec, call)
+                             for call in (False, True)])
+
+        put = options.put_price(state, spec, bond_spec, params)
+        osol = oracles.cn_solve(payoffs, state.t, T1, T, params, grid=grid)
+        call = options.call_price(state, spec, bond_spec, params)
+        fds = osol.interpolate(state.v / put.z, state.t)
+        for name, res, fd in (("put", put, fds[0]), ("call", call, fds[1])):
             scale = max(abs(res.price), 1e-3 * res.z)
             checks.append(_check(f"fd {name} option relative error",
-                                 res.price, fd, 1e-3, scale=scale))
+                                 res.price, float(fd) * res.z, 1e-3,
+                                 scale=scale))
     return checks
 
 

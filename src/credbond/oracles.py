@@ -49,28 +49,43 @@ class GridConfig:
 
 @dataclass
 class GridSolution:
-    """Backward-solved surface u(x, t) on a uniform grid in ln x."""
+    """Backward-solved surface u(x, t) on a uniform grid in ln x.
+
+    values has shape (nt + 1, nx + 1) for a payoff of one row and
+    (nt + 1, m, nx + 1) for a payoff of m rows; values[k] is at times[k].
+    """
 
     log_x_nodes: np.ndarray
     times: np.ndarray
-    values: np.ndarray  # shape (nt + 1, nx + 1), values[k] at times[k]
+    values: np.ndarray
 
     def interpolate(self, x, t: float):
         """u at (x, t): cubic in ln x, linear between stored time slices.
 
-        Raises ResolutionError for an x beyond the grid's far node, where
-        the spline would extrapolate.
+        Returns shape x.shape for a payoff of one row and (m,) + x.shape for
+        one of m rows.  Raises DomainError for a non-finite x or t,
+        ResolutionError for an x beyond the grid's far node, where the
+        spline would extrapolate, and BelowBarrier for an x below the first
+        node whose ln x lies below it too.  So x = B and the first node pass
+        whichever way exp(ln B) rounds, and both are taken at the node,
+        where u is 0.
         """
         x = np.asarray(x, dtype=float)
-        # the far node as cn_solve formed the x its payoff took
-        reach = np.exp(self.log_x_nodes)[-1]
-        if np.any(x > reach):
+        if not (np.all(np.isfinite(x)) and math.isfinite(t)):
+            raise DomainError(f"FD surface read at a non-finite point (t = {t})")
+        # the nodes as cn_solve formed the x its payoff took
+        nodes = np.exp(self.log_x_nodes)
+        if np.any(x > nodes[-1]):
             raise ResolutionError(
-                f"x = {np.max(x)} is beyond the grid's reach x = {reach}")
-        y = np.log(x)
+                f"x = {np.max(x)} is beyond the grid's reach x = {nodes[-1]}")
+        log_b = self.log_x_nodes[0]  # math.log(B), as cn_solve took it
+        for v in x[x < nodes[0]].tolist():
+            if not (v > 0.0 and math.log(v) >= log_b):
+                raise BelowBarrier(f"x = {v} is below the grid's barrier node")
+        y = np.maximum(np.log(x), log_b)
 
         def at(k: int):
-            return CubicSpline(self.log_x_nodes, self.values[k])(y)
+            return CubicSpline(self.log_x_nodes, self.values[k], axis=-1)(y)
 
         times = self.times
         if t <= times[0]:
@@ -87,8 +102,10 @@ def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
                        rhs: np.ndarray) -> np.ndarray:
     """x with A x = rhs, for A given by its sub-, main and super-diagonal.
 
-    LAPACK gtsv with partial pivoting, as solve_banded((1, 1), ...) calls it,
-    so the result is the same to the bit.  All four arrays are overwritten.
+    rhs is one right-hand side, shape (n,), or several as the columns of a
+    Fortran-ordered (n, nrhs) array.  LAPACK gtsv with partial pivoting, as
+    solve_banded((1, 1), ...) calls it, so the result is the same to the
+    bit.  All four arrays are overwritten.
     Raises ResolutionError where gtsv reports the system singular.
     """
     *_, x, info = dgtsv(sub, diag, sup, rhs, 1, 1, 1, 1)
@@ -110,12 +127,16 @@ def cn_solve(
     The grid spans [B, B * exp(8 * sqrt(I_total))] in x with Dirichlet data on
     both ends: 0 at the barrier, where the claim knocks out, and the terminal
     payoff's value at the far node, constant in time.  terminal_payoff maps
-    the array of x nodes to an array of the same shape.  Rannacher smoothing
-    is always on: the first step after the terminal condition is replaced by
-    two half-sized fully-implicit steps.  A window too short for grid.nt
-    steps of nonzero length, half steps included, raises ResolutionError;
-    a variance too small for grid.nx distinct ln x nodes, DegenerateVariance;
-    a far node beyond the float range, DomainError.
+    the array of nx + 1 x nodes to one payoff, shape (nx + 1,), or to m
+    payoffs as the rows of an (m, nx + 1) array.  The m payoffs march as one
+    system with m right-hand sides, each row as its own solve would to the
+    bit; GridSolution says how the surface and interpolate are shaped.
+    Rannacher smoothing is always on: the first step after the terminal
+    condition is replaced by two half-sized fully-implicit steps.  A window
+    too short for grid.nt steps of nonzero length, half steps included,
+    raises ResolutionError; a variance too small for grid.nx distinct ln x
+    nodes, DegenerateVariance; a far node beyond the float range,
+    DomainError.
     Each step's tridiagonal system is solved by LAPACK gtsv, the routine
     scipy.linalg.solve_banded calls for one band each side, without that
     function's per-call input checks.  So the payoff is checked up front: a
@@ -154,51 +175,64 @@ def cn_solve(
         raise ResolutionError(
             "time step too large relative to spatial step for damped smoothing")
 
-    values = np.empty((grid.nt + 1, grid.nx + 1))
-    values[grid.nt] = terminal_payoff(np.exp(y))
-    if not np.all(np.isfinite(values[grid.nt])):
+    payoff = np.asarray(terminal_payoff(np.exp(y)), dtype=float)
+    if not np.all(np.isfinite(payoff)):
         raise DomainError("terminal payoff is not finite on the grid")
-    values[grid.nt, 0] = 0.0
-    far = values[grid.nt, -1]
+    # values[n] holds the m payoffs' slices as rows, and each step builds
+    # their right-hand sides as the rows of rhs, whose transpose is the
+    # Fortran-ordered (nx - 1, m) array gtsv takes
+    rows = payoff.reshape(-1, grid.nx + 1)
+    values = np.empty((grid.nt + 1,) + rows.shape)
+    values[grid.nt] = rows
+    values[:, :, 0] = 0.0  # knocked out at the barrier: nothing to add to rhs[0]
+    values[:, :, -1] = values[grid.nt, :, -1]
+    far = values[grid.nt, :, -1]
 
-    def step(u_later: np.ndarray, t_lo: float, t_hi: float,
-             implicit_weight: float) -> np.ndarray:
+    n_int = grid.nx - 1
+    sub, diag, sup = np.empty(n_int - 1), np.empty(n_int), np.empty(n_int - 1)
+    rhs, term = np.empty((2, len(far), n_int))
+
+    def step(later: int, n: int, t_lo: float, t_hi: float,
+             implicit_weight: float) -> None:
+        # values[n] from values[later]; n == later is safe, since the
+        # right-hand side is built before values[n] is written
         span = t_hi - t_lo
         sig2 = model.cum_variance(t_lo, t_hi, bond_T, params) / span
         lower = 0.5 * sig2 * (1.0 / (h * h) + 1.0 / (2.0 * h))
-        diag = -sig2 / (h * h)
+        centre = -sig2 / (h * h)
         upper = 0.5 * sig2 * (1.0 / (h * h) - 1.0 / (2.0 * h))
 
-        u_new = np.empty_like(u_later)
-        u_new[0] = 0.0  # knocked out at the barrier: nothing to add to rhs[0]
-        u_new[-1] = far
-
+        u = values[later]
         explicit = 1.0 - implicit_weight
-        interior = u_later[1:-1]
-        rhs = interior + span * explicit * (
-            lower * u_later[:-2] + diag * interior + upper * u_later[2:])
-        rhs[-1] += span * implicit_weight * upper * u_new[-1]
+        # u + span explicit ((lower u- + centre u) + upper u+), in that order
+        np.multiply(lower, u[:, :-2], out=rhs)
+        np.multiply(centre, u[:, 1:-1], out=term)
+        np.add(rhs, term, out=rhs)
+        np.multiply(upper, u[:, 2:], out=term)
+        np.add(rhs, term, out=rhs)
+        np.multiply(rhs, span * explicit, out=rhs)
+        np.add(rhs, u[:, 1:-1], out=rhs)
+        rhs[:, -1] += span * implicit_weight * upper * far
 
-        n_int = len(rhs)
-        u_new[1:-1] = _solve_tridiagonal(
-            np.full(n_int - 1, -span * implicit_weight * lower),
-            np.full(n_int, 1.0 - span * implicit_weight * diag),
-            np.full(n_int - 1, -span * implicit_weight * upper), rhs)
-        return u_new
+        sub.fill(-span * implicit_weight * lower)
+        diag.fill(1.0 - span * implicit_weight * centre)
+        sup.fill(-span * implicit_weight * upper)
+        values[n, :, 1:-1] = _solve_tridiagonal(sub, diag, sup, rhs.T).T
 
     # an overflow is caught on the whole surface, below
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(grid.nt - 1, -1, -1):
             t_lo, t_hi = times[n], times[n + 1]
             if n == grid.nt - 1:
-                u = step(values[n + 1], mid, t_hi, implicit_weight=1.0)
-                u = step(u, t_lo, mid, implicit_weight=1.0)
+                step(n + 1, n, mid, t_hi, implicit_weight=1.0)
+                step(n, n, t_lo, mid, implicit_weight=1.0)
             else:
-                u = step(values[n + 1], t_lo, t_hi, implicit_weight=0.5)
-            values[n] = u
+                step(n + 1, n, t_lo, t_hi, implicit_weight=0.5)
     if not np.all(np.isfinite(values)):
         raise DomainError("the FD surface overflowed: payoff too large")
 
+    if payoff.ndim == 1:
+        values = values[:, 0]
     return GridSolution(log_x_nodes=y, times=times, values=values)
 
 

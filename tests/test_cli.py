@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from credbond import (BondSpec, MarketState, ModelParams, OptionSpec, analytics,
-                      cli, options)
+                      cli, options, oracles)
 from credbond.cli import load_config, main
 from credbond.errors import (
     ConfigError,
@@ -659,6 +659,31 @@ class TestWholeBox:
             assert json.loads(result.output)["checks"], result.output
 
 
+class TestWholeBoxFd:
+    """The fd suite's exit-code contract over the parameter box."""
+
+    @given(_box_docs())
+    @settings(max_examples=100, deadline=None)
+    # R = 0 and sqrt(I) = 6e-16: the bond's check points round onto the
+    # barrier, where the closed form is 0
+    @example({"model": {"theta": 1e-12, "mu": 0.0, "s_r": 0.03125,
+                        "s_V": 0.0, "rho": -1.0, "barrier_b": 0.5,
+                        "recovery_r": 0.0},
+              "bond": {"maturity_T": 1e-09},
+              "option": {"expiry_T1": 9.99999999999e-10, "exercise_e": 1e-12},
+              "state": {"r": 0.0, "v": 0.5000000000000006, "t": 0.0}})
+    def test_fd_suite(self, tmp_path_factory, doc):
+        doc["verify"] = {"grid_nx": 40, "grid_nt": 40}
+        path = tmp_path_factory.mktemp("box") / "run.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["verify", "--config", str(path),
+                                      "--suite", "fd"])
+        assert result.exit_code in (0, 2, 3, 4), (result.output,
+                                                  result.exception)
+        if result.exit_code == 0:
+            assert json.loads(result.output)["checks"], result.output
+
+
 class TestCheckOrder:
     """A puttable or callable bond is checked in its option's order."""
 
@@ -837,6 +862,30 @@ class TestVerify:
                                       "--suite", "fd"])
         assert result.exit_code == 0, result.output
         assert len(json.loads(result.output)["checks"]) == 3
+
+    def test_fd_options_equal_their_own_solves(self):
+        # the put and call march as one two-payoff solve; each equals the
+        # single-payoff solve it replaces, to the bit
+        cfg = _bench_config()
+        cfg.verify.grid_nx = cfg.verify.grid_nt = 60
+        checks = {c["name"]: c for c in cli._verify_fd(cfg)}
+        params, state, spec = cfg.model, cfg.state, cfg.option
+        grid = oracles.GridConfig(nx=60, nt=60)
+        bond = oracles.cn_solve(np.ones_like, 0.0, 2.0, 2.0, params, grid=grid)
+
+        def fd_units(x, t):
+            return (params.recovery_r + (1.0 - params.recovery_r)
+                    * np.asarray(bond.interpolate(x, t)))
+
+        for name, pricer in (("put", options.put_price),
+                             ("call", options.call_price)):
+            res = pricer(state, spec, cfg.bond, params)
+            sol = oracles.cn_solve(
+                lambda x: options._expiry_payoff(fd_units(x, 1.0), spec,
+                                                 name == "call"),
+                0.0, 1.0, 2.0, params, grid=grid)
+            fd = float(sol.interpolate(state.v / res.z, 0.0)) * res.z
+            assert checks[f"fd {name} option relative error"]["oracle"] == fd
 
     def test_fd_suite_fails_a_wrong_boundary(self, tmp_path, monkeypatch):
         # the FD payoffs come from the FD bond, not from L: an L 5% off

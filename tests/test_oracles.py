@@ -1,5 +1,6 @@
 """Unit tests for the finite-difference and Monte-Carlo pricing oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -112,11 +113,39 @@ class TestCnSolve:
             cn_solve(payoff, 0.0, 2.0, 2.0, BENCH,
                      grid=GridConfig(nx=50, nt=50))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entry_in_one_payoff_row(self, bad):
+        def payoffs(x):
+            out = np.ones((2, len(x)))
+            out[1, len(x) // 2] = bad
+            return out
+        with pytest.raises(DomainError):
+            cn_solve(payoffs, 0.0, 2.0, 2.0, BENCH,
+                     grid=GridConfig(nx=50, nt=50))
+
     def test_rejects_overflowing_surface(self):
         # a finite payoff whose first step overflows the right-hand side
         with pytest.raises(DomainError):
             cn_solve(lambda x: np.full_like(x, 1e308), 0.0, 2.0, 2.0, BENCH,
                      grid=GridConfig(nx=50, nt=50))
+
+    @pytest.mark.parametrize("nx,nt", [(100, 100), (100, 1)])
+    def test_payoff_rows_march_as_their_own_solves(self, nx, nt):
+        # at nt = 1 only the two Rannacher half steps run
+        grid = GridConfig(nx=nx, nt=nt)
+        payoffs = (unit_payoff, lambda x: np.maximum(0.9 - 0.5 * x, 0.0))
+        both = cn_solve(lambda x: np.array([f(x) for f in payoffs]),
+                        0.0, 1.0, 2.0, BENCH, grid=grid)
+        assert both.values.shape == (nt + 1, 2, nx + 1)
+        xs = np.array([[0.7, 1.0], [1.3, 2.1]])
+        for j, payoff in enumerate(payoffs):
+            one = cn_solve(payoff, 0.0, 1.0, 2.0, BENCH, grid=grid)
+            assert one.values.shape == (nt + 1, nx + 1)
+            assert np.array_equal(both.values[:, j], one.values)
+            for t in (0.0, 0.37, 1.0):
+                got = both.interpolate(xs, t)
+                assert got.shape == (2,) + xs.shape
+                assert np.array_equal(got[j], one.interpolate(xs, t))
 
     def test_second_order_convergence(self):
         errs = []
@@ -127,6 +156,41 @@ class TestCnSolve:
             errs.append(abs(float(sol.interpolate(1.1, 0.0)) - exact))
         assert 3.2 <= errs[0] / errs[1] <= 4.8
         assert 3.2 <= errs[1] / errs[2] <= 4.8
+
+
+class TestGridSolutionInterpolate:
+    @pytest.fixture(scope="class")
+    def sol(self):
+        return cn_solve(unit_payoff, 0.0, 2.0, 2.0, BENCH,
+                        grid=GridConfig(nx=20, nt=20))
+
+    @pytest.mark.parametrize("x", [0.3, [0.3, 1.0],
+                                   math.nextafter(0.6, 0.0), 0.0, -1.0])
+    def test_below_the_barrier_raises(self, sol, x):
+        with pytest.raises(BelowBarrier):
+            sol.interpolate(x, 0.5)
+
+    @pytest.mark.parametrize("x,t", [
+        (1.0, math.nan), (1.0, math.inf), (math.nan, 0.5), (math.inf, 0.5),
+        ([1.0, math.nan], 0.5), (-math.inf, 0.5),
+    ])
+    def test_non_finite_point_raises(self, sol, x, t):
+        with pytest.raises(DomainError):
+            sol.interpolate(x, t)
+
+    # exp(ln B) rounds above B at B = 0.1004, onto it at 0.4513 and below it
+    # at 0.3025; np.log can differ from math.log by an ulp (numpy 2.4 puts
+    # ln 0.4513 one ulp lower)
+    @pytest.mark.parametrize("b", [0.6, 0.1004, 0.4513, 0.3025])
+    @pytest.mark.parametrize("t", [0.0, 0.5, 2.0])
+    def test_barrier_is_zero(self, b, t):
+        params = dataclasses.replace(BENCH, barrier_b=b)
+        sol = cn_solve(unit_payoff, 0.0, 2.0, 2.0, params,
+                       grid=GridConfig(nx=20, nt=20))
+        first = np.exp(sol.log_x_nodes)[0]
+        assert float(sol.interpolate(b, t)) == 0.0
+        assert float(sol.interpolate(first, t)) == 0.0
+        assert sol.interpolate([b, 2.0 * b], t)[0] == 0.0
 
 
 class TestSolveTridiagonal:
@@ -143,6 +207,21 @@ class TestSolveTridiagonal:
         got = oracles._solve_tridiagonal(sub.copy(), diag.copy(), sup.copy(),
                                          rhs.copy())
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("n", [5, 799])
+    def test_columns_equal_solve_banded(self, n):
+        rng = np.random.default_rng(n)
+        sub, sup = rng.uniform(-1.0, 1.0, (2, n - 1))
+        diag = rng.choice([-1.0, 1.0], n) * rng.uniform(2.0, 3.0, n)
+        rhs = np.asfortranarray(rng.standard_normal((n, 2)))
+        ab = np.zeros((3, n))
+        ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
+        expected = [solve_banded((1, 1), ab, rhs[:, j]) for j in range(2)]
+        got = oracles._solve_tridiagonal(sub.copy(), diag.copy(), sup.copy(),
+                                         rhs.copy(order="F"))
+        assert got.shape == (n, 2)
+        for j in range(2):
+            assert np.array_equal(got[:, j], expected[j])
 
     def test_singular_system_raises(self):
         # a zero main and super-diagonal: the last column is zero
