@@ -34,6 +34,9 @@ from .errors import (
 
 _CHUNK = 8192
 _DOMAIN_WIDTH_SIGMAS = 8.0
+# cn_solve's steps take node i at ln B + i h: a node off that place by this
+# fraction of h moves a read by as small a fraction of one step's change
+_GRID_UNIFORMITY = 1e-6
 # c with exp(-c) == 0.0: mc_spot draws a path's bridge only where
 # 2 g+ g' <= c v_step, since beyond it the crossing probability underflows
 _BRIDGE_CUTOFF = 746.0
@@ -134,9 +137,9 @@ def cn_solve(
     Rannacher smoothing is always on: the first step after the terminal
     condition is replaced by two half-sized fully-implicit steps.  A window
     too short for grid.nt steps of nonzero length, half steps included,
-    raises ResolutionError; a variance too small for grid.nx distinct ln x
-    nodes, DegenerateVariance; a far node beyond the float range,
-    DomainError.
+    raises ResolutionError; a variance too small for grid.nx ln x steps
+    equal to within _GRID_UNIFORMITY of a step, DegenerateVariance; a far
+    node beyond the float range, DomainError.
     Each step's tridiagonal system is solved by LAPACK gtsv, the routine
     scipy.linalg.solve_banded calls for one band each side, without that
     function's per-call input checks.  So the payoff is checked up front: a
@@ -157,11 +160,12 @@ def cn_solve(
         raise DomainError(
             f"the grid's far node B e^{width} is beyond the float range")
     y = np.linspace(math.log(b), math.log(b) + width, grid.nx + 1)
-    if not np.all(np.diff(y) > 0.0):
-        # the grid width 8 sqrt(I) is below the nodes' roundoff
-        raise DegenerateVariance(
-            f"variance over [{t0}, {bond_T}] is numerically zero")
     h = y[1] - y[0]
+    if not (h > 0.0 and np.ptp(np.diff(y)) <= _GRID_UNIFORMITY * h):
+        # the step h = 8 sqrt(I) / nx is within reach of the nodes' roundoff
+        raise DegenerateVariance(
+            f"variance over [{t0}, {bond_T}] is too small for {grid.nx} "
+            "uniform ln x steps")
     times = np.linspace(t0, t1, grid.nt + 1)
     dt = times[1] - times[0]
     mid = 0.5 * (times[-2] + times[-1])  # where the two half steps meet
@@ -270,23 +274,28 @@ def _pair_means(values: np.ndarray, size: int) -> np.ndarray:
 
 def _reduce_chunks(run_chunk, n_paths: int, workers: int,
                    seed: int) -> list[McEstimate]:
-    """An McEstimate of each sample array that run_chunk returns.
+    """An McEstimate of each sample array that run_chunk returns but the last.
 
-    The samples are antithetic pair means (see _pair_means), so the mean and
-    its standard error count len(array) samples per chunk, not its paths.
-    Each chunk gives its mean and centred sum of squares, taken about its
-    first sample and then about the mean of the shifted samples, so that
-    equal samples give exactly 0; the chunks merge in order (Chan et al.).
+    The last array is a control: samples whose mean is exactly 0 under the
+    engine's own recursion.  Each estimate is regressed on it: with M the
+    centred co-moment matrix of the n samples and c the control,
+    beta = M_jc / M_cc, the estimate is mean_j - beta mean_c and its
+    standard error sqrt(max(0, M_jj - beta M_jc) / (n - 2) / n).  Where M_cc
+    is 0 or not finite, or n <= 2, beta = 0 and the plain mean and
+    sqrt(M_jj / (n - 1) / n) apply.
+    The samples are antithetic pair means (see _pair_means), so n counts
+    len(array) samples per chunk, not its paths.  Each chunk gives its means
+    and co-moment matrix, taken about its first sample and then about the
+    mean of the shifted samples, so that equal samples give exactly 0; the
+    chunks merge in order (Chan et al.).
     """
     def moments(job):
-        values = run_chunk(*job)
-        out = []
-        for v in values:
-            shifted = v - v[0]
-            mean = shifted.mean()
-            centred = shifted - mean
-            out.append((v[0] + mean, (centred * centred).sum()))
-        return len(values[0]), np.array(out)
+        values = np.array(run_chunk(*job))
+        shifted = values - values[:, :1]
+        mean = shifted.mean(axis=1)
+        centred = shifted - mean[:, None]
+        co = (centred[:, None] * centred[None]).sum(axis=-1)
+        return values.shape[1], values[:, 0] + mean, co
 
     jobs = list(enumerate(min(_CHUNK, n_paths - start)
                           for start in range(0, n_paths, _CHUNK)))
@@ -298,19 +307,29 @@ def _reduce_chunks(run_chunk, n_paths: int, workers: int,
     # fixed chunk size and in-order reduction keep the result independent of
     # the worker count and bit-reproducible for a given seed
     n = 0
-    mean = m2 = np.zeros(len(results[0][1]))
-    for count, chunk in results:
+    mean = np.zeros(len(results[0][1]))
+    co = np.zeros((len(mean), len(mean)))
+    for count, chunk_mean, chunk_co in results:
         total = n + count
-        delta = chunk[:, 0] - mean
+        delta = chunk_mean - mean
         mean = mean + delta * (count / total)
-        m2 = m2 + chunk[:, 1] + delta * delta * (n * count / total)
+        co = co + chunk_co + np.outer(delta, delta) * (n * count / total)
         n = total
-    if n > 1:
-        std_error = np.sqrt(m2 / (n - 1) / n)
-    else:
-        std_error = np.full(len(mean), math.inf)
-    return [McEstimate(mean=float(m), std_error=float(se), n_paths=n_paths,
-                       seed=seed) for m, se in zip(mean, std_error)]
+    m_cc = co[-1, -1]
+    estimates = []
+    for j in range(len(mean) - 1):
+        if n > 2 and 0.0 < m_cc < math.inf:
+            beta = co[j, -1] / m_cc
+            est = mean[j] - beta * mean[-1]
+            var = max(0.0, co[j, j] - beta * co[j, -1]) / (n - 2)
+        elif n > 1:
+            est, var = mean[j], co[j, j] / (n - 1)
+        else:
+            est, var = mean[j], math.inf
+        estimates.append(McEstimate(mean=float(est),
+                                    std_error=float(np.sqrt(var / n)),
+                                    n_paths=n_paths, seed=seed))
+    return estimates
 
 
 def mc_forward(
@@ -320,7 +339,7 @@ def mc_forward(
     params: model.ModelParams,
     n_paths: int,
     seed: int = 0,
-    n_steps: int = 32,
+    n_steps: int = 1,
     workers: int = 1,
 ) -> McEstimate:
     """Forward-measure engine for the numeraire ratio x = V/Z.
@@ -328,11 +347,14 @@ def mc_forward(
     Exact lognormal stepping (per-interval variance from cum_variance) with a
     Brownian-bridge barrier-crossing correction against the flat barrier
     x = B, so the continuously monitored knock-out is sampled without bias.
-    Knocked-out paths score the recovery R; survivors score the face value 1.
-    The returned mean is the straight bond in units of Z (multiply by Z for
-    its price).  Paths run in antithetic pairs that share their bridge draw;
-    the mean and std_error are over the pair means (see _pair_means for an
-    odd chunk).
+    Both are exact over a step of any length, so one step over [t, T] is the
+    default.  Knocked-out paths score the recovery R; survivors score the
+    face value 1.  The returned mean is the straight bond in units of Z
+    (multiply by Z for its price).  x is driftless, so the control
+    expm1(ln(x_T / x0)), taken from the summed increments of ln x, has mean
+    exactly 0; the estimate is regressed on it (see _reduce_chunks).  Paths
+    run in antithetic pairs that share their bridge draw; the mean and
+    std_error are over the pair means (see _pair_means for an odd chunk).
     """
     if n_paths <= 0:
         raise SeedError("n_paths must be positive")
@@ -350,11 +372,14 @@ def mc_forward(
         rng = _chunk_rng(seed, chunk_index)
         shape = (2, (size + 1) // 2)
         lx = np.full(shape, log_x0)
+        log_ratio = np.zeros(shape)  # ln(x / x0), the increments summed
         alive = np.ones(shape, dtype=bool)
         for v in step_vars:
             zn = rng.standard_normal(shape[1])
             en = rng.standard_exponential(shape[1])
-            lx_new = lx + (_SIGNS * (math.sqrt(v) * zn) - 0.5 * v)
+            increment = _SIGNS * (math.sqrt(v) * zn) - 0.5 * v
+            log_ratio += increment
+            lx_new = lx + increment
             # the bridge crosses w.p. exp(-2 g g' / v), g = lx - ln B and
             # g' = lx_new - ln B: when the pair's shared Exp(1) draw E has
             # E v > 2 g g'
@@ -362,7 +387,8 @@ def mc_forward(
                            | (en * v > 2.0 * (lx - log_b) * (lx_new - log_b)))
             alive &= ~hit
             lx = lx_new
-        return [_pair_means(np.where(alive, 1.0, params.recovery_r), size)]
+        return [_pair_means(np.where(alive, 1.0, params.recovery_r), size),
+                _pair_means(np.expm1(log_ratio), size)]
 
     return _reduce_chunks(run_chunk, n_paths, workers, seed)[0]
 
@@ -390,12 +416,17 @@ def mc_spot(
     _expiry_payoff of u, the puttable u plus the put, the callable u less
     the call; a hit before T1 leaves the put and call worthless.  Returns
     {"bond": ...}, with an option also "put", "call", "puttable", "callable".
+    Every estimate is regressed on the control expm1(ln(M_T / M_0)), where
+    M = V e^{-sum r_k h_k} discounts V on the left-point r_k of its Euler
+    step: ln M steps by v_std (rho z1 + rho_c z2) - s_V^2 h / 2, so the
+    control has mean exactly 0 (see _reduce_chunks); at s_V = 0 it is 0 and
+    the plain mean applies.
     Paths run in antithetic pairs, both normals of a step negated on the
     partner; each estimate and its std_error are over the pair means (see
-    _pair_means for an odd chunk).  r - mu, ln V and the trapezoid are
+    _pair_means for an odd chunk).  r - mu, ln V, the trapezoid and ln M are
     linear in the normals, so a pair is a deterministic path, computed once
     per call, plus a deviation that one path adds and its partner subtracts;
-    one 3x5 matrix product per step advances the deviations.  The bridge
+    one 4x6 matrix product per step advances the deviations.  The bridge
     crosses with probability exp(-2 g+ g' / v_step), g+ = max(g, 0) and g'
     the new gap: an Exp(1) draw E crosses it where E v_step > 2 g+ g'.  Such
     a draw is made only for an alive, uncrossed path with
@@ -433,13 +464,14 @@ def mc_spot(
     bb = np.array([model.bbar(u, T, params) for u in grid_times])
     step_vars = [model.cum_variance(u, w, T, params)
                  for u, w in zip(grid_times[:-1], grid_times[1:])]
-    # y = r - mu, ln V and the trapezoid of int r du are linear in the
+    # y = r - mu, ln V, the trapezoid of int r du and ln M are linear in the
     # normals: each is a deterministic path, stepped here once per call on
     # zero normals, plus a pair deviation that row 0 adds and row 1
-    # subtracts.  kernels[i] takes the deviations of (g, y, d) at node i and
-    # the step's normals (z1, z2) to the deviations at node i + 1, with g the
-    # gap ln V - ln Z - ln B, ln Z = abar - bbar r, and d the trapezoid.
-    kernels = np.empty((len(step_dts), 3, 5))
+    # subtracts.  kernels[i] takes the deviations of (g, y, d, m) at node i
+    # and the step's normals (z1, z2) to the deviations at node i + 1, with g
+    # the gap ln V - ln Z - ln B, ln Z = abar - bbar r, d the trapezoid and
+    # m = ln M, the control's discounted firm value (see the docstring).
+    kernels = np.empty((len(step_dts), 4, 6))
     y_det, lnv_det, disc_det = [state.r - mu], [math.log(state.v)], [0.0]
     for i, h in enumerate(step_dts):
         decay = math.exp(-theta * h)
@@ -450,10 +482,12 @@ def mc_spot(
         lnv_det.append(lnv_det[-1] + (mu + y - 0.5 * s_v * s_v) * h)
         disc_det.append(disc_det[-1] + (mu + 0.5 * (y + y_det[-1])) * h)
         kernels[i] = (
-            (1.0, h - bb[i] + bb[i + 1] * decay, 0.0,
+            (1.0, h - bb[i] + bb[i + 1] * decay, 0.0, 0.0,
              rho * v_std + bb[i + 1] * r_std, rho_c * v_std),
-            (0.0, decay, 0.0, r_std, 0.0),
-            (0.0, 0.5 * h * (1.0 + decay), 1.0, 0.5 * h * r_std, 0.0))
+            (0.0, decay, 0.0, 0.0, r_std, 0.0),
+            (0.0, 0.5 * h * (1.0 + decay), 1.0, 0.0, 0.5 * h * r_std, 0.0),
+            (0.0, 0.0, 0.0, 1.0, rho * v_std, rho_c * v_std))
+    log_m_det = -0.5 * s_v * s_v * span  # the sum of ln M's drifts
     log_z_det = ab - bb * (mu + np.array(y_det))
     gap_det = np.array(lnv_det) - log_z_det - math.log(params.barrier_b)
     # ln(Z e^{-int r du}), the discounted Z that a rebate R Z is paid on
@@ -465,8 +499,8 @@ def mc_spot(
         rng = _chunk_rng(seed, chunk_index)
         pairs = (size + 1) // 2
         shape = (2, pairs)
-        # rows 0-2 hold the deviations of (g, y, d), rows 3-4 the normals
-        dev, dev_next = np.zeros((5, pairs)), np.empty((5, pairs))
+        # rows 0-3 hold the deviations of (g, y, d, m), rows 4-5 the normals
+        dev, dev_next = np.zeros((6, pairs)), np.empty((6, pairs))
         # the gap of every path at the last node and at this one
         gap_last, gap = np.full(shape, max(gap_det[0], 0.0)), np.empty(shape)
         prod = np.empty(shape)
@@ -481,8 +515,8 @@ def mc_spot(
                           * (bb[node] * y[cols] + d[cols]))
 
         for i, kernel in enumerate(kernels):
-            rng.standard_normal(out=dev[3:])
-            np.matmul(kernel, dev, out=dev_next[:3])
+            rng.standard_normal(out=dev[4:])
+            np.matmul(kernel, dev, out=dev_next[:4])
             dev, dev_next = dev_next, dev
             g, y, d = dev[:3]
             np.add(gap_det[i + 1], g, out=gap[0])
@@ -521,7 +555,8 @@ def mc_spot(
         rows, cols = np.nonzero(alive)
         value[rows, cols] = np.exp(-(disc_det[-1]
                                      + (1.0 - 2.0 * rows) * d[cols]))
-        return [_pair_means(v, size) for v in (value, *at_expiry)]
+        control = np.expm1(log_m_det + _SIGNS * dev[3])
+        return [_pair_means(v, size) for v in (value, *at_expiry, control)]
 
     keys = ("bond", "put", "call", "puttable", "callable")
     return dict(zip(keys, _reduce_chunks(run_chunk, n_paths, workers, seed)))

@@ -659,23 +659,27 @@ class TestWholeBox:
             assert json.loads(result.output)["checks"], result.output
 
 
+# R = 0 and sqrt(I) = 5.7e-16: the bond's check points round onto the
+# barrier, where the closed form is 0, and at 40 x 40 the ln x step is one
+# ulp, so the nodes lie one or two ulps apart
+ROUNDOFF_GRID_DOC = {
+    "model": {"theta": 1e-12, "mu": 0.0, "s_r": 0.03125, "s_V": 0.0,
+              "rho": -1.0, "barrier_b": 0.5, "recovery_r": 0.0},
+    "bond": {"maturity_T": 1e-09},
+    "option": {"expiry_T1": 9.99999999999e-10, "exercise_e": 1e-12},
+    "state": {"r": 0.0, "v": 0.5000000000000006, "t": 0.0}}
+
+
 class TestWholeBoxFd:
     """The fd suite's exit-code contract over the parameter box."""
 
     @given(_box_docs())
     @settings(max_examples=100, deadline=None)
-    # R = 0 and sqrt(I) = 6e-16: the bond's check points round onto the
-    # barrier, where the closed form is 0
-    @example({"model": {"theta": 1e-12, "mu": 0.0, "s_r": 0.03125,
-                        "s_V": 0.0, "rho": -1.0, "barrier_b": 0.5,
-                        "recovery_r": 0.0},
-              "bond": {"maturity_T": 1e-09},
-              "option": {"expiry_T1": 9.99999999999e-10, "exercise_e": 1e-12},
-              "state": {"r": 0.0, "v": 0.5000000000000006, "t": 0.0}})
+    @example(ROUNDOFF_GRID_DOC)
     def test_fd_suite(self, tmp_path_factory, doc):
-        doc["verify"] = {"grid_nx": 40, "grid_nt": 40}
         path = tmp_path_factory.mktemp("box") / "run.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(
+            {**doc, "verify": {"grid_nx": 40, "grid_nt": 40}}))
         result = runner.invoke(main, ["verify", "--config", str(path),
                                       "--suite", "fd"])
         assert result.exit_code in (0, 2, 3, 4), (result.output,
@@ -851,6 +855,17 @@ class TestVerify:
         assert result.exit_code == 3, (result.output, result.exception)
         assert "DomainError" in result.output
         assert "far node" in result.output
+
+    def test_fd_suite_grid_spacing_at_roundoff_exit_3(self, tmp_path):
+        # the nodes' spacing is roundoff, not the step the solve takes: a
+        # degenerate variance, where the checks used to read up to 1.0
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(
+            {**ROUNDOFF_GRID_DOC, "verify": {"grid_nx": 40, "grid_nt": 40}}))
+        result = runner.invoke(main, ["verify", "--config", str(path),
+                                      "--suite", "fd"])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "DegenerateVariance" in result.output
 
     def test_fd_suite_with_grid_start_below_barrier(self, tmp_path):
         # exp(ln B) rounds to just below B = 0.3025, the grid's first node

@@ -27,6 +27,7 @@ from credbond.bond import _unit_value, survival_curve
 from credbond.options import _expiry_payoff
 from credbond.errors import (
     BelowBarrier,
+    DegenerateVariance,
     DomainError,
     InvalidTenor,
     ResolutionError,
@@ -94,6 +95,19 @@ class TestCnSolve:
         with pytest.raises(ResolutionError):
             cn_solve(unit_payoff, t0, 1.0, 2.0, BENCH,
                      grid=GridConfig(nx=800, nt=nt))
+
+    def test_rejects_grid_spacing_at_roundoff(self):
+        # sqrt(I) = 5.7e-16 over [0, 1e-9]: at nx = 40 the step is one ulp of
+        # ln B and the nodes lie one or two ulps apart, all distinct
+        params = ModelParams(theta=1e-12, mu=0.0, s_r=0.03125, s_V=0.0,
+                             rho=-1.0, barrier_b=0.5, recovery_r=0.0)
+        y = np.linspace(math.log(0.5), math.log(0.5)
+                        + 8.0 * math.sqrt(model.cum_variance(
+                            0.0, 1e-9, 1e-9, params)), 41)
+        assert np.all(np.diff(y) > 0.0)
+        with pytest.raises(DegenerateVariance):
+            cn_solve(unit_payoff, 0.0, 1e-9, 1e-9, params,
+                     grid=GridConfig(nx=40, nt=40))
 
     def test_rejects_far_node_beyond_float_range(self):
         # 8 sqrt(I) = 1358 > ln(max float): refused before np.exp
@@ -368,9 +382,10 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
     Written out from the engine as it stood before its path-step reused
     buffers, r, ln V and the discount stepped on each row, with the engine's
     bridge-draw protocol: an Exp(1) draw for each alive, uncrossed path with
-    2 g+ g' <= c v_step, in row-major order.  The chunking, seeding and
-    reduction are the engine's own, so a difference can only come from the
-    step's arithmetic.
+    2 g+ g' <= c v_step, in row-major order.  The control's ln(M / M_0)
+    steps on each row by its own recursion, -s_V^2 dt / 2 plus the ln V
+    noise.  The chunking, seeding and reduction are the engine's own, so a
+    difference can only come from the step's arithmetic.
     """
     T = bond.maturity_T
     n_steps = max(1, math.ceil((T - state.t) * steps_per_year))
@@ -406,12 +421,15 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
         lnv = np.full(shape, math.log(state.v))
         gap = lnv - (ab[0] - bb[0] * r) - log_b
         disc = np.zeros(shape)
+        log_m = np.zeros(shape)  # ln(M / M_0), M = V e^{-sum r dt}
         alive = np.ones(shape, dtype=bool)
         value = np.zeros(shape)
         at_expiry = []
         for i, (dt, exp_th, r_std, sqrt_dt) in enumerate(steps):
             z1, z2 = rng.standard_normal(shape)
             zv = rho * z1 + rho_c * z2
+            log_m = log_m + (-0.5 * s_v * s_v * dt
+                             + signs * (s_v * sqrt_dt * zv))
             r_new = mu + (r - mu) * exp_th + signs * (r_std * z1)
             lnv = lnv + ((r - 0.5 * s_v * s_v) * dt
                          + signs * (s_v * sqrt_dt * zv))
@@ -442,7 +460,8 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
                 held[alive] = scale * units
                 at_expiry = [put, call, held + put, held - call]
         value[alive] = np.exp(-disc[alive])
-        return [oracles._pair_means(v, size) for v in (value, *at_expiry)]
+        return [oracles._pair_means(v, size)
+                for v in (value, *at_expiry, np.expm1(log_m))]
 
     keys = ("bond", "put", "call", "puttable", "callable")
     return dict(zip(keys, oracles._reduce_chunks(run_chunk, n_paths, 1, seed)))
@@ -478,3 +497,106 @@ class TestMcSpotPathStep:
             assert est.mean == pytest.approx(expected[key].mean, abs=1e-12)
             assert est.std_error == pytest.approx(expected[key].std_error,
                                                   abs=1e-12)
+
+
+def plain_estimates(run_chunk, n_paths, seed):
+    """McEstimates of run_chunk's arrays with no control: mean and sqrt(var/n).
+
+    The reduction as it stood before the engines regressed on a control,
+    written out here: each array centred on its own, in chunk order.
+    """
+    n, mean, m2 = 0, None, None
+    for chunk_index, start in enumerate(range(0, n_paths, oracles._CHUNK)):
+        values = run_chunk(chunk_index, min(oracles._CHUNK, n_paths - start))
+        out = []
+        for v in values:
+            shifted = v - v[0]
+            m = shifted.mean()
+            centred = shifted - m
+            out.append((v[0] + m, (centred * centred).sum()))
+        chunk = np.array(out)
+        if mean is None:
+            mean = m2 = np.zeros(len(chunk))
+        count = len(values[0])
+        total = n + count
+        delta = chunk[:, 0] - mean
+        mean = mean + delta * (count / total)
+        m2 = m2 + chunk[:, 1] + delta * delta * (n * count / total)
+        n = total
+    std_error = np.sqrt(m2 / (n - 1) / n)
+    return [oracles.McEstimate(mean=float(m), std_error=float(se),
+                               n_paths=n_paths, seed=seed)
+            for m, se in zip(mean, std_error)]
+
+
+def with_run_chunk(monkeypatch, engine, *args, **kwargs):
+    """engine(*args, **kwargs) and the run_chunk it handed _reduce_chunks."""
+    seen = []
+    reduce = oracles._reduce_chunks
+
+    def capture(run_chunk, *rest):
+        seen.append(run_chunk)
+        return reduce(run_chunk, *rest)
+
+    monkeypatch.setattr(oracles, "_reduce_chunks", capture)
+    return engine(*args, **kwargs), seen[0]
+
+
+README_PATHS = 16384
+SPLIT_OPT = OptionSpec(expiry_T1=1.013, exercise_e=0.9)  # 506.5 steps of 1/500
+
+# engine -> a call at the README config returning its bond estimate
+CONTROL_CASES = {
+    "mc_forward": lambda state, option: mc_forward(
+        bond_price(state, BOND, BENCH).x, state.t, 2.0, BENCH, README_PATHS,
+        seed=1),
+    # the control sums the increments of several steps
+    "mc_forward_16_steps": lambda state, option: mc_forward(
+        bond_price(state, BOND, BENCH).x, state.t, 2.0, BENCH, README_PATHS,
+        seed=1, n_steps=16),
+    "mc_spot": lambda state, option: mc_spot(
+        state, BOND, option, BENCH, README_PATHS, steps_per_year=500,
+        seed=1)["bond"],
+}
+
+
+class TestControlVariate:
+    def test_zero_firm_volatility_is_the_plain_reduction(self, monkeypatch):
+        # at s_V = 0 ln M has no noise: the control is 0, beta = 0, and each
+        # estimate is the plain mean with its n - 1 standard error, to the bit
+        params = dataclasses.replace(BENCH, s_V=0.0)
+        n_paths = TestMcSpotPathStep.N_PATHS
+        got, run_chunk = with_run_chunk(
+            monkeypatch, mc_spot, STATE, BOND, SPLIT_OPT, params, n_paths,
+            steps_per_year=50, seed=5)
+        for index in range(3):
+            *_, control = run_chunk(index, oracles._CHUNK)
+            assert np.all(control == 0.0)
+        plain = plain_estimates(lambda *job: run_chunk(*job)[:-1], n_paths, 5)
+        assert list(got.values()) == plain
+
+    @pytest.mark.parametrize("engine,v,option", [
+        pytest.param("mc_forward", 1.0, None, id="mc_forward-readme"),
+        pytest.param("mc_forward", 0.65, None, id="mc_forward-near_barrier"),
+        pytest.param("mc_forward_16_steps", 1.0, None,
+                     id="mc_forward_16_steps-readme"),
+        pytest.param("mc_spot", 1.0, None, id="mc_spot-readme"),
+        pytest.param("mc_spot", 0.65, None, id="mc_spot-near_barrier"),
+        pytest.param("mc_spot", 1.0, SPLIT_OPT, id="mc_spot-split_expiry"),
+    ])
+    def test_control_has_mean_zero(self, monkeypatch, engine, v, option):
+        # the control's exact mean is 0 only with ln M's -s_V^2 h / 2 drift
+        state = MarketState(r=0.05, v=v, t=0.0)
+        _, run_chunk = with_run_chunk(monkeypatch, CONTROL_CASES[engine],
+                                      state, option)
+        (control,) = plain_estimates(lambda *job: run_chunk(*job)[-1:],
+                                     README_PATHS, 1)
+        assert abs(control.mean) <= 4.0 * control.std_error, control
+
+    @pytest.mark.parametrize("engine", list(CONTROL_CASES))
+    def test_bond_se_below_plain(self, monkeypatch, engine):
+        est, run_chunk = with_run_chunk(monkeypatch, CONTROL_CASES[engine],
+                                        STATE, None)
+        (plain,) = plain_estimates(lambda *job: run_chunk(*job)[:-1],
+                                   README_PATHS, 1)
+        assert est.std_error <= 0.8 * plain.std_error, (est, plain)
