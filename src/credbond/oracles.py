@@ -40,6 +40,14 @@ _GRID_UNIFORMITY = 1e-6
 # c with exp(-c) == 0.0: mc_spot draws a path's bridge only where
 # 2 g+ g' <= c v_step, since beyond it the crossing probability underflows
 _BRIDGE_CUTOFF = 746.0
+# mc_spot's survival control takes its bridge factor over this many steps
+_SURVIVAL_STRIDE = 10
+# c with 1 - exp(-c) == 1.0: the survival control evaluates its bridge factor
+# only where 2 a+ b <= c var, since beyond it the factor rounds to 1
+_SURVIVAL_CUTOFF = 40.0
+# a control enters the regression only where at least about this many
+# samples carry its spread (see _reduce_chunks)
+_CONTROL_MIN_SAMPLES = 10.0
 
 
 @dataclass
@@ -274,15 +282,26 @@ def _pair_means(values: np.ndarray, size: int) -> np.ndarray:
 
 def _reduce_chunks(run_chunk, n_paths: int, workers: int,
                    seed: int) -> list[McEstimate]:
-    """An McEstimate of each sample array that run_chunk returns but the last.
+    """An McEstimate of each sample array that run_chunk returns.
 
-    The last array is a control: samples whose mean is exactly 0 under the
-    engine's own recursion.  Each estimate is regressed on it: with M the
-    centred co-moment matrix of the n samples and c the control,
-    beta = M_jc / M_cc, the estimate is mean_j - beta mean_c and its
-    standard error sqrt(max(0, M_jj - beta M_jc) / (n - 2) / n).  Where M_cc
-    is 0 or not finite, or n <= 2, beta = 0 and the plain mean and
-    sqrt(M_jj / (n - 1) / n) apply.
+    run_chunk(chunk_index, size) returns (samples, controls), two lists of
+    arrays of one length; each control has mean exactly 0 under the engine's
+    own recursion.  Every estimate is regressed on the controls that enter:
+    with M the centred co-moment matrix of the n samples, C the controls
+    that enter and k their count, beta solves M_CC beta = M_Cj, the estimate
+    is mean_j - beta . mean_C and its standard error
+    sqrt(max(0, M_jj - beta . M_Cj) / (n - 1 - k) / n).  M_CC is solved in
+    correlation form by least squares, so a control that repeats another's
+    information adds nothing.  A control c enters where M_cc is positive and
+    finite and M_cc^2 / sum(c^4) >= _CONTROL_MIN_SAMPLES, the fourth powers
+    taken about c's exact mean 0: that ratio counts the samples that carry
+    c's spread, about n for a spread-out control and about m where m samples
+    hold it all, or where the rest sit off 0 by a shared offset.  A control
+    held by a handful of samples would fit the estimates' residual on them
+    and report an se that the spread across seeds does not bear out.  The
+    count is at most n, so a control enters only where n >= 10 > 1 + k for
+    the at most 4 controls an engine returns.  With none entering, the plain
+    mean and sqrt(M_jj / (n - 1) / n) apply.
     The samples are antithetic pair means (see _pair_means), so n counts
     len(array) samples per chunk, not its paths.  Each chunk gives its means
     and co-moment matrix, taken about its first sample and then about the
@@ -290,12 +309,15 @@ def _reduce_chunks(run_chunk, n_paths: int, workers: int,
     chunks merge in order (Chan et al.).
     """
     def moments(job):
-        values = np.array(run_chunk(*job))
+        samples, controls = run_chunk(*job)
+        values = np.array([*samples, *controls])
         shifted = values - values[:, :1]
         mean = shifted.mean(axis=1)
         centred = shifted - mean[:, None]
         co = (centred[:, None] * centred[None]).sum(axis=-1)
-        return values.shape[1], values[:, 0] + mean, co
+        square = values[len(samples):] ** 2
+        fourth = (square * square).sum(axis=1)
+        return len(samples), values.shape[1], values[:, 0] + mean, co, fourth
 
     jobs = list(enumerate(min(_CHUNK, n_paths - start)
                           for start in range(0, n_paths, _CHUNK)))
@@ -306,22 +328,35 @@ def _reduce_chunks(run_chunk, n_paths: int, workers: int,
         results = [moments(job) for job in jobs]
     # fixed chunk size and in-order reduction keep the result independent of
     # the worker count and bit-reproducible for a given seed
+    n_samples = results[0][0]
     n = 0
-    mean = np.zeros(len(results[0][1]))
+    mean = np.zeros(len(results[0][2]))
     co = np.zeros((len(mean), len(mean)))
-    for count, chunk_mean, chunk_co in results:
+    fourth = np.zeros(len(mean) - n_samples)
+    for _, count, chunk_mean, chunk_co, chunk_fourth in results:
+        fourth = fourth + chunk_fourth
         total = n + count
         delta = chunk_mean - mean
         mean = mean + delta * (count / total)
         co = co + chunk_co + np.outer(delta, delta) * (n * count / total)
         n = total
-    m_cc = co[-1, -1]
+    # a control's fourth powers can underflow to 0 where its spread is
+    # positive: it then has no count, and no use
+    enter = [c for c in range(n_samples, len(mean))
+             if 0.0 < co[c, c] < math.inf and fourth[c - n_samples] > 0.0
+             and co[c, c] * (co[c, c] / fourth[c - n_samples])
+             >= _CONTROL_MIN_SAMPLES]
+    if enter:
+        scale = np.sqrt(co[enter, enter])
+        corr = co[np.ix_(enter, enter)] / np.outer(scale, scale)
+        beta = np.linalg.lstsq(corr, co[enter, :n_samples] / scale[:, None],
+                               rcond=None)[0] / scale[:, None]
     estimates = []
-    for j in range(len(mean) - 1):
-        if n > 2 and 0.0 < m_cc < math.inf:
-            beta = co[j, -1] / m_cc
-            est = mean[j] - beta * mean[-1]
-            var = max(0.0, co[j, j] - beta * co[j, -1]) / (n - 2)
+    for j in range(n_samples):
+        if enter:
+            est = mean[j] - beta[:, j] @ mean[enter]
+            var = (max(0.0, co[j, j] - beta[:, j] @ co[enter, j])
+                   / (n - 1 - len(enter)))
         elif n > 1:
             est, var = mean[j], co[j, j] / (n - 1)
         else:
@@ -330,6 +365,35 @@ def _reduce_chunks(run_chunk, n_paths: int, workers: int,
                                     std_error=float(np.sqrt(var / n)),
                                     n_paths=n_paths, seed=seed))
     return estimates
+
+
+def _survival_mean(g0: float, var: float) -> float:
+    """P(X_u > -g0 for all u <= tau), X a Brownian motion from 0 with drift
+    -var / (2 tau) and variance var at tau: Phi(h) - e^{g0} Phi(-k), with
+    h = (g0 - var / 2) / sqrt(var) and k = (g0 + var / 2) / sqrt(var).
+
+    g0 - k^2 / 2 = -h^2 / 2, so e^{g0} Phi(-k) = phi(h) m(k), m(k) =
+    Phi(-k) / phi(k) the Mills ratio: no factor overflows, whatever g0 > 0.
+    m is taken from erfc up to k = 37, where exp(k^2 / 2) is still finite,
+    and beyond it from its asymptotic series, whose next term is below 3e-13
+    of m there.  0 where g0 <= 0, X starting at or below the level, and 1
+    where var = 0.
+    """
+    if not g0 > 0.0:
+        return 0.0
+    if var == 0.0:
+        return 1.0
+    sd = math.sqrt(var)
+    h = (g0 - 0.5 * var) / sd
+    k = (g0 + 0.5 * var) / sd
+    if k <= 37.0:
+        mills = (math.sqrt(0.5 * math.pi) * math.erfc(k / math.sqrt(2.0))
+                 * math.exp(0.5 * k * k))
+    else:
+        w = 1.0 / (k * k)
+        mills = (1.0 - w * (1.0 - w * (3.0 - w * (15.0 - w * 105.0)))) / k
+    return (0.5 * math.erfc(-h / math.sqrt(2.0))
+            - math.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi) * mills)
 
 
 def mc_forward(
@@ -368,7 +432,8 @@ def mc_forward(
     log_b = math.log(params.barrier_b)
     log_x0 = math.log(x0)
 
-    def run_chunk(chunk_index: int, size: int) -> list[np.ndarray]:
+    def run_chunk(chunk_index: int,
+                  size: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
         rng = _chunk_rng(seed, chunk_index)
         shape = (2, (size + 1) // 2)
         lx = np.full(shape, log_x0)
@@ -387,8 +452,8 @@ def mc_forward(
                            | (en * v > 2.0 * (lx - log_b) * (lx_new - log_b)))
             alive &= ~hit
             lx = lx_new
-        return [_pair_means(np.where(alive, 1.0, params.recovery_r), size),
-                _pair_means(np.expm1(log_ratio), size)]
+        return ([_pair_means(np.where(alive, 1.0, params.recovery_r), size)],
+                [_pair_means(np.expm1(log_ratio), size)])
 
     return _reduce_chunks(run_chunk, n_paths, workers, seed)[0]
 
@@ -416,11 +481,24 @@ def mc_spot(
     _expiry_payoff of u, the puttable u plus the put, the callable u less
     the call; a hit before T1 leaves the put and call worthless.  Returns
     {"bond": ...}, with an option also "put", "call", "puttable", "callable".
-    Every estimate is regressed on the control expm1(ln(M_T / M_0)), where
-    M = V e^{-sum r_k h_k} discounts V on the left-point r_k of its Euler
-    step: ln M steps by v_std (rho z1 + rho_c z2) - s_V^2 h / 2, so the
-    control has mean exactly 0 (see _reduce_chunks); at s_V = 0 it is 0 and
-    the plain mean applies.
+    Every estimate is regressed on controls with mean exactly 0 (see
+    _reduce_chunks), built on X = ln(M / M_0), where M = V e^{-sum r_k h_k}
+    discounts V on the left-point r_k of its Euler step: X steps by
+    v_std (rho z1 + rho_c z2) - s_V^2 h / 2, a Brownian motion with drift
+    -s_V^2 / 2 at the nodes.  D = expm1(X_T) has mean 0.  S is the
+    probability, given a path's X at its update nodes, that a Brownian
+    bridge through them stays above the flat level -g0, g0 = ln(x0 / B):
+    the product over successive update nodes of 1 - exp(-2 a+ b / var),
+    with a and b X + g0 at the two nodes and var = s_V^2 times the time
+    between them, and 0 once some b <= 0.  S updates at every
+    _SURVIVAL_STRIDE-th node, at T1 and at T, and evaluates its factor only
+    where 2 a+ b <= _SURVIVAL_CUTOFF var, beyond which it rounds to 1.  The
+    bridge is exact for X whatever the nodes, so E[S] is the first-passage
+    probability _survival_mean(g0, s_V^2 (T - t)); the control is S - E[S].
+    S sees the barrier crossings that decide most of the bond's variance,
+    though the default barrier B Z(r, u) moves with r and S's does not.
+    Given an option, D and S at T1 join them.  At s_V = 0 every control is
+    0 and the plain mean applies.
     Paths run in antithetic pairs, both normals of a step negated on the
     partner; each estimate and its std_error are over the pair means (see
     _pair_means for an odd chunk).  r - mu, ln V, the trapezoid and ln M are
@@ -487,15 +565,31 @@ def mc_spot(
             (0.0, decay, 0.0, 0.0, r_std, 0.0),
             (0.0, 0.5 * h * (1.0 + decay), 1.0, 0.0, 0.5 * h * r_std, 0.0),
             (0.0, 0.0, 0.0, 1.0, rho * v_std, rho_c * v_std))
-    log_m_det = -0.5 * s_v * s_v * span  # the sum of ln M's drifts
+    log_m_det = -0.5 * s_v * s_v * (grid_times - state.t)  # X's drifts
     log_z_det = ab - bb * (mu + np.array(y_det))
     gap_det = np.array(lnv_det) - log_z_det - math.log(params.barrier_b)
     # ln(Z e^{-int r du}), the discounted Z that a rebate R Z is paid on
     log_disc_z_det = log_z_det - np.array(disc_det)
     # a path draws its bridge where g+ g' <= near_cut, 2 g+ g' <= c v_step
     near_cut = [0.5 * _BRIDGE_CUTOFF * v for v in step_vars]
+    # X + g0 on the deterministic path, and the bridge variance of X from the
+    # last update node of S to each update node
+    level = log_m_det + gap_det[0]
+    update_nodes = {*range(_SURVIVAL_STRIDE, len(grid_times), _SURVIVAL_STRIDE),
+                    len(grid_times) - 1}
+    if option is not None:
+        update_nodes.add(expiry_step + 1)
+    bridge_var, last = {}, 0
+    for j in sorted(update_nodes):
+        bridge_var[j] = s_v * s_v * (grid_times[j] - grid_times[last])
+        last = j
+    # E[S] at T and, given an option, at T1
+    horizons = [T] if option is None else [T, T1]
+    survival_means = [_survival_mean(gap_det[0], s_v * s_v * (u - state.t))
+                      for u in horizons]
 
-    def run_chunk(chunk_index: int, size: int) -> list[np.ndarray]:
+    def run_chunk(chunk_index: int,
+                  size: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
         rng = _chunk_rng(seed, chunk_index)
         pairs = (size + 1) // 2
         shape = (2, pairs)
@@ -507,7 +601,10 @@ def mc_spot(
         near = np.empty(shape, dtype=bool)
         alive = np.ones(shape, dtype=bool)
         value = np.zeros(shape)
-        at_expiry = []
+        # S, and X + g0 at its last update node and at this one
+        survival = np.full(shape, float(gap_det[0] > 0.0))
+        above_last, above = np.full(shape, gap_det[0]), np.empty(shape)
+        at_expiry, expiry_controls = [], []
 
         def discounted_z(node, rows, cols):
             # Z e^{-int r du} at a node, on the paths (rows, cols)
@@ -540,6 +637,18 @@ def mc_spot(
                 value[rows, cols] = (params.recovery_r
                                      * discounted_z(i + 1, rows, cols))
                 alive[rows, cols] = False
+            if (var := bridge_var.get(i + 1)) is not None:
+                np.add(level[i + 1], dev[3], out=above[0])
+                np.subtract(level[i + 1], dev[3], out=above[1])
+                # a b: where it is <= 0 the factor is 0, and where a <= 0 S
+                # is 0 already
+                np.multiply(above_last, above, out=prod)
+                np.less_equal(prod, 0.5 * _SURVIVAL_CUTOFF * var, out=near)
+                idx = near.ravel().nonzero()[0]
+                if idx.size:
+                    survival.ravel()[idx] *= -np.expm1(
+                        np.maximum(prod.ravel()[idx], 0.0) * (-2.0 / var))
+                above_last, above = above, above_last
             if i == expiry_step:
                 rows, cols = np.nonzero(alive)
                 scale = discounted_z(i + 1, rows, cols)
@@ -551,12 +660,17 @@ def mc_spot(
                 held = value.copy()  # the straight bond, hits' rebates kept
                 held[alive] = scale * units
                 at_expiry = [put, call, held + put, held - call]
+                expiry_controls = [
+                    np.expm1(log_m_det[i + 1] + _SIGNS * dev[3]),
+                    survival - survival_means[1]]
             gap_last, gap = gap, gap_last
         rows, cols = np.nonzero(alive)
         value[rows, cols] = np.exp(-(disc_det[-1]
                                      + (1.0 - 2.0 * rows) * d[cols]))
-        control = np.expm1(log_m_det + _SIGNS * dev[3])
-        return [_pair_means(v, size) for v in (value, *at_expiry, control)]
+        controls = (np.expm1(log_m_det[-1] + _SIGNS * dev[3]),
+                    survival - survival_means[0], *expiry_controls)
+        return ([_pair_means(v, size) for v in (value, *at_expiry)],
+                [_pair_means(c, size) for c in controls])
 
     keys = ("bond", "put", "call", "puttable", "callable")
     return dict(zip(keys, _reduce_chunks(run_chunk, n_paths, workers, seed)))

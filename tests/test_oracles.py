@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.special import ndtr
 
 from credbond import (
     BondSpec,
@@ -382,10 +383,12 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
     Written out from the engine as it stood before its path-step reused
     buffers, r, ln V and the discount stepped on each row, with the engine's
     bridge-draw protocol: an Exp(1) draw for each alive, uncrossed path with
-    2 g+ g' <= c v_step, in row-major order.  The control's ln(M / M_0)
+    2 g+ g' <= c v_step, in row-major order.  The controls' X = ln(M / M_0)
     steps on each row by its own recursion, -s_V^2 dt / 2 plus the ln V
-    noise.  The chunking, seeding and reduction are the engine's own, so a
-    difference can only come from the step's arithmetic.
+    noise, and the survival S takes its bridge factor on every path, with
+    no cutoff, at the engine's update nodes.  The chunking, seeding and
+    reduction are the engine's own, so a difference can only come from the
+    step's arithmetic.
     """
     T = bond.maturity_T
     n_steps = max(1, math.ceil((T - state.t) * steps_per_year))
@@ -413,6 +416,10 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
         for i in range(len(step_dts))])
     log_b = math.log(params.barrier_b)
     signs = np.array([[1.0], [-1.0]])
+    g0 = math.log(state.v) - (ab[0] - bb[0] * state.r) - log_b
+    updates = [i for i in range(len(steps))
+               if (i + 1) % oracles._SURVIVAL_STRIDE == 0
+               or i + 1 == len(steps) or i == expiry_step]
 
     def run_chunk(chunk_index, size):
         rng = oracles._chunk_rng(seed, chunk_index)
@@ -422,9 +429,11 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
         gap = lnv - (ab[0] - bb[0] * r) - log_b
         disc = np.zeros(shape)
         log_m = np.zeros(shape)  # ln(M / M_0), M = V e^{-sum r dt}
+        survival = np.ones(shape)
+        above, t_above = np.full(shape, g0), grid_times[0]
         alive = np.ones(shape, dtype=bool)
         value = np.zeros(shape)
-        at_expiry = []
+        at_expiry, expiry_controls = [], []
         for i, (dt, exp_th, r_std, sqrt_dt) in enumerate(steps):
             z1, z2 = rng.standard_normal(shape)
             zv = rho * z1 + rho_c * z2
@@ -445,6 +454,14 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
             en[near] = rng.standard_exponential(np.count_nonzero(near))
             hit = alive & (crossed | (near & (en * step_vars[i] > prod)))
             gap = gap_new
+            if i in updates:
+                var = s_v * s_v * (grid_times[i + 1] - t_above)
+                above_new = log_m + g0
+                survival = survival * np.where(
+                    above_new > 0.0,
+                    -np.expm1(-2.0 * np.maximum(above, 0.0) * above_new / var),
+                    0.0)
+                above, t_above = above_new, grid_times[i + 1]
             if hit.any():
                 value[hit] = (np.exp(-disc[hit]) * params.recovery_r
                               * np.exp(log_z[hit]))
@@ -459,9 +476,14 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
                 held = value.copy()
                 held[alive] = scale * units
                 at_expiry = [put, call, held + put, held - call]
+                expiry_controls = [np.expm1(log_m), survival
+                                   - oracles._survival_mean(
+                                       g0, s_v * s_v * (T1 - state.t))]
         value[alive] = np.exp(-disc[alive])
-        return [oracles._pair_means(v, size)
-                for v in (value, *at_expiry, np.expm1(log_m))]
+        controls = [np.expm1(log_m), survival - oracles._survival_mean(
+            g0, s_v * s_v * (T - state.t)), *expiry_controls]
+        return ([oracles._pair_means(v, size) for v in (value, *at_expiry)],
+                [oracles._pair_means(c, size) for c in controls])
 
     keys = ("bond", "put", "call", "puttable", "callable")
     return dict(zip(keys, oracles._reduce_chunks(run_chunk, n_paths, 1, seed)))
@@ -473,6 +495,8 @@ class TestMcSpotPathStep:
 
     def test_cutoff_underflows(self):
         assert math.exp(-oracles._BRIDGE_CUTOFF) == 0.0
+        # beyond its own cutoff the survival control's factor rounds to 1
+        assert 1.0 - math.exp(-oracles._SURVIVAL_CUTOFF) == 1.0
 
     # T1 = 1.013 is no node of the 50-per-year grid: the step across it
     # splits; at v = 0.65 the paths start near the barrier and the bridge
@@ -530,16 +554,34 @@ def plain_estimates(run_chunk, n_paths, seed):
 
 
 def with_run_chunk(monkeypatch, engine, *args, **kwargs):
-    """engine(*args, **kwargs) and the run_chunk it handed _reduce_chunks."""
+    """engine(*args, **kwargs) and the run_chunk it handed _reduce_chunks.
+
+    The run_chunk returned keeps each chunk the engine simulated, so that
+    reductions of the same path set cost no second simulation.
+    """
     seen = []
     reduce = oracles._reduce_chunks
 
     def capture(run_chunk, *rest):
-        seen.append(run_chunk)
-        return reduce(run_chunk, *rest)
+        chunks = {}
+
+        def kept(*job):
+            if job not in chunks:
+                chunks[job] = run_chunk(*job)
+            return chunks[job]
+        seen.append(kept)
+        return reduce(kept, *rest)
 
     monkeypatch.setattr(oracles, "_reduce_chunks", capture)
     return engine(*args, **kwargs), seen[0]
+
+
+def controls_only(run_chunk, keep):
+    """run_chunk's samples with only its controls at the indices in keep."""
+    def chunk(*job):
+        samples, controls = run_chunk(*job)
+        return samples, [controls[c] for c in keep]
+    return chunk
 
 
 README_PATHS = 16384
@@ -557,22 +599,31 @@ CONTROL_CASES = {
     "mc_spot": lambda state, option: mc_spot(
         state, BOND, option, BENCH, README_PATHS, steps_per_year=500,
         seed=1)["bond"],
+    # S's bridge spans 10 steps of 1/50 or 1/100: it is exact over any span
+    "mc_spot_50": lambda state, option: mc_spot(
+        state, BOND, option, BENCH, README_PATHS, steps_per_year=50,
+        seed=1)["bond"],
+    "mc_spot_100": lambda state, option: mc_spot(
+        state, BOND, option, BENCH, README_PATHS, steps_per_year=100,
+        seed=1)["bond"],
 }
 
 
 class TestControlVariate:
     def test_zero_firm_volatility_is_the_plain_reduction(self, monkeypatch):
-        # at s_V = 0 ln M has no noise: the control is 0, beta = 0, and each
-        # estimate is the plain mean with its n - 1 standard error, to the bit
+        # at s_V = 0 ln M has no noise: D is 0 and S - E[S] is 0, no control
+        # enters, and each estimate is the plain mean with its n - 1
+        # standard error, to the bit
         params = dataclasses.replace(BENCH, s_V=0.0)
         n_paths = TestMcSpotPathStep.N_PATHS
         got, run_chunk = with_run_chunk(
             monkeypatch, mc_spot, STATE, BOND, SPLIT_OPT, params, n_paths,
             steps_per_year=50, seed=5)
         for index in range(3):
-            *_, control = run_chunk(index, oracles._CHUNK)
-            assert np.all(control == 0.0)
-        plain = plain_estimates(lambda *job: run_chunk(*job)[:-1], n_paths, 5)
+            _, controls = run_chunk(index, oracles._CHUNK)
+            assert len(controls) == 4
+            assert all(np.all(c == 0.0) for c in controls)
+        plain = plain_estimates(lambda *job: run_chunk(*job)[0], n_paths, 5)
         assert list(got.values()) == plain
 
     @pytest.mark.parametrize("engine,v,option", [
@@ -583,20 +634,107 @@ class TestControlVariate:
         pytest.param("mc_spot", 1.0, None, id="mc_spot-readme"),
         pytest.param("mc_spot", 0.65, None, id="mc_spot-near_barrier"),
         pytest.param("mc_spot", 1.0, SPLIT_OPT, id="mc_spot-split_expiry"),
+        pytest.param("mc_spot_50", 1.0, None, id="mc_spot-50_per_year"),
+        pytest.param("mc_spot_100", 1.0, None, id="mc_spot-100_per_year"),
     ])
     def test_control_has_mean_zero(self, monkeypatch, engine, v, option):
-        # the control's exact mean is 0 only with ln M's -s_V^2 h / 2 drift
+        # D's exact mean is 0 only with ln M's -s_V^2 h / 2 drift, and S's
+        # only with the image term e^{g0} Phi(-k) of _survival_mean
         state = MarketState(r=0.05, v=v, t=0.0)
         _, run_chunk = with_run_chunk(monkeypatch, CONTROL_CASES[engine],
                                       state, option)
-        (control,) = plain_estimates(lambda *job: run_chunk(*job)[-1:],
-                                     README_PATHS, 1)
-        assert abs(control.mean) <= 4.0 * control.std_error, control
+        controls = plain_estimates(lambda *job: run_chunk(*job)[1],
+                                   README_PATHS, 1)
+        assert len(controls) == (
+            1 if engine.startswith("mc_forward") else 2 if option is None
+            else 4)
+        for control in controls:
+            assert abs(control.mean) <= 4.0 * control.std_error, control
 
     @pytest.mark.parametrize("engine", list(CONTROL_CASES))
     def test_bond_se_below_plain(self, monkeypatch, engine):
         est, run_chunk = with_run_chunk(monkeypatch, CONTROL_CASES[engine],
                                         STATE, None)
-        (plain,) = plain_estimates(lambda *job: run_chunk(*job)[:-1],
+        (plain,) = plain_estimates(lambda *job: run_chunk(*job)[0],
                                    README_PATHS, 1)
         assert est.std_error <= 0.8 * plain.std_error, (est, plain)
+
+    def test_survival_control_halves_bond_se(self, monkeypatch):
+        # the terminal control D alone left se^2 at 0.47x the plain one; S
+        # sees the barrier crossings that D cannot
+        est, run_chunk = with_run_chunk(monkeypatch, CONTROL_CASES["mc_spot"],
+                                        STATE, None)
+        (terminal,) = oracles._reduce_chunks(
+            controls_only(run_chunk, [0]), README_PATHS, 1, 1)
+        assert est.std_error <= 0.5 * terminal.std_error, (est, terminal)
+
+    def test_option_keys_regress_on_expiry_controls(self, monkeypatch):
+        # the options are scored at T1, where D and S at T1 are as exact as
+        # at T and far better correlated with them
+        got, run_chunk = with_run_chunk(
+            monkeypatch, mc_spot, STATE, BOND, OPT, BENCH, README_PATHS,
+            steps_per_year=500, seed=1)
+        terminal = dict(zip(got, oracles._reduce_chunks(
+            controls_only(run_chunk, [0]), README_PATHS, 1, 1)))
+        for key in ("put", "call", "puttable", "callable"):
+            assert got[key].std_error <= 0.8 * terminal[key].std_error, key
+
+    # at s_V = 0.1 S is 1 on all but a few paths, if any.  At rho = -0.95,
+    # regressed on, one such path fitted the bond's residual to 0; at rho = 0
+    # and seed 8 one path defaulted and S, whose mean lies within 1 se of 0
+    # there, cut the bond's se 60-fold to a z of -3.5
+    @pytest.mark.parametrize("rho,seed", [
+        (-0.95, 1), (-0.95, 2), (-0.95, 3), (0.0, 8)])
+    def test_survival_held_by_a_handful_of_paths_stays_out(self, monkeypatch,
+                                                           rho, seed):
+        params = dataclasses.replace(BENCH, rho=rho, s_V=0.1)
+        got, run_chunk = with_run_chunk(
+            monkeypatch, mc_spot, STATE, BOND, None, params, README_PATHS,
+            steps_per_year=500, seed=seed)
+        (terminal,) = oracles._reduce_chunks(
+            controls_only(run_chunk, [0]), README_PATHS, 1, seed)
+        assert got["bond"] == terminal
+        assert got["bond"].std_error > 0.0
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_control_whose_fourth_powers_underflow_stays_out(self):
+        # a spread of 1e-90 squares to 1e-180 but its fourth powers are 0:
+        # the control has no count, and dividing by it would warn
+        def run_chunk(chunk_index, size):
+            rng = np.random.default_rng(chunk_index)
+            return ([rng.standard_normal(size)],
+                    [1e-90 * rng.uniform(0.5, 1.0, size)])
+        (got,) = oracles._reduce_chunks(run_chunk, 9000, 1, 0)
+        (plain,) = plain_estimates(lambda *job: run_chunk(*job)[0], 9000, 0)
+        assert got == plain
+
+
+class TestSurvivalMean:
+    @pytest.mark.parametrize("g0,var", [
+        (0.6, 0.08), (0.05, 0.08), (2.0, 0.01), (0.3, 4.0), (1e-6, 1e-4)])
+    def test_matches_the_first_passage_formula(self, g0, var):
+        # Phi(h) - e^{g0} Phi(-k), written out where nothing overflows
+        sd = math.sqrt(var)
+        exact = (float(ndtr((g0 - 0.5 * var) / sd))
+                 - math.exp(g0) * float(ndtr(-(g0 + 0.5 * var) / sd)))
+        assert oracles._survival_mean(g0, var) == pytest.approx(
+            exact, rel=1e-12, abs=1e-15)
+
+    def test_mills_series_meets_erfc_at_the_switch(self):
+        # k = (g0 + var / 2) / sqrt(var) crosses 37 at g0 = 37 - 1/2, var = 1
+        below = oracles._survival_mean(36.5 - 1e-9, 1.0)
+        above = oracles._survival_mean(36.5 + 1e-9, 1.0)
+        assert above == pytest.approx(below, rel=1e-12)
+
+    @pytest.mark.parametrize("g0,var", [
+        (700.0, 1e-4), (710.0, 1.0), (710.0, 1400.0), (1e-300, 1e-300),
+        (0.5, 1e5), (800.0, 1600.0)])
+    def test_finite_probability_where_e_g0_overflows(self, g0, var):
+        p = oracles._survival_mean(g0, var)
+        assert 0.0 <= p <= 1.0
+
+    def test_limits(self):
+        assert oracles._survival_mean(0.3, 0.0) == 1.0
+        assert oracles._survival_mean(0.0, 0.5) == 0.0
+        assert oracles._survival_mean(-0.1, 0.5) == 0.0
