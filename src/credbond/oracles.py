@@ -280,6 +280,25 @@ def _pair_means(values: np.ndarray, size: int) -> np.ndarray:
     return means
 
 
+def _quad_means(values: np.ndarray, size: int) -> np.ndarray:
+    """A chunk's samples from the values of its (2, 2 ceil(size / 4)) paths.
+
+    With Q = ceil(size / 4), columns q and Q + q are antithetic pairs A and
+    B of group q, whose four paths step on dependent normals (see mc_spot):
+    the group scores their mean.  An incomplete chunk simulates up to three
+    paths too many in its last group; it keeps the first size - 4 (Q - 1) of
+    that group's paths in the order A+, A-, B+, B-, and the last sample is
+    their mean.
+    """
+    groups = (size + 3) // 4
+    a, b = values[:, :groups], values[:, groups:]
+    means = 0.25 * ((a[0] + a[1]) + (b[0] + b[1]))
+    kept = size - 4 * (groups - 1)
+    if kept < 4:
+        means[-1] = sum((a[0, -1], a[1, -1], b[0, -1])[:kept]) / kept
+    return means
+
+
 def _reduce_chunks(run_chunk, n_paths: int, workers: int,
                    seed: int) -> list[McEstimate]:
     """An McEstimate of each sample array that run_chunk returns.
@@ -302,11 +321,12 @@ def _reduce_chunks(run_chunk, n_paths: int, workers: int,
     count is at most n, so a control enters only where n >= 10 > 1 + k for
     the at most 4 controls an engine returns.  With none entering, the plain
     mean and sqrt(M_jj / (n - 1) / n) apply.
-    The samples are antithetic pair means (see _pair_means), so n counts
-    len(array) samples per chunk, not its paths.  Each chunk gives its means
-    and co-moment matrix, taken about its first sample and then about the
-    mean of the shifted samples, so that equal samples give exactly 0; the
-    chunks merge in order (Chan et al.).
+    The samples are the means of a group of dependent paths, an antithetic
+    pair in mc_forward (see _pair_means) and two in mc_spot (see
+    _quad_means), so n counts len(array) samples per chunk, not its paths.
+    Each chunk gives its means and co-moment matrix, taken about its first
+    sample and then about the mean of the shifted samples, so that equal
+    samples give exactly 0; the chunks merge in order (Chan et al.).
     """
     def moments(job):
         samples, controls = run_chunk(*job)
@@ -499,15 +519,21 @@ def mc_spot(
     though the default barrier B Z(r, u) moves with r and S's does not.
     Given an option, D and S at T1 join them.  At s_V = 0 every control is
     0 and the plain mean applies.
-    Paths run in antithetic pairs, both normals of a step negated on the
-    partner; each estimate and its std_error are over the pair means (see
-    _pair_means for an odd chunk).  r - mu, ln V, the trapezoid and ln M are
-    linear in the normals, so a pair is a deterministic path, computed once
-    per call, plus a deviation that one path adds and its partner subtracts;
-    one 4x6 matrix product per step advances the deviations.  The bridge
-    crosses with probability exp(-2 g+ g' / v_step), g+ = max(g, 0) and g'
-    the new gap: an Exp(1) draw E crosses it where E v_step > 2 g+ g'.  Such
-    a draw is made only for an alive, uncrossed path with
+    Paths run in groups of four that share one standard 2-D normal draw
+    (z1, z2) per step (rotation sampling, Fishman and Huang 1983): pair A
+    steps on +-(z1, z2) and pair B on +-(-z2, z1), the draw turned by 90
+    degrees.  Each path's normals are iid N(0, 1), so each path has the
+    model's law, and B's V-shock rho_c z1 - rho z2 is independent of A's,
+    rho z1 + rho_c z2.  But A's r-shock z1 enters B's V-shock, so the four
+    paths are dependent: each estimate and its std_error are over the
+    group means (see _quad_means for an incomplete chunk).  r - mu, ln V,
+    the trapezoid and ln M are linear in the normals, so a pair is a
+    deterministic path, computed once per call, plus a deviation that one
+    path adds and its partner subtracts; one 4x6 matrix product per step
+    advances the deviations of both pairs.  The bridge crosses with
+    probability exp(-2 g+ g' / v_step), g+ = max(g, 0) and g' the new gap:
+    an Exp(1) draw E crosses it where E v_step > 2 g+ g'.  Such a draw is
+    made only for an alive, uncrossed path with
     2 g+ g' <= _BRIDGE_CUTOFF v_step, since beyond that the probability
     underflows to 0.
     """
@@ -591,10 +617,13 @@ def mc_spot(
     def run_chunk(chunk_index: int,
                   size: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
         rng = _chunk_rng(seed, chunk_index)
-        pairs = (size + 1) // 2
+        groups = (size + 3) // 4
+        pairs = 2 * groups
         shape = (2, pairs)
-        # rows 0-3 hold the deviations of (g, y, d, m), rows 4-5 the normals
+        # rows 0-3 hold the deviations of (g, y, d, m), rows 4-5 the normals;
+        # column q is pair A of group q and column groups + q its pair B
         dev, dev_next = np.zeros((6, pairs)), np.empty((6, pairs))
+        normals = np.empty((2, groups))
         # the gap of every path at the last node and at this one
         gap_last, gap = np.full(shape, max(gap_det[0], 0.0)), np.empty(shape)
         prod = np.empty(shape)
@@ -612,7 +641,10 @@ def mc_spot(
                           * (bb[node] * y[cols] + d[cols]))
 
         for i, kernel in enumerate(kernels):
-            rng.standard_normal(out=dev[4:])
+            rng.standard_normal(out=normals)
+            dev[4:, :groups] = normals
+            np.negative(normals[1], out=dev[4, groups:])
+            dev[5, groups:] = normals[0]
             np.matmul(kernel, dev, out=dev_next[:4])
             dev, dev_next = dev_next, dev
             g, y, d = dev[:3]
@@ -669,8 +701,8 @@ def mc_spot(
                                      + (1.0 - 2.0 * rows) * d[cols]))
         controls = (np.expm1(log_m_det[-1] + _SIGNS * dev[3]),
                     survival - survival_means[0], *expiry_controls)
-        return ([_pair_means(v, size) for v in (value, *at_expiry)],
-                [_pair_means(c, size) for c in controls])
+        return ([_quad_means(v, size) for v in (value, *at_expiry)],
+                [_quad_means(c, size) for c in controls])
 
     keys = ("bond", "put", "call", "puttable", "callable")
     return dict(zip(keys, _reduce_chunks(run_chunk, n_paths, workers, seed)))

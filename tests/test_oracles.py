@@ -298,12 +298,16 @@ ENGINES = {
         STATE, BOND, None, BENCH, n, steps_per_year=50, seed=seed)["bond"],
 }
 
+# path counts whose last chunk ends on an incomplete pair or group
+PATH_COUNTS = {"mc_forward": (8193,), "mc_spot": (8193, 8194, 8195, 8196)}
+
 
 class TestStandardError:
     @pytest.mark.parametrize("engine", list(ENGINES))
     def test_se_matches_spread_across_seeds(self, engine):
-        # the samples are antithetic pair means: an se over the path count
-        # would understate the spread by about sqrt(2)
+        # the samples are the means of dependent paths, an antithetic pair in
+        # mc_forward and two in mc_spot: an se over the path count would
+        # understate the spread by about sqrt(2) and 2
         ests = [ENGINES[engine](2048, seed) for seed in CALIBRATION_SEEDS]
         spread = np.std([e.mean for e in ests], ddof=1)
         ratio = spread / np.mean([e.std_error for e in ests])
@@ -311,10 +315,12 @@ class TestStandardError:
 
     @pytest.mark.parametrize("engine", list(ENGINES))
     def test_odd_path_count(self, engine):
-        # 8193 paths: the last chunk holds one path, its partner dropped
-        est = ENGINES[engine](8193, 4)
-        assert est.n_paths == 8193
-        assert math.isfinite(est.mean) and 0.0 < est.std_error < math.inf
+        # 8193 paths: the last chunk holds one path, its partner dropped; in
+        # mc_spot the last chunk's group keeps 1 to 4 of its paths
+        for n_paths in PATH_COUNTS[engine]:
+            est = ENGINES[engine](n_paths, 4)
+            assert est.n_paths == n_paths
+            assert math.isfinite(est.mean) and 0.0 < est.std_error < math.inf
 
 
 @pytest.fixture(scope="module")
@@ -388,7 +394,9 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
     noise, and the survival S takes its bridge factor on every path, with
     no cutoff, at the engine's update nodes.  The chunking, seeding and
     reduction are the engine's own, so a difference can only come from the
-    step's arithmetic.
+    step's arithmetic.  Each step draws one (z1, z2) per group of four
+    paths: columns q and Q + q of the (2, 2 Q) paths step on +-(z1, z2) and
+    +-(-z2, z1), and each group scores its mean (see oracles._quad_means).
     """
     T = bond.maturity_T
     n_steps = max(1, math.ceil((T - state.t) * steps_per_year))
@@ -423,7 +431,8 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
 
     def run_chunk(chunk_index, size):
         rng = oracles._chunk_rng(seed, chunk_index)
-        shape = (2, (size + 1) // 2)
+        groups = (size + 3) // 4
+        shape = (2, 2 * groups)
         r = np.full(shape, state.r)
         lnv = np.full(shape, math.log(state.v))
         gap = lnv - (ab[0] - bb[0] * r) - log_b
@@ -435,7 +444,8 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
         value = np.zeros(shape)
         at_expiry, expiry_controls = [], []
         for i, (dt, exp_th, r_std, sqrt_dt) in enumerate(steps):
-            z1, z2 = rng.standard_normal(shape)
+            a1, a2 = rng.standard_normal((2, groups))
+            z1, z2 = np.append(a1, -a2), np.append(a2, a1)
             zv = rho * z1 + rho_c * z2
             log_m = log_m + (-0.5 * s_v * s_v * dt
                              + signs * (s_v * sqrt_dt * zv))
@@ -482,8 +492,8 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
         value[alive] = np.exp(-disc[alive])
         controls = [np.expm1(log_m), survival - oracles._survival_mean(
             g0, s_v * s_v * (T - state.t)), *expiry_controls]
-        return ([oracles._pair_means(v, size) for v in (value, *at_expiry)],
-                [oracles._pair_means(c, size) for c in controls])
+        return ([oracles._quad_means(v, size) for v in (value, *at_expiry)],
+                [oracles._quad_means(c, size) for c in controls])
 
     keys = ("bond", "put", "call", "puttable", "callable")
     return dict(zip(keys, oracles._reduce_chunks(run_chunk, n_paths, 1, seed)))
@@ -521,6 +531,59 @@ class TestMcSpotPathStep:
             assert est.mean == pytest.approx(expected[key].mean, abs=1e-12)
             assert est.std_error == pytest.approx(expected[key].std_error,
                                                   abs=1e-12)
+
+    @pytest.mark.parametrize("missing", [0, 1, 2, 3])
+    def test_quad_means_keep_the_first_paths_of_the_last_group(self, missing):
+        # distinct powers of 2: every sum is exact and names its paths
+        groups = 5
+        values = 2.0 ** np.arange(4 * groups).reshape(2, 2 * groups)
+        means = oracles._quad_means(values, 4 * groups - missing)
+        # group q's paths in the order A+, A-, B+, B-
+        paths = np.array([values[0, :groups], values[1, :groups],
+                          values[0, groups:], values[1, groups:]])
+        assert means.shape == (groups,)
+        assert np.array_equal(means[:-1], paths[:, :-1].sum(axis=0) / 4.0)
+        kept = paths[:4 - missing, -1]
+        assert means[-1] == kept.sum() / len(kept)
+
+    # an incomplete last chunk of 1001 paths, and one of 3
+    @pytest.mark.parametrize("n_paths", [N_PATHS, oracles._CHUNK + 3])
+    def test_one_normal_draw_per_group(self, monkeypatch, n_paths):
+        # each step draws one (z1, z2) per group of four paths and otherwise
+        # only the bridge's Exp(1) draws: a generator that allows no other
+        # draw logs them
+        class Logged:
+            def __init__(self, rng, log):
+                self.rng, self.log = rng, log
+
+            def standard_normal(self, size=None, out=None):
+                got = self.rng.standard_normal(size, out=out)
+                self.log.append(("normal", np.size(got)))
+                return got
+
+            def standard_exponential(self, size=None):
+                got = self.rng.standard_exponential(size)
+                self.log.append(("exponential", np.size(got)))
+                return got
+
+        args = (MarketState(r=0.05, v=0.65, t=0.0), BOND, SPLIT_OPT, BENCH,
+                n_paths)
+        expected = mc_spot(*args, steps_per_year=50, seed=5)
+        logs = {}
+        chunk_rng = oracles._chunk_rng
+        monkeypatch.setattr(
+            oracles, "_chunk_rng", lambda seed, index: Logged(
+                chunk_rng(seed, index), logs.setdefault(index, [])))
+        assert mc_spot(*args, steps_per_year=50, seed=5) == expected
+        sizes = [min(oracles._CHUNK, n_paths - start)
+                 for start in range(0, n_paths, oracles._CHUNK)]
+        assert len(logs) == len(sizes)
+        for index, size in enumerate(sizes):
+            normals = [n for kind, n in logs[index] if kind == "normal"]
+            # 100 steps of 1/50, the one across T1 split in two
+            assert normals == [2 * math.ceil(size / 4)] * 101
+            assert any(kind == "exponential" and n > 0
+                       for kind, n in logs[index])
 
 
 def plain_estimates(run_chunk, n_paths, seed):
