@@ -267,36 +267,36 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(seq))
 
 
-def _pair_means(values: np.ndarray, size: int) -> np.ndarray:
-    """A chunk's samples from the values of its (2, ceil(size / 2)) paths.
+def _group_means(values: np.ndarray, size: int) -> np.ndarray:
+    """A chunk's samples from its paths' values, shaped (2, k, groups).
 
-    Each column is an antithetic pair and scores its mean.  An odd chunk
-    simulates one path too many, the partner of its last +z path; that path
-    is dropped, and the last column scores its +z path alone.
-    """
-    means = 0.5 * (values[0] + values[1])
-    if size % 2:
-        means[-1] = values[0, -1]
-    return means
-
-
-def _quad_means(values: np.ndarray, size: int) -> np.ndarray:
-    """A chunk's samples from the values of its (2, 2 ceil(size / 4)) paths.
-
-    With Q = ceil(size / 4), columns q and Q + q are antithetic pairs A and
-    B of group q, whose four paths step on dependent normals (see mc_spot):
-    the group scores their mean.  An incomplete chunk simulates up to three
-    paths too many in its last group; it keeps the first size - 4 (Q - 1) of
-    that group's paths in the order A+, A-, B+, B-, and the last sample is
+    values[s, j, q] is the path of sign s (+z, then -z) in antithetic pair j
+    of group q.  A group's 2 k paths step on dependent normals and it scores
+    their mean: k = 1 in mc_forward, 2 in mc_spot.  A chunk that does not
+    fill its last group keeps that group's first size - 2 k (groups - 1)
+    paths, in the order pair 0 +z, pair 0 -z, pair 1 +z, ..., and scores
     their mean.
     """
-    groups = (size + 3) // 4
-    a, b = values[:, :groups], values[:, groups:]
-    means = 0.25 * ((a[0] + a[1]) + (b[0] + b[1]))
-    kept = size - 4 * (groups - 1)
-    if kept < 4:
-        means[-1] = sum((a[0, -1], a[1, -1], b[0, -1])[:kept]) / kept
+    k, groups = values.shape[1:]
+    means = (values[0] + values[1]).sum(axis=0) * (0.5 / k)
+    kept = size - 2 * k * (groups - 1)
+    if kept < 2 * k:
+        means[-1] = sum(values[:, :, -1].T.ravel()[:kept]) / kept
     return means
+
+
+def _bridge_survival(prod: np.ndarray, var: float) -> np.ndarray:
+    """The probability that a Brownian bridge of variance var stays above 0.
+
+    prod is g g', the bridge's values at its two ends: 1 - exp(-2 g g' / var)
+    where both are > 0, and 0 where g' <= 0, prod being clamped at 0 (a path
+    with g <= 0 is at 0 from an earlier factor).  Where var is 0, or so small
+    that 2 / var overflows, the factor is its limit: 1 where prod > 0, else 0.
+    """
+    scale = -2.0 / float(var) if var > 0.0 else -math.inf
+    if scale == -math.inf:
+        return np.where(prod > 0.0, 1.0, 0.0)
+    return -np.expm1(np.maximum(prod, 0.0) * scale)
 
 
 def _reduce_chunks(run_chunk, n_paths: int, workers: int,
@@ -322,8 +322,8 @@ def _reduce_chunks(run_chunk, n_paths: int, workers: int,
     the at most 4 controls an engine returns.  With none entering, the plain
     mean and sqrt(M_jj / (n - 1) / n) apply.
     The samples are the means of a group of dependent paths, an antithetic
-    pair in mc_forward (see _pair_means) and two in mc_spot (see
-    _quad_means), so n counts len(array) samples per chunk, not its paths.
+    pair in mc_forward and two in mc_spot (see _group_means), so n counts
+    len(array) samples per chunk, not its paths.
     Each chunk gives its means and co-moment matrix, taken about its first
     sample and then about the mean of the shifted samples, so that equal
     samples give exactly 0; the chunks merge in order (Chan et al.).
@@ -428,17 +428,18 @@ def mc_forward(
 ) -> McEstimate:
     """Forward-measure engine for the numeraire ratio x = V/Z.
 
-    Exact lognormal stepping (per-interval variance from cum_variance) with a
-    Brownian-bridge barrier-crossing correction against the flat barrier
-    x = B, so the continuously monitored knock-out is sampled without bias.
-    Both are exact over a step of any length, so one step over [t, T] is the
-    default.  Knocked-out paths score the recovery R; survivors score the
-    face value 1.  The returned mean is the straight bond in units of Z
-    (multiply by Z for its price).  x is driftless, so the control
-    expm1(ln(x_T / x0)), taken from the summed increments of ln x, has mean
-    exactly 0; the estimate is regressed on it (see _reduce_chunks).  Paths
-    run in antithetic pairs that share their bridge draw; the mean and
-    std_error are over the pair means (see _pair_means for an odd chunk).
+    Exact lognormal stepping, with the per-interval variance from
+    cum_variance.  Given a path's nodes, the probability that it stayed
+    above the flat barrier x = B is the product of its steps' Brownian-bridge
+    factors (see _bridge_survival), and the path scores R + (1 - R) times
+    it: the face value 1 on survival and the recovery R on default, in
+    expectation given the nodes.  Both are exact over a step of any length,
+    so one step over [t, T] is the default.  The returned mean is the
+    straight bond in units of Z (multiply by Z for its price).  x is
+    driftless, so the control expm1(ln(x_T / x0)), taken from the summed
+    increments of ln x, has mean exactly 0; the estimate is regressed on it
+    (see _reduce_chunks).  Paths run in antithetic pairs; the mean and
+    std_error are over the pair means (see _group_means for an odd chunk).
     """
     if n_paths <= 0:
         raise SeedError("n_paths must be positive")
@@ -449,31 +450,24 @@ def mc_forward(
         model.cum_variance(grid_t[i], grid_t[i + 1], bond_T, params)
         for i in range(n_steps)
     ])
-    log_b = math.log(params.barrier_b)
-    log_x0 = math.log(x0)
+    g0 = math.log(x0) - math.log(params.barrier_b)
 
     def run_chunk(chunk_index: int,
                   size: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
         rng = _chunk_rng(seed, chunk_index)
         shape = (2, (size + 1) // 2)
-        lx = np.full(shape, log_x0)
         log_ratio = np.zeros(shape)  # ln(x / x0), the increments summed
-        alive = np.ones(shape, dtype=bool)
+        gap = np.full(shape, g0)  # ln x - ln B
+        survival = np.ones(shape)
         for v in step_vars:
             zn = rng.standard_normal(shape[1])
-            en = rng.standard_exponential(shape[1])
-            increment = _SIGNS * (math.sqrt(v) * zn) - 0.5 * v
-            log_ratio += increment
-            lx_new = lx + increment
-            # the bridge crosses w.p. exp(-2 g g' / v), g = lx - ln B and
-            # g' = lx_new - ln B: when the pair's shared Exp(1) draw E has
-            # E v > 2 g g'
-            hit = alive & ((lx_new <= log_b)
-                           | (en * v > 2.0 * (lx - log_b) * (lx_new - log_b)))
-            alive &= ~hit
-            lx = lx_new
-        return ([_pair_means(np.where(alive, 1.0, params.recovery_r), size)],
-                [_pair_means(np.expm1(log_ratio), size)])
+            log_ratio += _SIGNS * (math.sqrt(v) * zn) - 0.5 * v
+            gap_new = g0 + log_ratio
+            survival *= _bridge_survival(gap * gap_new, v)
+            gap = gap_new
+        payoff = params.recovery_r + (1.0 - params.recovery_r) * survival
+        return ([_group_means(payoff[:, None], size)],
+                [_group_means(np.expm1(log_ratio)[:, None], size)])
 
     return _reduce_chunks(run_chunk, n_paths, workers, seed)[0]
 
@@ -508,9 +502,9 @@ def mc_spot(
     -s_V^2 / 2 at the nodes.  D = expm1(X_T) has mean 0.  S is the
     probability, given a path's X at its update nodes, that a Brownian
     bridge through them stays above the flat level -g0, g0 = ln(x0 / B):
-    the product over successive update nodes of 1 - exp(-2 a+ b / var),
-    with a and b X + g0 at the two nodes and var = s_V^2 times the time
-    between them, and 0 once some b <= 0.  S updates at every
+    the product over successive update nodes of 1 - exp(-2 a+ b / var)
+    (see _bridge_survival), with a and b X + g0 at the two nodes and var =
+    s_V^2 times the time between them, and 0 once some b <= 0.  S updates at every
     _SURVIVAL_STRIDE-th node, at T1 and at T, and evaluates its factor only
     where 2 a+ b <= _SURVIVAL_CUTOFF var, beyond which it rounds to 1.  The
     bridge is exact for X whatever the nodes, so E[S] is the first-passage
@@ -526,7 +520,7 @@ def mc_spot(
     model's law, and B's V-shock rho_c z1 - rho z2 is independent of A's,
     rho z1 + rho_c z2.  But A's r-shock z1 enters B's V-shock, so the four
     paths are dependent: each estimate and its std_error are over the
-    group means (see _quad_means for an incomplete chunk).  r - mu, ln V,
+    group means (see _group_means for an incomplete chunk).  r - mu, ln V,
     the trapezoid and ln M are linear in the normals, so a pair is a
     deterministic path, computed once per call, plus a deviation that one
     path adds and its partner subtracts; one 4x6 matrix product per step
@@ -678,8 +672,8 @@ def mc_spot(
                 np.less_equal(prod, 0.5 * _SURVIVAL_CUTOFF * var, out=near)
                 idx = near.ravel().nonzero()[0]
                 if idx.size:
-                    survival.ravel()[idx] *= -np.expm1(
-                        np.maximum(prod.ravel()[idx], 0.0) * (-2.0 / var))
+                    survival.ravel()[idx] *= _bridge_survival(
+                        prod.ravel()[idx], var)
                 above_last, above = above, above_last
             if i == expiry_step:
                 rows, cols = np.nonzero(alive)
@@ -701,8 +695,10 @@ def mc_spot(
                                      + (1.0 - 2.0 * rows) * d[cols]))
         controls = (np.expm1(log_m_det[-1] + _SIGNS * dev[3]),
                     survival - survival_means[0], *expiry_controls)
-        return ([_quad_means(v, size) for v in (value, *at_expiry)],
-                [_quad_means(c, size) for c in controls])
+        return ([_group_means(v.reshape(2, 2, groups), size)
+                 for v in (value, *at_expiry)],
+                [_group_means(c.reshape(2, 2, groups), size)
+                 for c in controls])
 
     keys = ("bond", "put", "call", "puttable", "callable")
     return dict(zip(keys, _reduce_chunks(run_chunk, n_paths, workers, seed)))

@@ -273,18 +273,69 @@ class TestMcForward:
             mc_forward(1.1, 0.0, 2.0, BENCH, 0)
 
     def test_equal_samples_have_zero_std_error(self):
-        # x = B (1 + 1e-7): W = 2.4e-7 and every path is knocked out, so
-        # each sample is R and the sample variance is exactly 0, where
-        # sum(v^2) - n mean^2 read roundoff
-        state = MarketState(r=0.05, v=0.5429231768642653, t=0.0)
-        res = bond_price(state, BOND, BENCH)
-        est = mc_forward(res.x, 0.0, 2.0, BENCH, 16384, seed=1)
-        assert est.mean == BENCH.recovery_r
+        # x0 = 1e4 B: every bridge factor rounds to 1, so each sample is
+        # R + (1 - R) = 1 and the sample variance is exactly 0; D spreads
+        # and enters, but has nothing to fit
+        est = mc_forward(1e4 * BENCH.barrier_b, 0.0, 2.0, BENCH, 16384,
+                         seed=1)
+        assert est.mean == 1.0
         assert est.std_error == 0.0
+
+    # at t = T every step has v = 0; at s_V = 1e-155 and s_r = 0 the step's
+    # v = 2e-310 and 2 / v overflows.  Either way survival stays 1, with no
+    # numpy warning from dividing by v
+    @pytest.mark.parametrize("t,s_v", [(2.0, 0.2), (0.0, 1e-155)])
+    @pytest.mark.parametrize("n_steps", [1, 4])
+    def test_vanishing_variance_keeps_survival(self, t, s_v, n_steps):
+        params = dataclasses.replace(BENCH, s_r=0.0, s_V=s_v)
+        est = mc_forward(1.1, t, 2.0, params, 1001, seed=1, n_steps=n_steps)
+        assert est.mean == 1.0
+        assert est.std_error == 0.0
+
+    @pytest.mark.parametrize("var", [0.0, 2e-310])
+    def test_bridge_survival_limit_where_two_over_var_overflows(self, var):
+        got = oracles._bridge_survival(np.array([0.5, 0.0, -0.5]), var)
+        assert np.array_equal(got, [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("n_steps", [1, 16])
+    def test_normal_draws_only(self, monkeypatch, n_steps):
+        # each step draws one normal per antithetic pair, and nothing else;
+        # the last chunk of 1001 paths is odd
+        n_paths = 2 * oracles._CHUNK + 1001
+        args = (1.1, 0.0, 2.0, BENCH, n_paths)
+        expected = mc_forward(*args, seed=5, n_steps=n_steps)
+        logs = log_draws(monkeypatch, NormalsOnly)
+        assert mc_forward(*args, seed=5, n_steps=n_steps) == expected
+        sizes = [oracles._CHUNK, oracles._CHUNK, 1001]
+        assert logs == {index: [("normal", math.ceil(size / 2))] * n_steps
+                        for index, size in enumerate(sizes)}
 
     def test_rejects_start_below_barrier(self):
         with pytest.raises(BelowBarrier):
             mc_forward(0.5, 0.0, 2.0, BENCH, 100)
+
+
+class NormalsOnly:
+    """A chunk's generator that logs its standard_normal draws and allows
+    no other draw."""
+
+    def __init__(self, rng, log):
+        self.rng, self.log = rng, log
+
+    def standard_normal(self, size=None, out=None):
+        got = self.rng.standard_normal(size, out=out)
+        self.log.append(("normal", np.size(got)))
+        return got
+
+
+def log_draws(monkeypatch, logged):
+    """Wrap each chunk's generator in logged; returns chunk index -> log."""
+    logs = {}
+    chunk_rng = oracles._chunk_rng
+    monkeypatch.setattr(
+        oracles, "_chunk_rng", lambda seed, index: logged(
+            chunk_rng(seed, index), logs.setdefault(index, [])))
+    return logs
 
 
 # 40 seeds: the spread of their means over the mean reported se is 1 within
@@ -396,7 +447,7 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
     reduction are the engine's own, so a difference can only come from the
     step's arithmetic.  Each step draws one (z1, z2) per group of four
     paths: columns q and Q + q of the (2, 2 Q) paths step on +-(z1, z2) and
-    +-(-z2, z1), and each group scores its mean (see oracles._quad_means).
+    +-(-z2, z1), and each group scores its mean (see oracles._group_means).
     """
     T = bond.maturity_T
     n_steps = max(1, math.ceil((T - state.t) * steps_per_year))
@@ -492,8 +543,10 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
         value[alive] = np.exp(-disc[alive])
         controls = [np.expm1(log_m), survival - oracles._survival_mean(
             g0, s_v * s_v * (T - state.t)), *expiry_controls]
-        return ([oracles._quad_means(v, size) for v in (value, *at_expiry)],
-                [oracles._quad_means(c, size) for c in controls])
+        return ([oracles._group_means(v.reshape(2, 2, groups), size)
+                 for v in (value, *at_expiry)],
+                [oracles._group_means(c.reshape(2, 2, groups), size)
+                 for c in controls])
 
     keys = ("bond", "put", "call", "puttable", "callable")
     return dict(zip(keys, oracles._reduce_chunks(run_chunk, n_paths, 1, seed)))
@@ -532,18 +585,24 @@ class TestMcSpotPathStep:
             assert est.std_error == pytest.approx(expected[key].std_error,
                                                   abs=1e-12)
 
-    @pytest.mark.parametrize("missing", [0, 1, 2, 3])
-    def test_quad_means_keep_the_first_paths_of_the_last_group(self, missing):
+    # groups of k antithetic pairs whose last group lacks missing paths:
+    # mc_spot's groups of four (k = 2), and mc_forward's pairs (k = 1)
+    @pytest.mark.parametrize("k,missing", [
+        *(pytest.param(2, missing, id=str(missing)) for missing in range(4)),
+        *(pytest.param(1, missing, id=f"pair-{missing}")
+          for missing in range(2))])
+    def test_quad_means_keep_the_first_paths_of_the_last_group(self, k,
+                                                                missing):
         # distinct powers of 2: every sum is exact and names its paths
         groups = 5
-        values = 2.0 ** np.arange(4 * groups).reshape(2, 2 * groups)
-        means = oracles._quad_means(values, 4 * groups - missing)
-        # group q's paths in the order A+, A-, B+, B-
-        paths = np.array([values[0, :groups], values[1, :groups],
-                          values[0, groups:], values[1, groups:]])
+        values = 2.0 ** np.arange(2 * k * groups).reshape(2, k, groups)
+        means = oracles._group_means(values, 2 * k * groups - missing)
+        # group q's paths in the order pair 0 +z, pair 0 -z, pair 1 +z, ...
+        paths = values.transpose(1, 0, 2).reshape(2 * k, groups)
         assert means.shape == (groups,)
-        assert np.array_equal(means[:-1], paths[:, :-1].sum(axis=0) / 4.0)
-        kept = paths[:4 - missing, -1]
+        assert np.array_equal(means[:-1],
+                              paths[:, :-1].sum(axis=0) / (2.0 * k))
+        kept = paths[:2 * k - missing, -1]
         assert means[-1] == kept.sum() / len(kept)
 
     # an incomplete last chunk of 1001 paths, and one of 3
@@ -552,15 +611,7 @@ class TestMcSpotPathStep:
         # each step draws one (z1, z2) per group of four paths and otherwise
         # only the bridge's Exp(1) draws: a generator that allows no other
         # draw logs them
-        class Logged:
-            def __init__(self, rng, log):
-                self.rng, self.log = rng, log
-
-            def standard_normal(self, size=None, out=None):
-                got = self.rng.standard_normal(size, out=out)
-                self.log.append(("normal", np.size(got)))
-                return got
-
+        class Logged(NormalsOnly):
             def standard_exponential(self, size=None):
                 got = self.rng.standard_exponential(size)
                 self.log.append(("exponential", np.size(got)))
@@ -569,11 +620,7 @@ class TestMcSpotPathStep:
         args = (MarketState(r=0.05, v=0.65, t=0.0), BOND, SPLIT_OPT, BENCH,
                 n_paths)
         expected = mc_spot(*args, steps_per_year=50, seed=5)
-        logs = {}
-        chunk_rng = oracles._chunk_rng
-        monkeypatch.setattr(
-            oracles, "_chunk_rng", lambda seed, index: Logged(
-                chunk_rng(seed, index), logs.setdefault(index, [])))
+        logs = log_draws(monkeypatch, Logged)
         assert mc_spot(*args, steps_per_year=50, seed=5) == expected
         sizes = [min(oracles._CHUNK, n_paths - start)
                  for start in range(0, n_paths, oracles._CHUNK)]
