@@ -4,8 +4,9 @@ A Crank-Nicolson solver for the reduced one-dimensional barrier PDE
   u_t + 0.5 * sigma_x^2(t; T) * x^2 * u_xx = 0   (x > B)
 and two Monte-Carlo pricers: a forward-measure engine for the driftless
 numeraire ratio x (exact lognormal stepping with Brownian-bridge barrier
-correction) and a risk-neutral two-factor engine simulating (r, V) jointly,
-default monitored at each step with a Brownian-bridge check between steps.
+correction) and a risk-neutral two-factor engine simulating (r, V) jointly.
+Each Monte-Carlo path scores its exact Brownian-bridge survival given its
+nodes, from one bridge factor, and both engines draw only normals.
 """
 
 from __future__ import annotations
@@ -37,13 +38,10 @@ _DOMAIN_WIDTH_SIGMAS = 8.0
 # cn_solve's steps take node i at ln B + i h: a node off that place by this
 # fraction of h moves a read by as small a fraction of one step's change
 _GRID_UNIFORMITY = 1e-6
-# c with exp(-c) == 0.0: mc_spot draws a path's bridge only where
-# 2 g+ g' <= c v_step, since beyond it the crossing probability underflows
-_BRIDGE_CUTOFF = 746.0
 # mc_spot's survival control takes its bridge factor over this many steps
 _SURVIVAL_STRIDE = 10
-# c with 1 - exp(-c) == 1.0: the survival control evaluates its bridge factor
-# only where 2 a+ b <= c var, since beyond it the factor rounds to 1
+# c with 1 - exp(-c) == 1.0: mc_spot evaluates a bridge factor only where
+# 2 a+ b <= c var, since beyond it the factor rounds to 1
 _SURVIVAL_CUTOFF = 40.0
 # a control enters the regression only where at least about this many
 # samples carry its spread (see _reduce_chunks)
@@ -397,8 +395,11 @@ def _survival_mean(g0: float, var: float) -> float:
     m is taken from erfc up to k = 37, where exp(k^2 / 2) is still finite,
     and beyond it from its asymptotic series, whose next term is below 3e-13
     of m there.  0 where g0 <= 0, X starting at or below the level, and 1
-    where var = 0.
+    where var = 0.  g0 is taken as a Python float, whose products overflow
+    to inf without a numpy RuntimeWarning: k * k and h * h do where var is
+    near the float minimum.
     """
+    g0 = float(g0)
     if not g0 > 0.0:
         return 0.0
     if var == 0.0:
@@ -484,17 +485,22 @@ def mc_spot(
 ) -> dict[str, McEstimate]:
     """Risk-neutral two-factor engine, one path set: exact Vasicek r, Euler ln V.
 
-    Default is monitored at every step against the moving barrier B*Z(r, u);
-    between steps a Brownian-bridge crossing check is applied to the gap
-    g = ln V - ln(B*Z(r, u)), which is flat at zero in that coordinate
-    (the bridge variance is the step's cumulative numeraire variance, exact
-    to leading order over a fine step).  A hit pays R*Z(r, u) discounted by
-    the trapezoid of the realized short rate, a survivor face 1 at T: the
-    "bond" estimate.  Given an option, T1 is a step node where a survivor
-    holds the straight bond's closed-form value u: the put and call pay
-    _expiry_payoff of u, the puttable u plus the put, the callable u less
-    the call; a hit before T1 leaves the put and call worthless.  Returns
-    {"bond": ...}, with an option also "put", "call", "puttable", "callable".
+    Default is the first touch of the moving barrier B*Z(r, u).  Given a
+    path's nodes, the probability that it stayed above is the product of its
+    steps' Brownian-bridge factors (see _bridge_survival) on the gap
+    g = ln V - ln(B*Z(r, u)), which is flat at zero in that coordinate (the
+    bridge variance is the step's cumulative numeraire variance, exact to
+    leading order over a fine step).  Each path carries that probability,
+    alive, from 1: a step that takes it from a to a f pays the rebate
+    R*Z(r, u) at its end node on the mass a (1 - f), discounted by the
+    trapezoid of the realized short rate, and at T alive pays face 1.  So
+    the "bond" estimate scores, in expectation given the nodes, what a
+    sampled knock-out would.  Given an option, T1 is a step node where a
+    survivor holds the straight bond's closed-form value u: the put and
+    call pay alive times _expiry_payoff of u, and the held bond is the
+    rebates so far plus alive times u; the puttable is it plus the put, the
+    callable it less the call.  Returns {"bond": ...}, with an option also
+    "put", "call", "puttable", "callable".
     Every estimate is regressed on controls with mean exactly 0 (see
     _reduce_chunks), built on X = ln(M / M_0), where M = V e^{-sum r_k h_k}
     discounts V on the left-point r_k of its Euler step: X steps by
@@ -524,12 +530,10 @@ def mc_spot(
     the trapezoid and ln M are linear in the normals, so a pair is a
     deterministic path, computed once per call, plus a deviation that one
     path adds and its partner subtracts; one 4x6 matrix product per step
-    advances the deviations of both pairs.  The bridge crosses with
-    probability exp(-2 g+ g' / v_step), g+ = max(g, 0) and g' the new gap:
-    an Exp(1) draw E crosses it where E v_step > 2 g+ g'.  Such a draw is
-    made only for an alive, uncrossed path with
-    2 g+ g' <= _BRIDGE_CUTOFF v_step, since beyond that the probability
-    underflows to 0.
+    advances the deviations of both pairs.  A step takes its bridge factor
+    only on a path with 2 g+ g' <= _SURVIVAL_CUTOFF v_step, g+ = max(g, 0)
+    and g' the new gap: beyond it the factor rounds to 1 and the step
+    changes nothing.  A chunk draws only normals, one (2, Q) block a step.
     """
     if n_paths <= 0:
         raise SeedError("n_paths must be positive")
@@ -590,8 +594,6 @@ def mc_spot(
     gap_det = np.array(lnv_det) - log_z_det - math.log(params.barrier_b)
     # ln(Z e^{-int r du}), the discounted Z that a rebate R Z is paid on
     log_disc_z_det = log_z_det - np.array(disc_det)
-    # a path draws its bridge where g+ g' <= near_cut, 2 g+ g' <= c v_step
-    near_cut = [0.5 * _BRIDGE_CUTOFF * v for v in step_vars]
     # X + g0 on the deterministic path, and the bridge variance of X from the
     # last update node of S to each update node
     level = log_m_det + gap_det[0]
@@ -622,17 +624,27 @@ def mc_spot(
         gap_last, gap = np.full(shape, max(gap_det[0], 0.0)), np.empty(shape)
         prod = np.empty(shape)
         near = np.empty(shape, dtype=bool)
-        alive = np.ones(shape, dtype=bool)
+        alive = np.ones(shape)  # the probability of no touch so far
         value = np.zeros(shape)
         # S, and X + g0 at its last update node and at this one
         survival = np.full(shape, float(gap_det[0] > 0.0))
         above_last, above = np.full(shape, gap_det[0]), np.empty(shape)
         at_expiry, expiry_controls = [], []
 
-        def discounted_z(node, rows, cols):
-            # Z e^{-int r du} at a node, on the paths (rows, cols)
-            return np.exp(log_disc_z_det[node] - (1.0 - 2.0 * rows)
-                          * (bb[node] * y[cols] + d[cols]))
+        def bridge_factors(last, now, var):
+            # the flat indices of the paths whose bridge factor over a span
+            # of variance var, from values last to now, may be below 1, and
+            # the factor there: beyond the cutoff it rounds to 1
+            np.multiply(last, now, out=prod)
+            np.less_equal(prod, 0.5 * _SURVIVAL_CUTOFF * var, out=near)
+            idx = near.ravel().nonzero()[0]
+            return idx, _bridge_survival(prod.ravel()[idx], var)
+
+        def discounted_z(node, signs, cols):
+            # Z e^{-int r du} at a node, on the paths of these signs (+1 for
+            # row 0, -1 for row 1) and columns
+            return np.exp(log_disc_z_det[node]
+                          - signs * (bb[node] * y[cols] + d[cols]))
 
         for i, kernel in enumerate(kernels):
             rng.standard_normal(out=normals)
@@ -644,55 +656,40 @@ def mc_spot(
             g, y, d = dev[:3]
             np.add(gap_det[i + 1], g, out=gap[0])
             np.subtract(gap_det[i + 1], g, out=gap[1])
-            # g+ g': an alive path's last gap is > 0, and node 0's is clamped
-            np.multiply(gap_last, gap, out=prod)
-            np.less_equal(prod, near_cut[i], out=near)
-            near &= alive
-            idx = near.ravel().nonzero()[0]
-            if idx.size:
-                bridge = gap.ravel()[idx] > 0.0
-                hit = ~bridge
-                # the bridge crosses w.p. exp(-2 g+ g' / v_step): when an
-                # Exp(1) draw E has E v_step > 2 g+ g'
-                en = rng.standard_exponential(np.count_nonzero(bridge))
-                hit[bridge] = (en * step_vars[i]
-                               > 2.0 * prod.ravel()[idx[bridge]])
-                idx = idx[hit]
+            # g+ g': node 0's gap is clamped, and a path whose last gap is
+            # <= 0 has alive 0 already
+            idx, factor = bridge_factors(gap_last, gap, step_vars[i])
             if idx.size:
                 rows, cols = np.divmod(idx, pairs)
-                value[rows, cols] = (params.recovery_r
-                                     * discounted_z(i + 1, rows, cols))
-                alive[rows, cols] = False
+                before = alive.ravel()[idx]
+                after = before * factor
+                alive.ravel()[idx] = after
+                value.ravel()[idx] += (params.recovery_r * (before - after)
+                                       * discounted_z(i + 1, 1.0 - 2.0 * rows,
+                                                      cols))
             if (var := bridge_var.get(i + 1)) is not None:
                 np.add(level[i + 1], dev[3], out=above[0])
                 np.subtract(level[i + 1], dev[3], out=above[1])
                 # a b: where it is <= 0 the factor is 0, and where a <= 0 S
                 # is 0 already
-                np.multiply(above_last, above, out=prod)
-                np.less_equal(prod, 0.5 * _SURVIVAL_CUTOFF * var, out=near)
-                idx = near.ravel().nonzero()[0]
-                if idx.size:
-                    survival.ravel()[idx] *= _bridge_survival(
-                        prod.ravel()[idx], var)
+                idx, factor = bridge_factors(above_last, above, var)
+                survival.ravel()[idx] *= factor
                 above_last, above = above, above_last
             if i == expiry_step:
-                rows, cols = np.nonzero(alive)
-                scale = discounted_z(i + 1, rows, cols)
-                units = _unit_value(params.barrier_b * np.exp(gap[alive]),
-                                    T1, T, params)
-                put, call = np.zeros(shape), np.zeros(shape)
-                put[alive] = scale * _expiry_payoff(units, option, call=False)
-                call[alive] = scale * _expiry_payoff(units, option, call=True)
-                held = value.copy()  # the straight bond, hits' rebates kept
-                held[alive] = scale * units
+                scale = alive * discounted_z(i + 1, _SIGNS, slice(None))
+                # a path with gap <= 0 has alive 0: it is taken at B
+                units = _unit_value(
+                    params.barrier_b * np.exp(np.maximum(gap, 0.0)), T1, T,
+                    params)
+                put = scale * _expiry_payoff(units, option, call=False)
+                call = scale * _expiry_payoff(units, option, call=True)
+                held = value + scale * units  # the rebates paid so far kept
                 at_expiry = [put, call, held + put, held - call]
                 expiry_controls = [
                     np.expm1(log_m_det[i + 1] + _SIGNS * dev[3]),
                     survival - survival_means[1]]
             gap_last, gap = gap, gap_last
-        rows, cols = np.nonzero(alive)
-        value[rows, cols] = np.exp(-(disc_det[-1]
-                                     + (1.0 - 2.0 * rows) * d[cols]))
+        value += alive * np.exp(-(disc_det[-1] + _SIGNS * d))
         controls = (np.expm1(log_m_det[-1] + _SIGNS * dev[3]),
                     survival - survival_means[0], *expiry_controls)
         return ([_group_means(v.reshape(2, 2, groups), size)

@@ -779,17 +779,22 @@ class TestVerify:
                                       "--suite", "mc-forward"])
         assert result.exit_code == 0
 
-    # x = B (1 + 1e-7): W = 2.4e-7.  Every path scores its bridge survival,
-    # positive on each, so the samples spread and the check has power
-    @pytest.mark.parametrize("paths", [16384, 100000])
+    # x = B (1 + 1e-7): W = 2.4e-7.  In both engines every path scores its
+    # bridge survival, positive on each, so the samples spread and the check
+    # has power
+    @pytest.mark.parametrize("suite,paths", [
+        pytest.param("mc-forward", 16384, id="16384"),
+        pytest.param("mc-forward", 100000, id="100000"),
+        pytest.param("mc-spot", 16384, id="mc-spot-16384"),
+    ])
     def test_mc_forward_suite_where_default_is_near_certain(self, tmp_path,
-                                                            paths):
+                                                            suite, paths):
         def mutate(d):
             d["state"]["v"] = 0.5429231768642653
             d["verify"].update(paths=paths, seed=1)
         path = make_config(tmp_path, mutate)
         result = runner.invoke(main, ["verify", "--config", path,
-                                      "--suite", "mc-forward"])
+                                      "--suite", suite])
         assert result.exit_code == 0, result.output
         (check,) = json.loads(result.output)["checks"]
         assert check["pass"] and check["tolerance"] > 0.0

@@ -390,8 +390,8 @@ class TestMcSpot:
         assert abs(est["bond"].mean - res.price) <= 3.5 * est["bond"].std_error
 
     def test_bond_within_errors_near_barrier(self):
-        # x = 1.2 B: many paths pass near the barrier, where the engine
-        # draws its bridge crossings
+        # x = 1.2 B: many paths pass near the barrier, where their bridge
+        # factors fall below 1 and pay part of the rebate
         state = MarketState(r=0.05, v=0.65, t=0.0)
         res = bond_price(state, BOND, BENCH)
         est = mc_spot(state, BOND, None, BENCH, 30_000, steps_per_year=200,
@@ -438,12 +438,15 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
     """mc_spot with a two-row path-step that allocates every intermediate.
 
     Written out from the engine as it stood before its path-step reused
-    buffers, r, ln V and the discount stepped on each row, with the engine's
-    bridge-draw protocol: an Exp(1) draw for each alive, uncrossed path with
-    2 g+ g' <= c v_step, in row-major order.  The controls' X = ln(M / M_0)
-    steps on each row by its own recursion, -s_V^2 dt / 2 plus the ln V
-    noise, and the survival S takes its bridge factor on every path, with
-    no cutoff, at the engine's update nodes.  The chunking, seeding and
+    buffers, r, ln V and the discount stepped on each row.  Each path's
+    survival probability takes the bridge factor 1 - exp(-2 g+ g' / v_step)
+    of every step on every path, with no cutoff, or 0 where g' <= 0, and
+    the probability a step takes off pays R Z e^{-int r du} at its end
+    node; at T1 the option payoffs and the held bond's value are weighted
+    by the survival probability, and at T its rest pays 1.  The controls'
+    X = ln(M / M_0) steps on each row by its own recursion, -s_V^2 dt / 2
+    plus the ln V noise, and the survival S takes its bridge factor on every
+    path, with no cutoff, at the engine's update nodes.  The chunking, seeding and
     reduction are the engine's own, so a difference can only come from the
     step's arithmetic.  Each step draws one (z1, z2) per group of four
     paths: columns q and Q + q of the (2, 2 Q) paths step on +-(z1, z2) and
@@ -491,7 +494,7 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
         log_m = np.zeros(shape)  # ln(M / M_0), M = V e^{-sum r dt}
         survival = np.ones(shape)
         above, t_above = np.full(shape, g0), grid_times[0]
-        alive = np.ones(shape, dtype=bool)
+        alive = np.ones(shape)
         value = np.zeros(shape)
         at_expiry, expiry_controls = [], []
         for i, (dt, exp_th, r_std, sqrt_dt) in enumerate(steps):
@@ -507,13 +510,14 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
             r = r_new
             log_z = ab[i + 1] - bb[i + 1] * r
             gap_new = lnv - log_z - log_b
-            crossed = gap_new <= 0.0
-            prod = 2.0 * np.maximum(gap, 0.0) * gap_new
-            near = alive & ~crossed & (
-                prod <= oracles._BRIDGE_CUTOFF * step_vars[i])
-            en = np.zeros(shape)
-            en[near] = rng.standard_exponential(np.count_nonzero(near))
-            hit = alive & (crossed | (near & (en * step_vars[i] > prod)))
+            after = alive * np.where(
+                gap_new > 0.0,
+                -np.expm1(-2.0 * np.maximum(gap, 0.0) * gap_new
+                          / step_vars[i]),
+                0.0)
+            value = value + (params.recovery_r * (alive - after)
+                             * np.exp(-disc) * np.exp(log_z))
+            alive = after
             gap = gap_new
             if i in updates:
                 var = s_v * s_v * (grid_times[i + 1] - t_above)
@@ -523,24 +527,18 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
                     -np.expm1(-2.0 * np.maximum(above, 0.0) * above_new / var),
                     0.0)
                 above, t_above = above_new, grid_times[i + 1]
-            if hit.any():
-                value[hit] = (np.exp(-disc[hit]) * params.recovery_r
-                              * np.exp(log_z[hit]))
-                alive &= ~hit
             if i == expiry_step:
-                z_t1 = np.exp(log_z[alive])
-                scale = np.exp(-disc[alive]) * z_t1
-                units = _unit_value(np.exp(lnv[alive]) / z_t1, T1, T, params)
-                put, call = np.zeros(shape), np.zeros(shape)
-                put[alive] = scale * _expiry_payoff(units, option, call=False)
-                call[alive] = scale * _expiry_payoff(units, option, call=True)
-                held = value.copy()
-                held[alive] = scale * units
+                z_t1 = np.exp(log_z)
+                scale = alive * np.exp(-disc) * z_t1
+                units = _unit_value(np.exp(lnv) / z_t1, T1, T, params)
+                put = scale * _expiry_payoff(units, option, call=False)
+                call = scale * _expiry_payoff(units, option, call=True)
+                held = value + scale * units
                 at_expiry = [put, call, held + put, held - call]
                 expiry_controls = [np.expm1(log_m), survival
                                    - oracles._survival_mean(
                                        g0, s_v * s_v * (T1 - state.t))]
-        value[alive] = np.exp(-disc[alive])
+        value = value + alive * np.exp(-disc)
         controls = [np.expm1(log_m), survival - oracles._survival_mean(
             g0, s_v * s_v * (T - state.t)), *expiry_controls]
         return ([oracles._group_means(v.reshape(2, 2, groups), size)
@@ -557,13 +555,14 @@ class TestMcSpotPathStep:
     N_PATHS = 2 * oracles._CHUNK + 1001
 
     def test_cutoff_underflows(self):
-        assert math.exp(-oracles._BRIDGE_CUTOFF) == 0.0
-        # beyond its own cutoff the survival control's factor rounds to 1
+        # beyond the cutoff a bridge factor rounds to 1, so a step that
+        # skips it changes no path's survival
         assert 1.0 - math.exp(-oracles._SURVIVAL_CUTOFF) == 1.0
+        assert -math.expm1(-oracles._SURVIVAL_CUTOFF) == 1.0
 
     # T1 = 1.013 is no node of the 50-per-year grid: the step across it
-    # splits; at v = 0.65 the paths start near the barrier and the bridge
-    # draws fire often
+    # splits; at v = 0.65 the paths start near the barrier and their bridge
+    # factors fall below 1 often
     @pytest.mark.parametrize("v,option", [
         pytest.param(1.0, None, id="None"),
         pytest.param(1.0, OptionSpec(expiry_T1=1.013, exercise_e=0.9),
@@ -573,7 +572,9 @@ class TestMcSpotPathStep:
     ])
     def test_equals_allocating_step(self, v, option):
         # the engine steps a deterministic path plus pair deviations by one
-        # matrix product, so it rounds differently from the two-row step
+        # matrix product, so it rounds differently from the two-row step;
+        # the reference takes every bridge factor, so the engine's cutoff
+        # changes nothing
         args = (MarketState(r=0.05, v=v, t=0.0), BOND, option, BENCH,
                 self.N_PATHS)
         got = mc_spot(*args, steps_per_year=50, seed=5)
@@ -608,29 +609,18 @@ class TestMcSpotPathStep:
     # an incomplete last chunk of 1001 paths, and one of 3
     @pytest.mark.parametrize("n_paths", [N_PATHS, oracles._CHUNK + 3])
     def test_one_normal_draw_per_group(self, monkeypatch, n_paths):
-        # each step draws one (z1, z2) per group of four paths and otherwise
-        # only the bridge's Exp(1) draws: a generator that allows no other
-        # draw logs them
-        class Logged(NormalsOnly):
-            def standard_exponential(self, size=None):
-                got = self.rng.standard_exponential(size)
-                self.log.append(("exponential", np.size(got)))
-                return got
-
+        # each step draws one (z1, z2) per group of four paths, and nothing
+        # else, near the barrier too
         args = (MarketState(r=0.05, v=0.65, t=0.0), BOND, SPLIT_OPT, BENCH,
                 n_paths)
         expected = mc_spot(*args, steps_per_year=50, seed=5)
-        logs = log_draws(monkeypatch, Logged)
+        logs = log_draws(monkeypatch, NormalsOnly)
         assert mc_spot(*args, steps_per_year=50, seed=5) == expected
         sizes = [min(oracles._CHUNK, n_paths - start)
                  for start in range(0, n_paths, oracles._CHUNK)]
-        assert len(logs) == len(sizes)
-        for index, size in enumerate(sizes):
-            normals = [n for kind, n in logs[index] if kind == "normal"]
-            # 100 steps of 1/50, the one across T1 split in two
-            assert normals == [2 * math.ceil(size / 4)] * 101
-            assert any(kind == "exponential" and n > 0
-                       for kind, n in logs[index])
+        # 100 steps of 1/50, the one across T1 split in two
+        assert logs == {index: [("normal", 2 * math.ceil(size / 4))] * 101
+                        for index, size in enumerate(sizes)}
 
 
 def plain_estimates(run_chunk, n_paths, seed):
@@ -843,6 +833,12 @@ class TestSurvivalMean:
     def test_finite_probability_where_e_g0_overflows(self, g0, var):
         p = oracles._survival_mean(g0, var)
         assert 0.0 <= p <= 1.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_float64_g0_where_k_squared_overflows(self):
+        # mc_spot passes g0 as an np.float64; at var = 1e-310 k and h are
+        # about 5e154, and their squares overflow
+        assert oracles._survival_mean(np.float64(0.5), 1e-310) == 1.0
 
     def test_limits(self):
         assert oracles._survival_mean(0.3, 0.0) == 1.0
