@@ -90,6 +90,8 @@ def _require(section: dict, path: str, key: str, kind=float):
         raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
     if not math.isfinite(value):
         raise ConfigError(f"{path}.{key}: expected a finite number, got {value!r}")
+    if kind is int and value != int(value):
+        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
     return kind(value)
 
 

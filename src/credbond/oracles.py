@@ -491,16 +491,19 @@ def mc_spot(
     g = ln V - ln(B*Z(r, u)), which is flat at zero in that coordinate (the
     bridge variance is the step's cumulative numeraire variance, exact to
     leading order over a fine step).  Each path carries that probability,
-    alive, from 1: a step that takes it from a to a f pays the rebate
-    R*Z(r, u) at its end node on the mass a (1 - f), discounted by the
-    trapezoid of the realized short rate, and at T alive pays face 1.  So
-    the "bond" estimate scores, in expectation given the nodes, what a
-    sampled knock-out would.  Given an option, T1 is a step node where a
-    survivor holds the straight bond's closed-form value u: the put and
-    call pay alive times _expiry_payoff of u, and the held bond is the
-    rebates so far plus alive times u; the puttable is it plus the put, the
-    callable it less the call.  Returns {"bond": ...}, with an option also
-    "put", "call", "puttable", "callable".
+    alive, from 1, and only survival is simulated: the recovery R*Z(r, tau)
+    paid at the touch tau is worth R*Z(r, t; T) today whatever tau is, as
+    Z e^{-int r du} is a martingale, so the recovery leg is that constant,
+    from the Vasicek Z, as the barrier is.  The "bond" path scores the
+    paper's [R + (1 - R) W] Z as R*Z(r, t; T) + (1 - R) alive_T e^{-int r du},
+    the integral the trapezoid of the realized short rate.  Given an
+    option, T1 is a step node where a survivor holds the straight bond's
+    closed-form value u in units of Z; with scale = Z(r, T1) e^{-int r du}
+    to T1, the put and call pay scale alive times _expiry_payoff of u, and
+    the held bond R*Z(r, t; T) + scale alive (u - R), the recovery on the
+    mass that survives T1 taken back out of the constant; the puttable is
+    it plus the put, the callable it less the call.  Returns {"bond": ...},
+    with an option also "put", "call", "puttable", "callable".
     Every estimate is regressed on controls with mean exactly 0 (see
     _reduce_chunks), built on X = ln(M / M_0), where M = V e^{-sum r_k h_k}
     discounts V on the left-point r_k of its Euler step: X steps by
@@ -592,8 +595,9 @@ def mc_spot(
     log_m_det = -0.5 * s_v * s_v * (grid_times - state.t)  # X's drifts
     log_z_det = ab - bb * (mu + np.array(y_det))
     gap_det = np.array(lnv_det) - log_z_det - math.log(params.barrier_b)
-    # ln(Z e^{-int r du}), the discounted Z that a rebate R Z is paid on
-    log_disc_z_det = log_z_det - np.array(disc_det)
+    recovery = params.recovery_r
+    # the recovery leg, worth R Z(r, t; T) whenever the touch comes
+    recovery_leg = recovery * model.zcb_price(state.r, state.t, T, params)
     # X + g0 on the deterministic path, and the bridge variance of X from the
     # last update node of S to each update node
     level = log_m_det + gap_det[0]
@@ -625,7 +629,6 @@ def mc_spot(
         prod = np.empty(shape)
         near = np.empty(shape, dtype=bool)
         alive = np.ones(shape)  # the probability of no touch so far
-        value = np.zeros(shape)
         # S, and X + g0 at its last update node and at this one
         survival = np.full(shape, float(gap_det[0] > 0.0))
         above_last, above = np.full(shape, gap_det[0]), np.empty(shape)
@@ -640,12 +643,6 @@ def mc_spot(
             idx = near.ravel().nonzero()[0]
             return idx, _bridge_survival(prod.ravel()[idx], var)
 
-        def discounted_z(node, signs, cols):
-            # Z e^{-int r du} at a node, on the paths of these signs (+1 for
-            # row 0, -1 for row 1) and columns
-            return np.exp(log_disc_z_det[node]
-                          - signs * (bb[node] * y[cols] + d[cols]))
-
         for i, kernel in enumerate(kernels):
             rng.standard_normal(out=normals)
             dev[4:, :groups] = normals
@@ -659,14 +656,7 @@ def mc_spot(
             # g+ g': node 0's gap is clamped, and a path whose last gap is
             # <= 0 has alive 0 already
             idx, factor = bridge_factors(gap_last, gap, step_vars[i])
-            if idx.size:
-                rows, cols = np.divmod(idx, pairs)
-                before = alive.ravel()[idx]
-                after = before * factor
-                alive.ravel()[idx] = after
-                value.ravel()[idx] += (params.recovery_r * (before - after)
-                                       * discounted_z(i + 1, 1.0 - 2.0 * rows,
-                                                      cols))
+            alive.ravel()[idx] *= factor
             if (var := bridge_var.get(i + 1)) is not None:
                 np.add(level[i + 1], dev[3], out=above[0])
                 np.subtract(level[i + 1], dev[3], out=above[1])
@@ -676,20 +666,23 @@ def mc_spot(
                 survival.ravel()[idx] *= factor
                 above_last, above = above, above_last
             if i == expiry_step:
-                scale = alive * discounted_z(i + 1, _SIGNS, slice(None))
+                # alive Z(r, T1) e^{-int r du}
+                scale = alive * np.exp(log_z_det[i + 1] - disc_det[i + 1]
+                                       - _SIGNS * (bb[i + 1] * y + d))
                 # a path with gap <= 0 has alive 0: it is taken at B
                 units = _unit_value(
                     params.barrier_b * np.exp(np.maximum(gap, 0.0)), T1, T,
                     params)
                 put = scale * _expiry_payoff(units, option, call=False)
                 call = scale * _expiry_payoff(units, option, call=True)
-                held = value + scale * units  # the rebates paid so far kept
+                held = recovery_leg + scale * (units - recovery)
                 at_expiry = [put, call, held + put, held - call]
                 expiry_controls = [
                     np.expm1(log_m_det[i + 1] + _SIGNS * dev[3]),
                     survival - survival_means[1]]
             gap_last, gap = gap, gap_last
-        value += alive * np.exp(-(disc_det[-1] + _SIGNS * d))
+        value = recovery_leg + (1.0 - recovery) * alive * np.exp(
+            -(disc_det[-1] + _SIGNS * d))
         controls = (np.expm1(log_m_det[-1] + _SIGNS * dev[3]),
                     survival - survival_means[0], *expiry_controls)
         return ([_group_means(v.reshape(2, 2, groups), size)

@@ -116,6 +116,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"verify.{key}"):
             load_config(path)
 
+    @pytest.mark.parametrize("key,value", [("paths", 16384.9), ("seed", 1.7)])
+    def test_non_integral_verify_setting_named(self, tmp_path, key, value):
+        path = make_config(tmp_path, lambda d: d["verify"].update({key: value}))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == (
+            f"verify.{key}: expected an integer, got {value!r}")
+        result = runner.invoke(main, ["price", "bond", "--config", path])
+        assert result.exit_code == 2, result.output
+
+    def test_integral_float_verify_setting_loads(self, tmp_path):
+        path = make_config(tmp_path,
+                           lambda d: d["verify"].update({"paths": 16384.0}))
+        paths = load_config(path).verify.paths
+        assert paths == 16384 and type(paths) is int
+
     @pytest.mark.parametrize("doc,message", [
         ({k: v for k, v in BENCH_DOC.items() if k != "model"},
          "model: missing required section"),

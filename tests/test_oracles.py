@@ -391,7 +391,7 @@ class TestMcSpot:
 
     def test_bond_within_errors_near_barrier(self):
         # x = 1.2 B: many paths pass near the barrier, where their bridge
-        # factors fall below 1 and pay part of the rebate
+        # factors fall below 1 and take part of their survival off
         state = MarketState(r=0.05, v=0.65, t=0.0)
         res = bond_price(state, BOND, BENCH)
         est = mc_spot(state, BOND, None, BENCH, 30_000, steps_per_year=200,
@@ -426,6 +426,25 @@ class TestMcSpot:
         with pytest.raises(InvalidTenor):
             mc_spot(MarketState(0.05, 1.0, t), BOND, OPT, BENCH, 1000)
 
+    @pytest.mark.parametrize("recovery", [0.4, 0.9])
+    def test_bond_is_linear_in_recovery(self, recovery):
+        # the recovery leg is the constant R Z(r, t; T) and only survival is
+        # simulated, so the estimate at R is R Z plus (1 - R) times the one
+        # at R = 0, on the same paths; near the barrier many paths default
+        state = MarketState(r=0.05, v=0.65, t=0.0)
+
+        def bond_at(r):
+            params = dataclasses.replace(BENCH, recovery_r=r)
+            return mc_spot(state, BOND, None, params, 8195,
+                           steps_per_year=50, seed=5)["bond"]
+
+        base, est = bond_at(0.0), bond_at(recovery)
+        z = model.zcb_price(state.r, state.t, BOND.maturity_T, BENCH)
+        assert est.mean == pytest.approx(
+            recovery * z + (1.0 - recovery) * base.mean, rel=0, abs=1e-12)
+        assert est.std_error == pytest.approx(
+            (1.0 - recovery) * base.std_error, rel=1e-12)
+
     def test_puttable_dominates_bond(self, spot_with_option):
         bond_est = spot_with_option["bond"]
         puttable_est = spot_with_option["puttable"]
@@ -440,15 +459,17 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
     Written out from the engine as it stood before its path-step reused
     buffers, r, ln V and the discount stepped on each row.  Each path's
     survival probability takes the bridge factor 1 - exp(-2 g+ g' / v_step)
-    of every step on every path, with no cutoff, or 0 where g' <= 0, and
-    the probability a step takes off pays R Z e^{-int r du} at its end
-    node; at T1 the option payoffs and the held bond's value are weighted
-    by the survival probability, and at T its rest pays 1.  The controls'
-    X = ln(M / M_0) steps on each row by its own recursion, -s_V^2 dt / 2
-    plus the ln V noise, and the survival S takes its bridge factor on every
-    path, with no cutoff, at the engine's update nodes.  The chunking, seeding and
-    reduction are the engine's own, so a difference can only come from the
-    step's arithmetic.  Each step draws one (z1, z2) per group of four
+    of every step on every path, with no cutoff, or 0 where g' <= 0.  The
+    recovery leg is the constant R Z(r, t; T): at T the bond pays it plus
+    (1 - R) times the survival probability, discounted by e^{-int r du}; at
+    T1 the option payoffs and the held bond's u - R, each discounted by
+    Z e^{-int r du}, are weighted by the survival probability, and the held
+    bond adds the constant.  The controls' X = ln(M / M_0) steps on each
+    row by its own recursion, -s_V^2 dt / 2 plus the ln V noise, and the
+    survival S takes its bridge factor on every path, with no cutoff, at
+    the engine's update nodes.  The chunking, seeding and reduction are the
+    engine's own, so a difference can only come from the step's
+    arithmetic.  Each step draws one (z1, z2) per group of four
     paths: columns q and Q + q of the (2, 2 Q) paths step on +-(z1, z2) and
     +-(-z2, z1), and each group scores its mean (see oracles._group_means).
     """
@@ -477,6 +498,8 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
         model.cum_variance(grid_times[i], grid_times[i + 1], T, params)
         for i in range(len(step_dts))])
     log_b = math.log(params.barrier_b)
+    recovery = params.recovery_r
+    recovery_leg = recovery * math.exp(ab[0] - bb[0] * state.r)
     signs = np.array([[1.0], [-1.0]])
     g0 = math.log(state.v) - (ab[0] - bb[0] * state.r) - log_b
     updates = [i for i in range(len(steps))
@@ -495,7 +518,6 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
         survival = np.ones(shape)
         above, t_above = np.full(shape, g0), grid_times[0]
         alive = np.ones(shape)
-        value = np.zeros(shape)
         at_expiry, expiry_controls = [], []
         for i, (dt, exp_th, r_std, sqrt_dt) in enumerate(steps):
             a1, a2 = rng.standard_normal((2, groups))
@@ -510,14 +532,11 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
             r = r_new
             log_z = ab[i + 1] - bb[i + 1] * r
             gap_new = lnv - log_z - log_b
-            after = alive * np.where(
+            alive = alive * np.where(
                 gap_new > 0.0,
                 -np.expm1(-2.0 * np.maximum(gap, 0.0) * gap_new
                           / step_vars[i]),
                 0.0)
-            value = value + (params.recovery_r * (alive - after)
-                             * np.exp(-disc) * np.exp(log_z))
-            alive = after
             gap = gap_new
             if i in updates:
                 var = s_v * s_v * (grid_times[i + 1] - t_above)
@@ -533,12 +552,12 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
                 units = _unit_value(np.exp(lnv) / z_t1, T1, T, params)
                 put = scale * _expiry_payoff(units, option, call=False)
                 call = scale * _expiry_payoff(units, option, call=True)
-                held = value + scale * units
+                held = recovery_leg + scale * (units - recovery)
                 at_expiry = [put, call, held + put, held - call]
                 expiry_controls = [np.expm1(log_m), survival
                                    - oracles._survival_mean(
                                        g0, s_v * s_v * (T1 - state.t))]
-        value = value + alive * np.exp(-disc)
+        value = recovery_leg + (1.0 - recovery) * alive * np.exp(-disc)
         controls = [np.expm1(log_m), survival - oracles._survival_mean(
             g0, s_v * s_v * (T - state.t)), *expiry_controls]
         return ([oracles._group_means(v.reshape(2, 2, groups), size)
