@@ -2,11 +2,12 @@
 
 A Crank-Nicolson solver for the reduced one-dimensional barrier PDE
   u_t + 0.5 * sigma_x^2(t; T) * x^2 * u_xx = 0   (x > B)
-and two Monte-Carlo pricers: a forward-measure engine for the driftless
-numeraire ratio x (exact lognormal stepping with Brownian-bridge barrier
-correction) and a risk-neutral two-factor engine simulating (r, V) jointly.
-Each Monte-Carlo path scores its exact Brownian-bridge survival given its
-nodes, from one bridge factor, and both engines draw only normals.
+in ln x, each step one symmetric positive-definite tridiagonal solve, and
+two Monte-Carlo pricers: a forward-measure engine for the driftless ratio x
+(exact lognormal stepping with Brownian-bridge barrier correction) and a
+risk-neutral two-factor engine simulating (r, V) jointly.  Each Monte-Carlo
+path scores its exact Brownian-bridge survival given its nodes, from one
+bridge factor, and both engines draw only normals.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dptsv
 
 from . import model
 from .bond import BondSpec, _unit_value
@@ -107,20 +108,25 @@ class GridSolution:
         return (1.0 - w_hi) * at(k - 1) + w_hi * at(k)
 
 
-def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
-                       rhs: np.ndarray) -> np.ndarray:
-    """x with A x = rhs, for A given by its sub-, main and super-diagonal.
+def _solve_step(s: float, lower: float, upper: float,
+                rhs: np.ndarray) -> np.ndarray:
+    """y with D M D^-1 y = rhs, M = I - s tridiag(lower, -(lower + upper), upper).
 
-    rhs is one right-hand side, shape (n,), or several as the columns of a
-    Fortran-ordered (n, nrhs) array.  LAPACK gtsv with partial pivoting, as
-    solve_banded((1, 1), ...) calls it, so the result is the same to the
-    bit.  All four arrays are overwritten.
-    Raises ResolutionError where gtsv reports the system singular.
+    D = diag(rho^i), rho = sqrt(upper / lower) with lower, upper >= 0, makes
+    it symmetric, off-diagonal -s sqrt(lower upper), and for s >= 0 positive
+    definite, as 1 + s (lower + upper) > 2 s sqrt(lower upper): LAPACK ptsv
+    solves it by LDL^T with no pivoting.  rhs, one right-hand side of shape
+    (n,) or several as the columns of a Fortran-ordered (n, nrhs) array, is
+    overwritten by y.  Raises ResolutionError where ptsv finds it indefinite.
     """
-    *_, x, info = dgtsv(sub, diag, sup, rhs, 1, 1, 1, 1)
+    n = len(rhs)
+    diag = np.full(n, 1.0 + s * (lower + upper))
+    off = np.full(n - 1, -s * math.sqrt(lower * upper))
+    *_, y, info = dptsv(diag, off, rhs, 1, 1, 1)
     if info != 0:
-        raise ResolutionError(f"Crank-Nicolson system singular (gtsv info {info})")
-    return x
+        raise ResolutionError(
+            f"Crank-Nicolson system not positive definite (ptsv info {info})")
+    return y
 
 
 def cn_solve(
@@ -146,11 +152,14 @@ def cn_solve(
     raises ResolutionError; a variance too small for grid.nx ln x steps
     equal to within _GRID_UNIFORMITY of a step, DegenerateVariance; a far
     node beyond the float range, DomainError.
-    Each step's tridiagonal system is solved by LAPACK gtsv, the routine
-    scipy.linalg.solve_banded calls for one band each side, without that
-    function's per-call input checks.  So the payoff is checked up front: a
-    non-finite one raises DomainError before the first step.  A surface that
-    overflows on the way raises DomainError too.
+    Each step is one _solve_step, M = I - s A its implicit side: with y =
+    M^-1 (v + s upper far e_last), a fully-implicit half step is v_new = y
+    and a Crank-Nicolson step v_new = 2 y - v, as I + s A = 2 I - M.  The
+    interior marches as D v, divided by D once at the end.  An ln x step
+    h >= 2, where upper <= 0 and the scheme is not monotone, or a
+    rho^(nx - 2) below the smallest normal float raises ResolutionError.
+    ptsv does not check its input, so a non-finite payoff raises DomainError
+    before the first step, as does a surface that overflows on the way.
     """
     if grid is None:
         grid = GridConfig()
@@ -166,12 +175,19 @@ def cn_solve(
         raise DomainError(
             f"the grid's far node B e^{width} is beyond the float range")
     y = np.linspace(math.log(b), math.log(b) + width, grid.nx + 1)
-    h = y[1] - y[0]
+    h = float(y[1] - y[0])
     if not (h > 0.0 and np.ptp(np.diff(y)) <= _GRID_UNIFORMITY * h):
         # the step h = 8 sqrt(I) / nx is within reach of the nodes' roundoff
         raise DegenerateVariance(
             f"variance over [{t0}, {bond_T}] is too small for {grid.nx} "
             "uniform ln x steps")
+    # D's diagonal rho^i, rho^2 = upper / lower = (2 - h) / (2 + h) at every
+    # step; at h >= 2 it is 0 from i = 1 on
+    scale = math.sqrt(max((2.0 - h) / (2.0 + h), 0.0)) ** np.arange(grid.nx - 1)
+    if not scale[-1] >= np.finfo(float).tiny:
+        raise ResolutionError(
+            f"ln x step {h} too large at nx = {grid.nx}: the scheme is not "
+            "monotone, or its symmetric form underflows")
     times = np.linspace(t0, t1, grid.nt + 1)
     dt = times[1] - times[0]
     mid = 0.5 * (times[-2] + times[-1])  # where the two half steps meet
@@ -188,56 +204,40 @@ def cn_solve(
     payoff = np.asarray(terminal_payoff(np.exp(y)), dtype=float)
     if not np.all(np.isfinite(payoff)):
         raise DomainError("terminal payoff is not finite on the grid")
-    # values[n] holds the m payoffs' slices as rows, and each step builds
-    # their right-hand sides as the rows of rhs, whose transpose is the
-    # Fortran-ordered (nx - 1, m) array gtsv takes
+    # values[n] holds the m payoffs' slices as rows, their interior D v below
+    # the terminal slice until the march ends.  rhs holds the m right-hand
+    # sides as rows: its transpose is the Fortran (nx - 1, m) array ptsv takes
     rows = payoff.reshape(-1, grid.nx + 1)
     values = np.empty((grid.nt + 1,) + rows.shape)
     values[grid.nt] = rows
     values[:, :, 0] = 0.0  # knocked out at the barrier: nothing to add to rhs[0]
     values[:, :, -1] = values[grid.nt, :, -1]
-    far = values[grid.nt, :, -1]
+    far = values[grid.nt, :, -1] * scale[-1]
+    marched = values[:grid.nt, :, 1:-1]
+    rhs = values[grid.nt, :, 1:-1] * scale  # the first half step's D v
 
-    n_int = grid.nx - 1
-    sub, diag, sup = np.empty(n_int - 1), np.empty(n_int), np.empty(n_int - 1)
-    rhs, term = np.empty((2, len(far), n_int))
-
-    def step(later: int, n: int, t_lo: float, t_hi: float,
-             implicit_weight: float) -> None:
-        # values[n] from values[later]; n == later is safe, since the
-        # right-hand side is built before values[n] is written
+    def solve(t_lo: float, t_hi: float, implicit_weight: float) -> None:
+        # rhs <- y = (D M D^-1)^-1 (rhs + s upper far e_last), for the step
+        # over [t_lo, t_hi] with s = span implicit_weight
         span = t_hi - t_lo
         sig2 = model.cum_variance(t_lo, t_hi, bond_T, params) / span
         lower = 0.5 * sig2 * (1.0 / (h * h) + 1.0 / (2.0 * h))
-        centre = -sig2 / (h * h)
         upper = 0.5 * sig2 * (1.0 / (h * h) - 1.0 / (2.0 * h))
-
-        u = values[later]
-        explicit = 1.0 - implicit_weight
-        # u + span explicit ((lower u- + centre u) + upper u+), in that order
-        np.multiply(lower, u[:, :-2], out=rhs)
-        np.multiply(centre, u[:, 1:-1], out=term)
-        np.add(rhs, term, out=rhs)
-        np.multiply(upper, u[:, 2:], out=term)
-        np.add(rhs, term, out=rhs)
-        np.multiply(rhs, span * explicit, out=rhs)
-        np.add(rhs, u[:, 1:-1], out=rhs)
-        rhs[:, -1] += span * implicit_weight * upper * far
-
-        sub.fill(-span * implicit_weight * lower)
-        diag.fill(1.0 - span * implicit_weight * centre)
-        sup.fill(-span * implicit_weight * upper)
-        values[n, :, 1:-1] = _solve_tridiagonal(sub, diag, sup, rhs.T).T
+        s = span * implicit_weight
+        rhs[:, -1] += s * upper * far
+        _solve_step(s, lower, upper, rhs.T)
 
     # an overflow is caught on the whole surface, below
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(grid.nt - 1, -1, -1):
-            t_lo, t_hi = times[n], times[n + 1]
-            if n == grid.nt - 1:
-                step(n + 1, n, mid, t_hi, implicit_weight=1.0)
-                step(n, n, t_lo, mid, implicit_weight=1.0)
-            else:
-                step(n + 1, n, t_lo, t_hi, implicit_weight=0.5)
+        solve(mid, times[-1], implicit_weight=1.0)
+        solve(times[-2], mid, implicit_weight=1.0)
+        marched[-1] = rhs
+        for n in range(grid.nt - 2, -1, -1):
+            rhs[:] = marched[n + 1]
+            solve(times[n], times[n + 1], implicit_weight=0.5)
+            np.multiply(rhs, 2.0, out=marched[n])
+            np.subtract(marched[n], marched[n + 1], out=marched[n])
+        np.divide(marched, scale, out=marched)
     if not np.all(np.isfinite(values)):
         raise DomainError("the FD surface overflowed: payoff too large")
 

@@ -892,6 +892,19 @@ class TestVerify:
         assert "DomainError" in result.output
         assert "far node" in result.output
 
+    def test_fd_suite_grid_without_symmetric_form_exit_3(self, tmp_path):
+        # s_V = 2 at nx = 4: the ln x step is 5.65 >= 2, where the central
+        # scheme is not monotone.  Refused before any step, with no numpy
+        # RuntimeWarning on the way (pytest's error::RuntimeWarning filter)
+        path = make_config(tmp_path, lambda d: (
+            d["model"].update(s_V=2.0),
+            d["verify"].update(grid_nx=4, grid_nt=40)))
+        result = runner.invoke(main, ["verify", "--config", path,
+                                      "--suite", "fd"])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "ResolutionError" in result.output
+        assert "symmetric form" in result.output
+
     def test_fd_suite_grid_spacing_at_roundoff_exit_3(self, tmp_path):
         # the nodes' spacing is roundoff, not the step the solve takes: a
         # degenerate variance, where the checks used to read up to 1.0

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 from scipy.special import ndtr
 
 from credbond import (
@@ -118,6 +119,19 @@ class TestCnSolve:
             cn_solve(unit_payoff, 0.0, 2.0, 2.0, params,
                      grid=GridConfig(nx=50, nt=50))
 
+    @pytest.mark.parametrize("s_v,barrier_b,nx", [
+        # h = 5.65 >= 2: upper < 0, and the central scheme is not monotone
+        (2.0, 0.6, 4),
+        # h = 1.50 < 2, but rho^798 = e^-776 is below the smallest normal
+        # float; the far node B e^1199 = e^508 is in range
+        (106.0, 1e-300, 800),
+    ])
+    def test_rejects_grid_without_symmetric_form(self, s_v, barrier_b, nx):
+        params = dataclasses.replace(BENCH, s_V=s_v, barrier_b=barrier_b)
+        with pytest.raises(ResolutionError, match="symmetric form"):
+            cn_solve(unit_payoff, 0.0, 2.0, 2.0, params,
+                     grid=GridConfig(nx=nx, nt=40))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_payoff(self, bad):
         def payoff(x):
@@ -208,41 +222,172 @@ class TestGridSolutionInterpolate:
         assert sol.interpolate([b, 2.0 * b], t)[0] == 0.0
 
 
+def reference_cn_solve(terminal_payoff, t0, t1, bond_T, params, grid):
+    """cn_solve as it stood when each step formed its right-hand side by an
+    explicit tridiagonal product and solved the unsymmetrised system by
+    LAPACK gtsv, with partial pivoting.  Written out from that engine; its
+    refusals are left out, so the grid must pass them.
+    """
+    b = params.barrier_b
+    total_var = model.cum_variance(t0, bond_T, bond_T, params)
+    width = oracles._DOMAIN_WIDTH_SIGMAS * math.sqrt(total_var)
+    y = np.linspace(math.log(b), math.log(b) + width, grid.nx + 1)
+    h = y[1] - y[0]
+    times = np.linspace(t0, t1, grid.nt + 1)
+    mid = 0.5 * (times[-2] + times[-1])
+
+    payoff = np.asarray(terminal_payoff(np.exp(y)), dtype=float)
+    rows = payoff.reshape(-1, grid.nx + 1)
+    values = np.empty((grid.nt + 1,) + rows.shape)
+    values[grid.nt] = rows
+    values[:, :, 0] = 0.0
+    values[:, :, -1] = values[grid.nt, :, -1]
+    far = values[grid.nt, :, -1]
+
+    n_int = grid.nx - 1
+    sub, diag, sup = np.empty(n_int - 1), np.empty(n_int), np.empty(n_int - 1)
+    rhs, term = np.empty((2, len(far), n_int))
+
+    def step(later, n, t_lo, t_hi, implicit_weight):
+        span = t_hi - t_lo
+        sig2 = model.cum_variance(t_lo, t_hi, bond_T, params) / span
+        lower = 0.5 * sig2 * (1.0 / (h * h) + 1.0 / (2.0 * h))
+        centre = -sig2 / (h * h)
+        upper = 0.5 * sig2 * (1.0 / (h * h) - 1.0 / (2.0 * h))
+
+        u = values[later]
+        explicit = 1.0 - implicit_weight
+        np.multiply(lower, u[:, :-2], out=rhs)
+        np.multiply(centre, u[:, 1:-1], out=term)
+        np.add(rhs, term, out=rhs)
+        np.multiply(upper, u[:, 2:], out=term)
+        np.add(rhs, term, out=rhs)
+        np.multiply(rhs, span * explicit, out=rhs)
+        np.add(rhs, u[:, 1:-1], out=rhs)
+        rhs[:, -1] += span * implicit_weight * upper * far
+
+        sub.fill(-span * implicit_weight * lower)
+        diag.fill(1.0 - span * implicit_weight * centre)
+        sup.fill(-span * implicit_weight * upper)
+        *_, x, info = dgtsv(sub, diag, sup, rhs.T, 1, 1, 1, 1)
+        assert info == 0
+        values[n, :, 1:-1] = x.T
+
+    for n in range(grid.nt - 1, -1, -1):
+        t_lo, t_hi = times[n], times[n + 1]
+        if n == grid.nt - 1:
+            step(n + 1, n, mid, t_hi, implicit_weight=1.0)
+            step(n, n, t_lo, mid, implicit_weight=1.0)
+        else:
+            step(n + 1, n, t_lo, t_hi, implicit_weight=0.5)
+    if payoff.ndim == 1:
+        values = values[:, 0]
+    return values
+
+
+class TestCnSolveAgainstReference:
+    # (seed, nx, nt, rows): each seed draws its parameters, window and payoffs
+    CONFIGS = [(0, 40, 40, 1), (1, 40, 7, 2), (2, 40, 1, 2),
+               (3, 100, 100, 1), (4, 100, 30, 2), (5, 100, 250, 1),
+               (6, 400, 100, 2), (7, 400, 400, 1), (8, 400, 13, 1),
+               (9, 800, 200, 2), (10, 800, 60, 1), (11, 800, 800, 2)]
+
+    @pytest.mark.parametrize("seed,nx,nt,rows", CONFIGS)
+    def test_agrees_with_explicit_product_and_gtsv(self, seed, nx, nt, rows):
+        # the symmetric solve and the 2 y - v step round differently from the
+        # reference's product and pivoted solve, and nothing else
+        rng = np.random.default_rng(seed)
+        params = ModelParams(
+            theta=rng.uniform(0.1, 2.0), mu=rng.uniform(-0.02, 0.1),
+            s_r=rng.uniform(0.0, 0.05), s_V=rng.uniform(0.05, 0.6),
+            rho=rng.uniform(-0.9, 0.9), barrier_b=rng.uniform(0.3, 0.8),
+            recovery_r=rng.uniform(0.0, 0.8))
+        bond_T = rng.uniform(0.5, 5.0)
+        t0, t1 = np.sort(rng.uniform(0.0, bond_T, 2))
+        strike = rng.uniform(0.5, 1.5)
+        payoffs = (unit_payoff, lambda x: np.maximum(strike - 0.5 * x, 0.0))
+        payoff = payoffs[0] if rows == 1 else (
+            lambda x: np.array([f(x) for f in payoffs]))
+        grid = GridConfig(nx=nx, nt=nt)
+        got = cn_solve(payoff, t0, t1, bond_T, params, grid=grid).values
+        expected = reference_cn_solve(payoff, t0, t1, bond_T, params, grid)
+        assert got.shape == expected.shape
+        assert np.array_equal(got[-1], expected[-1])
+        got, expected = (v.reshape(nt + 1, rows, nx + 1) for v in (got, expected))
+        for j in range(rows):
+            error = np.max(np.abs(got[:, j] - expected[:, j]))
+            assert error <= 1e-11 * np.max(np.abs(expected[:, j]))
+
+
+def step_matrix(s, lower, upper, n):
+    """I - s tridiag(lower, -(lower + upper), upper), as solve_banded takes it."""
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -s * upper
+    ab[1] = 1.0 + s * (lower + upper)
+    ab[2, :-1] = -s * lower
+    return ab
+
+
+def solve_unsymmetrised(s, lower, upper, rhs):
+    """x with M x = rhs, M = step_matrix(...), by _solve_step on D rhs."""
+    d = math.sqrt(upper / lower) ** np.arange(len(rhs))
+    d = d.reshape((-1,) + (1,) * (rhs.ndim - 1))
+    return oracles._solve_step(s, lower, upper, np.asfortranarray(rhs * d)) / d
+
+
+def step_coefficients(rng, h):
+    """s, lower, upper of a step at ln x spacing h, with s (lower + upper)
+    in [0.1, 10], the range the README grid's steps take."""
+    s = rng.uniform(1e-4, 1e-2)
+    k = 10.0 ** rng.uniform(-1.0, 1.0) / (2.0 * s)
+    return s, k * (1.0 + 0.5 * h), k * (1.0 - 0.5 * h)
+
+
 class TestSolveTridiagonal:
+    """_solve_step, the symmetric form of one step's tridiagonal system."""
+
     @pytest.mark.parametrize("n", [5, 799])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_equals_solve_banded(self, n, seed):
         rng = np.random.default_rng(seed)
-        sub, sup = rng.uniform(-1.0, 1.0, (2, n - 1))
-        diag = rng.choice([-1.0, 1.0], n) * rng.uniform(2.0, 3.0, n)
+        s, lower, upper = step_coefficients(rng, rng.uniform(0.01, 1.0))
         rhs = rng.standard_normal(n)
-        ab = np.zeros((3, n))
-        ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
-        expected = solve_banded((1, 1), ab, rhs)
-        got = oracles._solve_tridiagonal(sub.copy(), diag.copy(), sup.copy(),
-                                         rhs.copy())
-        assert np.array_equal(got, expected)
+        expected = solve_banded((1, 1), step_matrix(s, lower, upper, n), rhs)
+        got = solve_unsymmetrised(s, lower, upper, rhs)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    # upper -> 0+ as h -> 2-, and rho with it: rho^4 = 3e-33 at the float
+    # below 2
+    @pytest.mark.parametrize("h", [2.0 - 1e-3, 2.0 - 1e-9,
+                                   math.nextafter(2.0, 0.0)])
+    def test_equals_solve_banded_as_h_nears_2(self, h):
+        rng = np.random.default_rng(7)
+        s, lower, upper = step_coefficients(rng, h)
+        rhs = rng.standard_normal(5)
+        expected = solve_banded((1, 1), step_matrix(s, lower, upper, 5), rhs)
+        got = solve_unsymmetrised(s, lower, upper, rhs)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("n", [5, 799])
     def test_columns_equal_solve_banded(self, n):
         rng = np.random.default_rng(n)
-        sub, sup = rng.uniform(-1.0, 1.0, (2, n - 1))
-        diag = rng.choice([-1.0, 1.0], n) * rng.uniform(2.0, 3.0, n)
+        s, lower, upper = step_coefficients(rng, 0.5)
         rhs = np.asfortranarray(rng.standard_normal((n, 2)))
-        ab = np.zeros((3, n))
-        ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
-        expected = [solve_banded((1, 1), ab, rhs[:, j]) for j in range(2)]
-        got = oracles._solve_tridiagonal(sub.copy(), diag.copy(), sup.copy(),
-                                         rhs.copy(order="F"))
+        got = oracles._solve_step(s, lower, upper, rhs.copy(order="F"))
         assert got.shape == (n, 2)
+        ab = step_matrix(s, lower, upper, n)
         for j in range(2):
-            assert np.array_equal(got[:, j], expected[j])
+            one = oracles._solve_step(s, lower, upper, rhs[:, j].copy())
+            assert np.array_equal(got[:, j], one)
+            expected = solve_banded((1, 1), ab, rhs[:, j])
+            error = solve_unsymmetrised(s, lower, upper, rhs[:, j]) - expected
+            assert np.max(np.abs(error)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_singular_system_raises(self):
-        # a zero main and super-diagonal: the last column is zero
-        with pytest.raises(ResolutionError):
-            oracles._solve_tridiagonal(np.ones(3), np.zeros(4), np.zeros(3),
-                                       np.ones(4))
+        # s = -1, lower = upper = 1/2: a zero main diagonal and off-diagonals
+        # 1/2, singular at an odd size; ptsv stops at the first pivot
+        with pytest.raises(ResolutionError, match="info 1"):
+            oracles._solve_step(-1.0, 0.5, 0.5, np.ones(5))
 
 
 class TestMcForward:
