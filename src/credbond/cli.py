@@ -413,8 +413,6 @@ def _verify_mc_spot(cfg: RunConfig) -> list[dict]:
 
 
 def _verify_parity(cfg: RunConfig) -> list[dict]:
-    if cfg.option is None:
-        raise ConfigError("option: section required for the parity suite")
     params, state, bond_spec = cfg.model, cfg.state, cfg.bond
     checks = []
     for bump in (1.0, 0.9, 1.1, 0.8, 1.25):
@@ -441,6 +439,9 @@ def run_verify(cfg: RunConfig, suite: str) -> dict:
         selected = [suite]
     else:
         raise ConfigError(f"unknown verify suite {suite!r}")
+    # before any suite runs, so that --suite all fails without the oracles
+    if "parity" in selected and cfg.option is None:
+        raise ConfigError("option: section required for the parity suite")
     checks = []
     for name in selected:
         checks.extend(suites[name](cfg))

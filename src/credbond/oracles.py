@@ -303,86 +303,70 @@ def _reduce_chunks(run_chunk, n_paths: int, workers: int,
 
     run_chunk(chunk_index, size) returns (samples, controls), two lists of
     arrays of one length; each control has mean exactly 0 under the engine's
-    own recursion.  Every estimate is regressed on the controls that enter:
-    with M the centred co-moment matrix of the n samples, C the controls
-    that enter and k their count, beta solves M_CC beta = M_Cj, the estimate
-    is mean_j - beta . mean_C and its standard error
-    sqrt(max(0, M_jj - beta . M_Cj) / (n - 1 - k) / n).  M_CC is solved in
-    correlation form by least squares, so a control that repeats another's
-    information adds nothing.  A control c enters where M_cc is positive and
-    finite and M_cc^2 / sum(c^4) >= _CONTROL_MIN_SAMPLES, the fourth powers
-    taken about c's exact mean 0: that ratio counts the samples that carry
-    c's spread, about n for a spread-out control and about m where m samples
-    hold it all, or where the rest sit off 0 by a shared offset.  A control
-    held by a handful of samples would fit the estimates' residual on them
-    and report an se that the spread across seeds does not bear out.  The
-    count is at most n, so a control enters only where n >= 10 > 1 + k for
-    the at most 4 controls an engine returns.  With none entering, the plain
-    mean and sqrt(M_jj / (n - 1) / n) apply.
+    own recursion.  The chunks' arrays join in chunk order, so all n samples
+    are held at once: 9 x 50,000 floats, about 3.6 MB, for mc_spot with an
+    option at 200,000 paths.  Each array is shifted by its first sample and
+    centred, so that equal samples give an se of exactly 0.  Each estimate
+    is one least-squares fit of its samples on the k controls that enter,
+    each scaled to unit norm: with beta the slopes, the estimate is
+    mean_j - beta . mean_C and its standard error
+    sqrt(sum(residual^2) / (n - 1 - k) / n).  A control that repeats
+    another's information adds nothing.  A control c enters where its
+    centred spread sum(c^2) is positive and finite and
+    sum(c^2)^2 / sum(c^4) >= _CONTROL_MIN_SAMPLES, the fourth powers taken
+    from the raw c, about its exact mean 0: that ratio counts the samples
+    that carry c's spread, about n for a spread-out control and about m
+    where m samples hold it all, or where the rest sit off 0 by a shared
+    offset.  A control held by a handful of samples would fit the
+    estimates' residual on them and report an se that the spread across
+    seeds does not bear out.  The count is at most n, so a control enters
+    only where n >= 10 > 1 + k for the at most 4 controls an engine
+    returns.  With none entering, the plain mean and n - 1 apply.
     The samples are the means of a group of dependent paths, an antithetic
     pair in mc_forward and two in mc_spot (see _group_means), so n counts
     len(array) samples per chunk, not its paths.
-    Each chunk gives its means and co-moment matrix, taken about its first
-    sample and then about the mean of the shifted samples, so that equal
-    samples give exactly 0; the chunks merge in order (Chan et al.).
     """
-    def moments(job):
+    def values(job):
         samples, controls = run_chunk(*job)
-        values = np.array([*samples, *controls])
-        shifted = values - values[:, :1]
-        mean = shifted.mean(axis=1)
-        centred = shifted - mean[:, None]
-        co = (centred[:, None] * centred[None]).sum(axis=-1)
-        square = values[len(samples):] ** 2
-        fourth = (square * square).sum(axis=1)
-        return len(samples), values.shape[1], values[:, 0] + mean, co, fourth
+        return len(samples), np.array([*samples, *controls])
 
     jobs = list(enumerate(min(_CHUNK, n_paths - start)
                           for start in range(0, n_paths, _CHUNK)))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(moments, jobs))
+            results = list(pool.map(values, jobs))
     else:
-        results = [moments(job) for job in jobs]
-    # fixed chunk size and in-order reduction keep the result independent of
-    # the worker count and bit-reproducible for a given seed
+        results = [values(job) for job in jobs]
+    # fixed chunk size and joining in chunk order keep the result independent
+    # of the worker count and bit-reproducible for a given seed
     n_samples = results[0][0]
-    n = 0
-    mean = np.zeros(len(results[0][2]))
-    co = np.zeros((len(mean), len(mean)))
-    fourth = np.zeros(len(mean) - n_samples)
-    for _, count, chunk_mean, chunk_co, chunk_fourth in results:
-        fourth = fourth + chunk_fourth
-        total = n + count
-        delta = chunk_mean - mean
-        mean = mean + delta * (count / total)
-        co = co + chunk_co + np.outer(delta, delta) * (n * count / total)
-        n = total
+    raw = np.concatenate([chunk for _, chunk in results], axis=1)
+    n = raw.shape[1]
+    shifted = raw - raw[:, :1]
+    mean = shifted.mean(axis=1)
+    centred = shifted - mean[:, None]
+    mean += raw[:, 0]
+    residual, controls = centred[:n_samples], centred[n_samples:]
+    spread = (controls * controls).sum(axis=1)
+    square = raw[n_samples:] ** 2
+    fourth = (square * square).sum(axis=1)
     # a control's fourth powers can underflow to 0 where its spread is
     # positive: it then has no count, and no use
-    enter = [c for c in range(n_samples, len(mean))
-             if 0.0 < co[c, c] < math.inf and fourth[c - n_samples] > 0.0
-             and co[c, c] * (co[c, c] / fourth[c - n_samples])
-             >= _CONTROL_MIN_SAMPLES]
+    enter = [c for c in range(len(controls))
+             if 0.0 < spread[c] < math.inf and fourth[c] > 0.0
+             and spread[c] * (spread[c] / fourth[c]) >= _CONTROL_MIN_SAMPLES]
+    est = mean[:n_samples]
     if enter:
-        scale = np.sqrt(co[enter, enter])
-        corr = co[np.ix_(enter, enter)] / np.outer(scale, scale)
-        beta = np.linalg.lstsq(corr, co[enter, :n_samples] / scale[:, None],
-                               rcond=None)[0] / scale[:, None]
-    estimates = []
-    for j in range(n_samples):
-        if enter:
-            est = mean[j] - beta[:, j] @ mean[enter]
-            var = (max(0.0, co[j, j] - beta[:, j] @ co[enter, j])
-                   / (n - 1 - len(enter)))
-        elif n > 1:
-            est, var = mean[j], co[j, j] / (n - 1)
-        else:
-            est, var = mean[j], math.inf
-        estimates.append(McEstimate(mean=float(est),
-                                    std_error=float(np.sqrt(var / n)),
-                                    n_paths=n_paths, seed=seed))
-    return estimates
+        scale = np.sqrt(spread[enter])
+        basis = controls[enter] / scale[:, None]
+        beta = np.linalg.lstsq(basis.T, residual.T, rcond=None)[0]
+        residual = residual - beta.T @ basis
+        est = est - (beta / scale[:, None]).T @ mean[n_samples:][enter]
+    var = ((residual * residual).sum(axis=1) / (n - 1 - len(enter)) if n > 1
+           else np.full(n_samples, math.inf))
+    return [McEstimate(mean=float(m), std_error=float(np.sqrt(v / n)),
+                       n_paths=n_paths, seed=seed)
+            for m, v in zip(est, var)]
 
 
 def _survival_mean(g0: float, var: float) -> float:

@@ -790,6 +790,23 @@ class TestVerify:
         assert result.exit_code == 3, result.output
         assert "ResolutionError" in result.output
 
+    def test_all_suites_without_option_exit_2_before_any_oracle(
+            self, tmp_path, monkeypatch):
+        # the parity suite needs the option section: --suite all refuses
+        # the config before the oracles run, as --suite parity does
+        import credbond.cli as cli_mod
+
+        def oracle_run(cfg):
+            raise AssertionError("an oracle ran before the config error")
+
+        monkeypatch.setattr(cli_mod, "_verify_fd", oracle_run)
+        path = make_config(tmp_path, lambda d: d.pop("option"))
+        for suite in ("all", "parity"):
+            result = runner.invoke(main, ["verify", "--config", path,
+                                          "--suite", suite])
+            assert result.exit_code == 2, (result.output, result.exception)
+            assert "option: section required" in result.output
+
     def test_mc_forward_suite(self, config_path):
         result = runner.invoke(main, ["verify", "--config", config_path,
                                       "--suite", "mc-forward"])

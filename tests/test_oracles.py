@@ -790,31 +790,22 @@ class TestMcSpotPathStep:
 def plain_estimates(run_chunk, n_paths, seed):
     """McEstimates of run_chunk's arrays with no control: mean and sqrt(var/n).
 
-    The reduction as it stood before the engines regressed on a control,
-    written out here: each array centred on its own, in chunk order.
+    The reduction with no control entering, written out here: the chunks'
+    arrays joined in chunk order, each shifted by its first sample and
+    centred once.
     """
-    n, mean, m2 = 0, None, None
-    for chunk_index, start in enumerate(range(0, n_paths, oracles._CHUNK)):
-        values = run_chunk(chunk_index, min(oracles._CHUNK, n_paths - start))
-        out = []
-        for v in values:
-            shifted = v - v[0]
-            m = shifted.mean()
-            centred = shifted - m
-            out.append((v[0] + m, (centred * centred).sum()))
-        chunk = np.array(out)
-        if mean is None:
-            mean = m2 = np.zeros(len(chunk))
-        count = len(values[0])
-        total = n + count
-        delta = chunk[:, 0] - mean
-        mean = mean + delta * (count / total)
-        m2 = m2 + chunk[:, 1] + delta * delta * (n * count / total)
-        n = total
-    std_error = np.sqrt(m2 / (n - 1) / n)
+    values = np.concatenate([
+        np.array(run_chunk(chunk_index, min(oracles._CHUNK, n_paths - start)))
+        for chunk_index, start in enumerate(range(0, n_paths, oracles._CHUNK))
+    ], axis=1)
+    n = values.shape[1]
+    shifted = values - values[:, :1]
+    mean = shifted.mean(axis=1)
+    centred = shifted - mean[:, None]
+    std_error = np.sqrt((centred * centred).sum(axis=1) / (n - 1) / n)
     return [oracles.McEstimate(mean=float(m), std_error=float(se),
                                n_paths=n_paths, seed=seed)
-            for m, se in zip(mean, std_error)]
+            for m, se in zip(mean + values[:, 0], std_error)]
 
 
 def with_run_chunk(monkeypatch, engine, *args, **kwargs):
@@ -972,6 +963,32 @@ class TestControlVariate:
         (got,) = oracles._reduce_chunks(run_chunk, 9000, 1, 0)
         (plain,) = plain_estimates(lambda *job: run_chunk(*job)[0], 9000, 0)
         assert got == plain
+
+    def test_control_off_its_mean_by_a_shared_offset_stays_out(self):
+        # 1 + 1e-3 z spreads as 1e-3 z but sits off its exact mean 0 by 1:
+        # about its mean 0 its fourth powers count 9e-9 samples, not 3000.
+        # Fitted on, it would match z exactly and read a mean of -1000
+        def run_chunk(chunk_index, size):
+            z = np.random.default_rng(chunk_index).standard_normal(size)
+            return [z], [1.0 + 1e-3 * z]
+        (got,) = oracles._reduce_chunks(run_chunk, 9000, 1, 0)
+        (plain,) = plain_estimates(lambda *job: run_chunk(*job)[0], 9000, 0)
+        assert got == plain
+
+    def test_control_repeating_another_adds_nothing(self):
+        # [c, 2c] spans what [c] does: the same fit, with one more degree of
+        # freedom taken, so se^2 grows by (n - 2) / (n - 3)
+        def run_chunk(chunk_index, size, repeat):
+            rng = np.random.default_rng(chunk_index)
+            c = rng.standard_normal(size)
+            z = c + rng.standard_normal(size)
+            return [z], [c, 2.0 * c] if repeat else [c]
+        (once,) = oracles._reduce_chunks(
+            lambda *job: run_chunk(*job, False), 9000, 1, 0)
+        (twice,) = oracles._reduce_chunks(
+            lambda *job: run_chunk(*job, True), 9000, 1, 0)
+        assert abs(twice.mean - once.mean) <= 1e-15 * abs(once.mean)
+        assert 0.0 < twice.std_error - once.std_error <= 1e-4 * once.std_error
 
 
 class TestSurvivalMean:
