@@ -357,9 +357,10 @@ def _verify_fd(cfg: RunConfig) -> list[dict]:
     checks.append(_check("fd straight bond max relative error", 0.0, worst, 1e-4))
 
     spec = cfg.option
-    # from T1 on the option is its payoff or gone, and one ulp before it the
-    # FD window has no room for a step: nothing to check
-    if spec is not None and math.nextafter(state.t, math.inf) < spec.expiry_T1:
+    # from T1 on the option is its payoff or gone, and with no variance left
+    # before T1 the closed forms price it as its payoff: nothing to check
+    if (spec is not None and state.t < spec.expiry_T1
+            and model.cum_variance(state.t, spec.expiry_T1, T, params) > 0.0):
         T1 = spec.expiry_T1
 
         def payoffs(x):

@@ -2,7 +2,9 @@
 
 A Crank-Nicolson solver for the reduced one-dimensional barrier PDE
   u_t + 0.5 * sigma_x^2(t; T) * x^2 * u_xx = 0   (x > B)
-in ln x, each step one symmetric positive-definite tridiagonal solve, and
+in ln x, marched in equal steps of the variance clock v = int sigma_x^2 du,
+where its coefficients are constant: every step solves one symmetric
+positive-definite tridiagonal matrix, factored once for the march, and
 two Monte-Carlo pricers: a forward-measure engine for the driftless ratio x
 (exact lognormal stepping with Brownian-bridge barrier correction) and a
 risk-neutral two-factor engine simulating (r, V) jointly.  Each Monte-Carlo
@@ -19,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg.lapack import dptsv
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import model
 from .bond import BondSpec, _unit_value
@@ -62,18 +64,26 @@ class GridSolution:
     """Backward-solved surface u(x, t) on a uniform grid in ln x.
 
     values has shape (nt + 1, nx + 1) for a payoff of one row and
-    (nt + 1, m, nx + 1) for a payoff of m rows; values[k] is at times[k].
+    (nt + 1, m, nx + 1) for a payoff of m rows.  values[k] is the slice with
+    variances[k] of variance left to t1, evenly spaced from the window's
+    whole variance at k = 0 to 0 at k = nt.  t0, t1, bond_T and params are
+    cn_solve's: interpolate maps a time t to cum_variance over [t, t1].
     """
 
     log_x_nodes: np.ndarray
-    times: np.ndarray
+    variances: np.ndarray
     values: np.ndarray
+    t0: float
+    t1: float
+    bond_T: float
+    params: model.ModelParams
 
     def interpolate(self, x, t: float):
-        """u at (x, t): cubic in ln x, linear between stored time slices.
+        """u at (x, t): cubic in ln x, linear in variance between slices.
 
-        Returns shape x.shape for a payoff of one row and (m,) + x.shape for
-        one of m rows.  Raises DomainError for a non-finite x or t,
+        A t before t0 reads the slice at t0 and one after t1 the slice at
+        t1.  Returns shape x.shape for a payoff of one row and (m,) + x.shape
+        for one of m rows.  Raises DomainError for a non-finite x or t,
         ResolutionError for an x beyond the grid's far node, where the
         spline would extrapolate, and BelowBarrier for an x below the first
         node whose ln x lies below it too.  So x = B and the first node pass
@@ -94,39 +104,42 @@ class GridSolution:
                 raise BelowBarrier(f"x = {v} is below the grid's barrier node")
         y = np.maximum(np.log(x), log_b)
 
-        def at(k: int):
-            return CubicSpline(self.log_x_nodes, self.values[k], axis=-1)(y)
+        # p, the slice index of t, fractional between slices
+        nt = len(self.variances) - 1
+        if t <= self.t0:
+            p = 0.0
+        elif t >= self.t1:
+            p = float(nt)
+        else:
+            left = model.cum_variance(t, self.t1, self.bond_T, self.params)
+            # roundoff can put left a little outside [0, variances[0]]
+            p = min(max(nt * (1.0 - left / self.variances[0]), 0.0), nt)
+        k = min(int(p), nt - 1)
+        w = p - k
+        # a spline is linear in its data: blend the slices, then fit once
+        blended = (1.0 - w) * self.values[k] + w * self.values[k + 1]
+        return CubicSpline(self.log_x_nodes, blended, axis=-1)(y)
 
-        times = self.times
-        if t <= times[0]:
-            return at(0)
-        if t >= times[-1]:
-            return at(-1)
-        k = int(np.searchsorted(times, t))
-        t_lo, t_hi = times[k - 1], times[k]
-        w_hi = (t - t_lo) / (t_hi - t_lo)
-        return (1.0 - w_hi) * at(k - 1) + w_hi * at(k)
 
-
-def _solve_step(s: float, lower: float, upper: float,
-                rhs: np.ndarray) -> np.ndarray:
-    """y with D M D^-1 y = rhs, M = I - s tridiag(lower, -(lower + upper), upper).
+def _step_factors(s: float, lower: float, upper: float,
+                  n: int) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK pttrf's factors of D M D^-1, M = I - s tridiag(lower,
+    -(lower + upper), upper) of size n.
 
     D = diag(rho^i), rho = sqrt(upper / lower) with lower, upper >= 0, makes
     it symmetric, off-diagonal -s sqrt(lower upper), and for s >= 0 positive
-    definite, as 1 + s (lower + upper) > 2 s sqrt(lower upper): LAPACK ptsv
-    solves it by LDL^T with no pivoting.  rhs, one right-hand side of shape
-    (n,) or several as the columns of a Fortran-ordered (n, nrhs) array, is
-    overwritten by y.  Raises ResolutionError where ptsv finds it indefinite.
+    definite, as 1 + s (lower + upper) > 2 s sqrt(lower upper): pttrf
+    factors it as L D L^T with no pivoting, and pttrs solves with the
+    factors, (n,) d and (n - 1,) e.  Raises ResolutionError where pttrf
+    finds it indefinite.
     """
-    n = len(rhs)
     diag = np.full(n, 1.0 + s * (lower + upper))
     off = np.full(n - 1, -s * math.sqrt(lower * upper))
-    *_, y, info = dptsv(diag, off, rhs, 1, 1, 1)
+    d, e, info = dpttrf(diag, off, 1, 1)
     if info != 0:
         raise ResolutionError(
-            f"Crank-Nicolson system not positive definite (ptsv info {info})")
-    return y
+            f"Crank-Nicolson system not positive definite (pttrf info {info})")
+    return d, e
 
 
 def cn_solve(
@@ -146,20 +159,24 @@ def cn_solve(
     payoffs as the rows of an (m, nx + 1) array.  The m payoffs march as one
     system with m right-hand sides, each row as its own solve would to the
     bit; GridSolution says how the surface and interpolate are shaped.
+    The march runs in the variance clock v = cum_variance, in which the PDE
+    u_v + (u_yy - u_y) / 2 = 0, y = ln x, has constant coefficients: grid.nt
+    steps of equal variance dv = cum_variance(t0, t1, bond_T) / grid.nt.
     Rannacher smoothing is always on: the first step after the terminal
-    condition is replaced by two half-sized fully-implicit steps.  A window
-    too short for grid.nt steps of nonzero length, half steps included,
-    raises ResolutionError; a variance too small for grid.nx ln x steps
-    equal to within _GRID_UNIFORMITY of a step, DegenerateVariance; a far
-    node beyond the float range, DomainError.
-    Each step is one _solve_step, M = I - s A its implicit side: with y =
-    M^-1 (v + s upper far e_last), a fully-implicit half step is v_new = y
-    and a Crank-Nicolson step v_new = 2 y - v, as I + s A = 2 I - M.  The
-    interior marches as D v, divided by D once at the end.  An ln x step
-    h >= 2, where upper <= 0 and the scheme is not monotone, or a
-    rho^(nx - 2) below the smallest normal float raises ResolutionError.
-    ptsv does not check its input, so a non-finite payoff raises DomainError
-    before the first step, as does a surface that overflows on the way.
+    condition is replaced by two fully-implicit steps of dv / 2.  A window
+    with no variance raises ResolutionError; a variance too small for
+    grid.nx ln x steps equal to within _GRID_UNIFORMITY of a step,
+    DegenerateVariance; a far node beyond the float range, DomainError.
+    Both kinds of step solve one matrix M = I - (dv / 2) A, factored once by
+    _step_factors, each solve one pttrs: with y = M^-1 (v + s upper far
+    e_last), s = dv / 2, a half step is v_new = y and a Crank-Nicolson step
+    v_new = 2 y - v, as I + s A = 2 I - M.  The interior marches as D v,
+    divided by D once at the end.  An ln x step h >= 2, where upper <= 0
+    and the scheme is not monotone, a rho^(nx - 2) below the smallest normal
+    float, or s > 1e4 h^2, too large a step for the half steps to damp,
+    raises ResolutionError.  pttrs does not check its input, so a non-finite
+    payoff raises DomainError before the first step, as does a surface that
+    overflows on the way.
     """
     if grid is None:
         grid = GridConfig()
@@ -181,23 +198,18 @@ def cn_solve(
         raise DegenerateVariance(
             f"variance over [{t0}, {bond_T}] is too small for {grid.nx} "
             "uniform ln x steps")
-    # D's diagonal rho^i, rho^2 = upper / lower = (2 - h) / (2 + h) at every
-    # step; at h >= 2 it is 0 from i = 1 on
+    # D's diagonal rho^i, rho^2 = upper / lower = (2 - h) / (2 + h); at
+    # h >= 2 it is 0 from i = 1 on
     scale = math.sqrt(max((2.0 - h) / (2.0 + h), 0.0)) ** np.arange(grid.nx - 1)
     if not scale[-1] >= np.finfo(float).tiny:
         raise ResolutionError(
             f"ln x step {h} too large at nx = {grid.nx}: the scheme is not "
             "monotone, or its symmetric form underflows")
-    times = np.linspace(t0, t1, grid.nt + 1)
-    dt = times[1] - times[0]
-    mid = 0.5 * (times[-2] + times[-1])  # where the two half steps meet
-    if not (np.all(np.diff(times) > 0.0) and times[-2] < mid < times[-1]):
-        raise ResolutionError(
-            f"window [{t0}, {t1}] too short for {grid.nt} time steps")
-
-    sig2_max = max(model.sigma_x2(u, bond_T, params)
-                   for u in np.linspace(t0, t1, 33))
-    if sig2_max * dt / (2.0 * h * h) > 1e4:
+    window_var = model.cum_variance(t0, t1, bond_T, params)
+    if window_var == 0.0:
+        raise ResolutionError(f"no variance over [{t0}, {t1}] to march in")
+    s = 0.5 * window_var / grid.nt
+    if s > 1e4 * h * h:
         raise ResolutionError(
             "time step too large relative to spatial step for damped smoothing")
 
@@ -206,35 +218,34 @@ def cn_solve(
         raise DomainError("terminal payoff is not finite on the grid")
     # values[n] holds the m payoffs' slices as rows, their interior D v below
     # the terminal slice until the march ends.  rhs holds the m right-hand
-    # sides as rows: its transpose is the Fortran (nx - 1, m) array ptsv takes
+    # sides as rows: its transpose is the Fortran (nx - 1, m) array pttrs
+    # overwrites with its solution
     rows = payoff.reshape(-1, grid.nx + 1)
     values = np.empty((grid.nt + 1,) + rows.shape)
     values[grid.nt] = rows
     values[:, :, 0] = 0.0  # knocked out at the barrier: nothing to add to rhs[0]
     values[:, :, -1] = values[grid.nt, :, -1]
-    far = values[grid.nt, :, -1] * scale[-1]
     marched = values[:grid.nt, :, 1:-1]
     rhs = values[grid.nt, :, 1:-1] * scale  # the first half step's D v
+    lower = 0.5 * (1.0 / (h * h) + 1.0 / (2.0 * h))
+    upper = 0.5 * (1.0 / (h * h) - 1.0 / (2.0 * h))
+    d, e = _step_factors(s, lower, upper, grid.nx - 1)
+    # the far node's term of each step, s upper u_far in D's scaling
+    far = s * upper * values[grid.nt, :, -1] * scale[-1]
 
-    def solve(t_lo: float, t_hi: float, implicit_weight: float) -> None:
-        # rhs <- y = (D M D^-1)^-1 (rhs + s upper far e_last), for the step
-        # over [t_lo, t_hi] with s = span implicit_weight
-        span = t_hi - t_lo
-        sig2 = model.cum_variance(t_lo, t_hi, bond_T, params) / span
-        lower = 0.5 * sig2 * (1.0 / (h * h) + 1.0 / (2.0 * h))
-        upper = 0.5 * sig2 * (1.0 / (h * h) - 1.0 / (2.0 * h))
-        s = span * implicit_weight
-        rhs[:, -1] += s * upper * far
-        _solve_step(s, lower, upper, rhs.T)
+    def solve() -> None:
+        # rhs <- y = (D M D^-1)^-1 (rhs + far e_last)
+        rhs[:, -1] += far
+        dpttrs(d, e, rhs.T, 1)
 
     # an overflow is caught on the whole surface, below
     with np.errstate(over="ignore", invalid="ignore"):
-        solve(mid, times[-1], implicit_weight=1.0)
-        solve(times[-2], mid, implicit_weight=1.0)
+        solve()
+        solve()
         marched[-1] = rhs
         for n in range(grid.nt - 2, -1, -1):
             rhs[:] = marched[n + 1]
-            solve(times[n], times[n + 1], implicit_weight=0.5)
+            solve()
             np.multiply(rhs, 2.0, out=marched[n])
             np.subtract(marched[n], marched[n + 1], out=marched[n])
         np.divide(marched, scale, out=marched)
@@ -243,7 +254,10 @@ def cn_solve(
 
     if payoff.ndim == 1:
         values = values[:, 0]
-    return GridSolution(log_x_nodes=y, times=times, values=values)
+    return GridSolution(log_x_nodes=y,
+                        variances=np.linspace(window_var, 0.0, grid.nt + 1),
+                        values=values, t0=t0, t1=t1, bond_T=bond_T,
+                        params=params)
 
 
 @dataclass(frozen=True)

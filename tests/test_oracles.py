@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dpttrs
 from scipy.special import ndtr
 
 from credbond import (
@@ -89,14 +89,33 @@ class TestCnSolve:
 
     @pytest.mark.parametrize("t0,nt", [
         (math.nextafter(1.0, 0.0), 800),
-        # one step of one ulp: only the two half steps have zero length
         (math.nextafter(1.0, 0.0), 1),
         (1.0 - 1e-13, 800),
     ])
     def test_rejects_steps_of_zero_length(self, t0, nt):
-        with pytest.raises(ResolutionError):
-            cn_solve(unit_payoff, t0, 1.0, 2.0, BENCH,
-                     grid=GridConfig(nx=800, nt=nt))
+        # windows of 1 and 901 ulps, where steps of equal time would round
+        # to zero length: steps of equal variance march them, and the
+        # surface at t0 is the survival over the window
+        sol = cn_solve(unit_payoff, t0, 1.0, 2.0, BENCH,
+                       grid=GridConfig(nx=800, nt=nt))
+        for x in (0.7, 1.0, 1.5):
+            exact = survival_curve(x, t0, 1.0, 2.0, BENCH)
+            assert abs(float(sol.interpolate(x, t0)) - exact) <= 1e-12
+
+    def test_rejects_window_without_variance(self):
+        # at s_V = 0 the variance over the last ulp before T1 is exactly 0
+        params = dataclasses.replace(BENCH, s_V=0.0)
+        t0 = math.nextafter(1.0, 0.0)
+        assert model.cum_variance(t0, 1.0, 2.0, params) == 0.0
+        with pytest.raises(ResolutionError, match="no variance"):
+            cn_solve(unit_payoff, t0, 1.0, 2.0, params,
+                     grid=GridConfig(nx=800, nt=800))
+
+    def test_rejects_step_too_large_for_damped_smoothing(self):
+        # one step of the whole variance: dv / 2 = 1.1e4 h^2
+        with pytest.raises(ResolutionError, match="damped smoothing"):
+            cn_solve(unit_payoff, 0.0, 2.0, 2.0, BENCH,
+                     grid=GridConfig(nx=1200, nt=1))
 
     def test_rejects_grid_spacing_at_roundoff(self):
         # sqrt(I) = 5.7e-16 over [0, 1e-9]: at nx = 40 the step is one ulp of
@@ -223,18 +242,21 @@ class TestGridSolutionInterpolate:
 
 
 def reference_cn_solve(terminal_payoff, t0, t1, bond_T, params, grid):
-    """cn_solve as it stood when each step formed its right-hand side by an
-    explicit tridiagonal product and solved the unsymmetrised system by
-    LAPACK gtsv, with partial pivoting.  Written out from that engine; its
-    refusals are left out, so the grid must pass them.
+    """cn_solve's equal-variance march with each step's right-hand side
+    formed by an explicit tridiagonal product and the unsymmetrised system
+    solved by LAPACK gtsv, with partial pivoting.  Its refusals are left
+    out, so the grid must pass them.
     """
     b = params.barrier_b
     total_var = model.cum_variance(t0, bond_T, bond_T, params)
     width = oracles._DOMAIN_WIDTH_SIGMAS * math.sqrt(total_var)
     y = np.linspace(math.log(b), math.log(b) + width, grid.nx + 1)
     h = y[1] - y[0]
-    times = np.linspace(t0, t1, grid.nt + 1)
-    mid = 0.5 * (times[-2] + times[-1])
+    dv = model.cum_variance(t0, t1, bond_T, params) / grid.nt
+    # u_v = A u in the variance clock, A = tridiag(lower, centre, upper)
+    lower = 0.5 * (1.0 / (h * h) + 1.0 / (2.0 * h))
+    centre = -1.0 / (h * h)
+    upper = 0.5 * (1.0 / (h * h) - 1.0 / (2.0 * h))
 
     payoff = np.asarray(terminal_payoff(np.exp(y)), dtype=float)
     rows = payoff.reshape(-1, grid.nx + 1)
@@ -248,13 +270,7 @@ def reference_cn_solve(terminal_payoff, t0, t1, bond_T, params, grid):
     sub, diag, sup = np.empty(n_int - 1), np.empty(n_int), np.empty(n_int - 1)
     rhs, term = np.empty((2, len(far), n_int))
 
-    def step(later, n, t_lo, t_hi, implicit_weight):
-        span = t_hi - t_lo
-        sig2 = model.cum_variance(t_lo, t_hi, bond_T, params) / span
-        lower = 0.5 * sig2 * (1.0 / (h * h) + 1.0 / (2.0 * h))
-        centre = -sig2 / (h * h)
-        upper = 0.5 * sig2 * (1.0 / (h * h) - 1.0 / (2.0 * h))
-
+    def step(later, n, span, implicit_weight):
         u = values[later]
         explicit = 1.0 - implicit_weight
         np.multiply(lower, u[:, :-2], out=rhs)
@@ -274,12 +290,11 @@ def reference_cn_solve(terminal_payoff, t0, t1, bond_T, params, grid):
         values[n, :, 1:-1] = x.T
 
     for n in range(grid.nt - 1, -1, -1):
-        t_lo, t_hi = times[n], times[n + 1]
         if n == grid.nt - 1:
-            step(n + 1, n, mid, t_hi, implicit_weight=1.0)
-            step(n, n, t_lo, mid, implicit_weight=1.0)
+            step(n + 1, n, 0.5 * dv, implicit_weight=1.0)
+            step(n, n, 0.5 * dv, implicit_weight=1.0)
         else:
-            step(n + 1, n, t_lo, t_hi, implicit_weight=0.5)
+            step(n + 1, n, dv, implicit_weight=0.5)
     if payoff.ndim == 1:
         values = values[:, 0]
     return values
@@ -328,11 +343,19 @@ def step_matrix(s, lower, upper, n):
     return ab
 
 
+def solve_factored(s, lower, upper, rhs):
+    """pttrs on the _step_factors of M = step_matrix(...): the solution of
+    the symmetric form for each column of the (n, nrhs) rhs."""
+    d, e = oracles._step_factors(s, lower, upper, len(rhs))
+    x, info = dpttrs(d, e, rhs)
+    assert info == 0
+    return x
+
+
 def solve_unsymmetrised(s, lower, upper, rhs):
-    """x with M x = rhs, M = step_matrix(...), by _solve_step on D rhs."""
+    """x with M x = rhs, M = step_matrix(...), from the factors of D M D^-1."""
     d = math.sqrt(upper / lower) ** np.arange(len(rhs))
-    d = d.reshape((-1,) + (1,) * (rhs.ndim - 1))
-    return oracles._solve_step(s, lower, upper, np.asfortranarray(rhs * d)) / d
+    return solve_factored(s, lower, upper, (rhs * d)[:, None])[:, 0] / d
 
 
 def step_coefficients(rng, h):
@@ -344,7 +367,7 @@ def step_coefficients(rng, h):
 
 
 class TestSolveTridiagonal:
-    """_solve_step, the symmetric form of one step's tridiagonal system."""
+    """_step_factors, the factored symmetric form of the step matrix."""
 
     @pytest.mark.parametrize("n", [5, 799])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -373,21 +396,21 @@ class TestSolveTridiagonal:
         rng = np.random.default_rng(n)
         s, lower, upper = step_coefficients(rng, 0.5)
         rhs = np.asfortranarray(rng.standard_normal((n, 2)))
-        got = oracles._solve_step(s, lower, upper, rhs.copy(order="F"))
+        got = solve_factored(s, lower, upper, rhs)
         assert got.shape == (n, 2)
         ab = step_matrix(s, lower, upper, n)
         for j in range(2):
-            one = oracles._solve_step(s, lower, upper, rhs[:, j].copy())
-            assert np.array_equal(got[:, j], one)
+            one = solve_factored(s, lower, upper, rhs[:, j:j + 1])
+            assert np.array_equal(got[:, j], one[:, 0])
             expected = solve_banded((1, 1), ab, rhs[:, j])
             error = solve_unsymmetrised(s, lower, upper, rhs[:, j]) - expected
             assert np.max(np.abs(error)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_singular_system_raises(self):
         # s = -1, lower = upper = 1/2: a zero main diagonal and off-diagonals
-        # 1/2, singular at an odd size; ptsv stops at the first pivot
+        # 1/2, singular at an odd size; pttrf stops at the first pivot
         with pytest.raises(ResolutionError, match="info 1"):
-            oracles._solve_step(-1.0, 0.5, 0.5, np.ones(5))
+            oracles._step_factors(-1.0, 0.5, 0.5, 5)
 
 
 class TestMcForward:
