@@ -2,9 +2,9 @@
 
 A Crank-Nicolson solver for the reduced one-dimensional barrier PDE
   u_t + 0.5 * sigma_x^2(t; T) * x^2 * u_xx = 0   (x > B)
-in ln x, marched in equal steps of the variance clock v = int sigma_x^2 du,
-where its coefficients are constant: every step solves one symmetric
-positive-definite tridiagonal matrix, factored once for the march, and
+in ln x, marched in the variance clock v = int sigma_x^2 du, where its
+coefficients are constant: each step size's symmetric positive-definite
+tridiagonal matrix is factored once for the march, and
 two Monte-Carlo pricers: a forward-measure engine for the driftless ratio x
 (exact lognormal stepping with Brownian-bridge barrier correction) and a
 risk-neutral two-factor engine simulating (r, V) jointly.  Each Monte-Carlo
@@ -38,6 +38,11 @@ from .errors import (
 
 _CHUNK = 8192
 _DOMAIN_WIDTH_SIGMAS = 8.0
+# from the payoff back, cn_solve takes _LADDER_STEPS steps of dv / 2^j for
+# j = _LADDER_LEVELS (twice as many) down to 1, then steps of dv: over the
+# last 24 dv of variance a step is at most 1/24 of the variance left after it
+_LADDER_LEVELS = 6
+_LADDER_STEPS = 24
 # cn_solve's steps take node i at ln B + i h: a node off that place by this
 # fraction of h moves a read by as small a fraction of one step's change
 _GRID_UNIFORMITY = 1e-6
@@ -63,17 +68,17 @@ class GridConfig:
 class GridSolution:
     """Backward-solved surface u(x, t) on a uniform grid in ln x.
 
-    values has shape (nt + 1, nx + 1) for a payoff of one row and
-    (nt + 1, m, nx + 1) for a payoff of m rows.  values[k] is the slice with
-    variances[k] of variance left to t1, evenly spaced from the window's
-    whole variance at k = 0 to 0 at k = nt.  t0, t1, bond_T and params are
-    cn_solve's: interpolate maps a time t to cum_variance over [t, t1].
+    values has shape (n + 1, nx + 1) for a payoff of one row and
+    (n + 1, m, nx + 1) for a payoff of m rows, n being cn_solve's number of
+    steps.  values[k] is the slice with variances[k] of variance left to
+    t1, falling from the window's whole variance at k = 0 to 0 at k = n.
+    t1, bond_T and params are cn_solve's: interpolate maps a time t to
+    cum_variance over [t, t1].
     """
 
     log_x_nodes: np.ndarray
     variances: np.ndarray
     values: np.ndarray
-    t0: float
     t1: float
     bond_T: float
     params: model.ModelParams
@@ -81,14 +86,14 @@ class GridSolution:
     def interpolate(self, x, t: float):
         """u at (x, t): cubic in ln x, linear in variance between slices.
 
-        A t before t0 reads the slice at t0 and one after t1 the slice at
-        t1.  Returns shape x.shape for a payoff of one row and (m,) + x.shape
-        for one of m rows.  Raises DomainError for a non-finite x or t,
-        ResolutionError for an x beyond the grid's far node, where the
-        spline would extrapolate, and BelowBarrier for an x below the first
-        node whose ln x lies below it too.  So x = B and the first node pass
-        whichever way exp(ln B) rounds, and both are taken at the node,
-        where u is 0.
+        A t before the window reads its first slice and one after t1 the
+        slice at t1.  Returns shape x.shape for a payoff of one row and
+        (m,) + x.shape for one of m rows.  Raises DomainError for a
+        non-finite x or t, ResolutionError for an x beyond the grid's far
+        node, where the spline would extrapolate, and BelowBarrier for an x
+        below the first node whose ln x lies below it too.  So x = B and the
+        first node pass whichever way exp(ln B) rounds, and both are taken
+        at the node, where u is 0.
         """
         x = np.asarray(x, dtype=float)
         if not (np.all(np.isfinite(x)) and math.isfinite(t)):
@@ -104,17 +109,14 @@ class GridSolution:
                 raise BelowBarrier(f"x = {v} is below the grid's barrier node")
         y = np.maximum(np.log(x), log_b)
 
-        # p, the slice index of t, fractional between slices
-        nt = len(self.variances) - 1
-        if t <= self.t0:
-            p = 0.0
-        elif t >= self.t1:
-            p = float(nt)
-        else:
-            left = model.cum_variance(t, self.t1, self.bond_T, self.params)
-            # roundoff can put left a little outside [0, variances[0]]
-            p = min(max(nt * (1.0 - left / self.variances[0]), 0.0), nt)
-        k = min(int(p), nt - 1)
+        # p, the slice index of t, fractional between slices; np.interp
+        # takes a variance beyond the window's to slice 0
+        left = (model.cum_variance(t, self.t1, self.bond_T, self.params)
+                if t < self.t1 else 0.0)
+        n = len(self.variances) - 1
+        p = float(np.interp(left, self.variances[::-1],
+                            np.arange(n, -1, -1.0)))
+        k = min(int(p), n - 1)
         w = p - k
         # a spline is linear in its data: blend the slices, then fit once
         blended = (1.0 - w) * self.values[k] + w * self.values[k + 1]
@@ -160,23 +162,27 @@ def cn_solve(
     system with m right-hand sides, each row as its own solve would to the
     bit; GridSolution says how the surface and interpolate are shaped.
     The march runs in the variance clock v = cum_variance, in which the PDE
-    u_v + (u_yy - u_y) / 2 = 0, y = ln x, has constant coefficients: grid.nt
-    steps of equal variance dv = cum_variance(t0, t1, bond_T) / grid.nt.
-    Rannacher smoothing is always on: the first step after the terminal
-    condition is replaced by two fully-implicit steps of dv / 2.  A window
-    with no variance raises ResolutionError; a variance too small for
-    grid.nx ln x steps equal to within _GRID_UNIFORMITY of a step,
+    u_v + (u_yy - u_y) / 2 = 0, y = ln x, has constant coefficients, in
+    steps of dv = cum_variance(t0, t1, bond_T) / grid.nt that halve toward
+    the payoff (see _LADDER_LEVELS), grid.nt + q _LADDER_LEVELS in all,
+    q = min(_LADDER_STEPS, grid.nt): a read where sigma_x^2 falls to 0 at
+    the payoff, the last tenth of the time holding a few thousandths of the
+    variance, lies many steps from it.  Rannacher smoothing is always on:
+    the first step after the terminal condition is replaced by two
+    fully-implicit half steps.
+    A window with no variance raises ResolutionError; a variance too small
+    for grid.nx ln x steps equal to within _GRID_UNIFORMITY of a step,
     DegenerateVariance; a far node beyond the float range, DomainError.
-    Both kinds of step solve one matrix M = I - (dv / 2) A, factored once by
-    _step_factors, each solve one pttrs: with y = M^-1 (v + s upper far
-    e_last), s = dv / 2, a half step is v_new = y and a Crank-Nicolson step
-    v_new = 2 y - v, as I + s A = 2 I - M.  The interior marches as D v,
-    divided by D once at the end.  An ln x step h >= 2, where upper <= 0
-    and the scheme is not monotone, a rho^(nx - 2) below the smallest normal
-    float, or s > 1e4 h^2, too large a step for the half steps to damp,
-    raises ResolutionError.  pttrs does not check its input, so a non-finite
-    payoff raises DomainError before the first step, as does a surface that
-    overflows on the way.
+    Both kinds of step of one size solve one matrix M = I - s A, s half
+    that size, factored once by _step_factors, each solve one pttrs: with
+    y = M^-1 (v + s upper far e_last), a half step is v_new = y and a
+    Crank-Nicolson step v_new = 2 y - v, as I + s A = 2 I - M.  The
+    interior marches as D v, divided by D once at the end.  An ln x step
+    h >= 2, where upper <= 0 and the scheme is not monotone, a
+    rho^(nx - 2) below the smallest normal float, or dv / 2 > 1e4 h^2, too
+    large a step for the half steps to damp, raises ResolutionError.  pttrs
+    does not check its input, so a non-finite payoff raises DomainError
+    before the first step, as does a surface that overflows on the way.
     """
     if grid is None:
         grid = GridConfig()
@@ -208,10 +214,15 @@ def cn_solve(
     window_var = model.cum_variance(t0, t1, bond_T, params)
     if window_var == 0.0:
         raise ResolutionError(f"no variance over [{t0}, {t1}] to march in")
-    s = 0.5 * window_var / grid.nt
-    if s > 1e4 * h * h:
+    dv = window_var / grid.nt
+    if 0.5 * dv > 1e4 * h * h:
         raise ResolutionError(
             "time step too large relative to spatial step for damped smoothing")
+    # the step from slice k + 1 back to slice k is dv / 2^exps[k]
+    q = min(_LADDER_STEPS, grid.nt)
+    exps = np.repeat(np.arange(_LADDER_LEVELS + 1),
+                     [grid.nt - q] + [q] * (_LADDER_LEVELS - 1) + [2 * q])
+    n = len(exps)
 
     payoff = np.asarray(terminal_payoff(np.exp(y)), dtype=float)
     if not np.all(np.isfinite(payoff)):
@@ -221,43 +232,47 @@ def cn_solve(
     # sides as rows: its transpose is the Fortran (nx - 1, m) array pttrs
     # overwrites with its solution
     rows = payoff.reshape(-1, grid.nx + 1)
-    values = np.empty((grid.nt + 1,) + rows.shape)
-    values[grid.nt] = rows
+    values = np.empty((n + 1,) + rows.shape)
+    values[n] = rows
     values[:, :, 0] = 0.0  # knocked out at the barrier: nothing to add to rhs[0]
-    values[:, :, -1] = values[grid.nt, :, -1]
-    marched = values[:grid.nt, :, 1:-1]
-    rhs = values[grid.nt, :, 1:-1] * scale  # the first half step's D v
+    values[:, :, -1] = values[n, :, -1]
+    marched = values[:n, :, 1:-1]
+    rhs = values[n, :, 1:-1] * scale  # the first half step's D v
     lower = 0.5 * (1.0 / (h * h) + 1.0 / (2.0 * h))
     upper = 0.5 * (1.0 / (h * h) - 1.0 / (2.0 * h))
-    d, e = _step_factors(s, lower, upper, grid.nx - 1)
-    # the far node's term of each step, s upper u_far in D's scaling
-    far = s * upper * values[grid.nt, :, -1] * scale[-1]
+    # per level j, the factors of M = I - s A, s = dv / 2^(j + 1), and the
+    # far node's term of its steps, s upper u_far in D's scaling
+    levels = []
+    for j in range(_LADDER_LEVELS + 1):
+        s = dv * 0.5 ** (j + 1)
+        levels.append((*_step_factors(s, lower, upper, grid.nx - 1),
+                       s * upper * values[n, :, -1] * scale[-1]))
 
-    def solve() -> None:
+    def solve(d, e, far) -> None:
         # rhs <- y = (D M D^-1)^-1 (rhs + far e_last)
         rhs[:, -1] += far
         dpttrs(d, e, rhs.T, 1)
 
     # an overflow is caught on the whole surface, below
     with np.errstate(over="ignore", invalid="ignore"):
-        solve()
-        solve()
+        solve(*levels[exps[-1]])
+        solve(*levels[exps[-1]])
         marched[-1] = rhs
-        for n in range(grid.nt - 2, -1, -1):
-            rhs[:] = marched[n + 1]
-            solve()
-            np.multiply(rhs, 2.0, out=marched[n])
-            np.subtract(marched[n], marched[n + 1], out=marched[n])
+        for k in range(n - 2, -1, -1):
+            rhs[:] = marched[k + 1]
+            solve(*levels[exps[k]])
+            np.multiply(rhs, 2.0, out=marched[k])
+            np.subtract(marched[k], marched[k + 1], out=marched[k])
         np.divide(marched, scale, out=marched)
     if not np.all(np.isfinite(values)):
         raise DomainError("the FD surface overflowed: payoff too large")
 
     if payoff.ndim == 1:
         values = values[:, 0]
-    return GridSolution(log_x_nodes=y,
-                        variances=np.linspace(window_var, 0.0, grid.nt + 1),
-                        values=values, t0=t0, t1=t1, bond_T=bond_T,
-                        params=params)
+    # the variance left to t1 at each slice, dv times binary fractions
+    variances = dv * np.append(np.cumsum(0.5 ** exps[::-1])[::-1], 0.0)
+    return GridSolution(log_x_nodes=y, variances=variances, values=values,
+                        t1=t1, bond_T=bond_T, params=params)
 
 
 @dataclass(frozen=True)

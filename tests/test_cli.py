@@ -767,9 +767,9 @@ class TestVerify:
     def test_fd_suite_within_roundoff_of_expiry(self, tmp_path):
         # one ulp before T1 4.4e-18 of variance is left: all three checks
         # run and pass.  At s_V = 0 none is left: the closed forms price the
-        # options as their payoffs, and only the straight bond is checked
-        # (its read at t + 0.9 (T - t), 1.3 variance steps before T, where
-        # sigma_x^2 -> 0, fails at this grid)
+        # options as their payoffs, and only the straight bond is checked,
+        # read up to t + 0.9 (T - t), where sigma_x^2 -> 0 at T leaves 0.2%
+        # of the window's variance
         bond = "fd straight bond max relative error"
         for s_v, names in ((0.2, [bond, "fd put option relative error",
                                   "fd call option relative error"]),
@@ -781,10 +781,27 @@ class TestVerify:
             path = make_config(tmp_path, mutate)
             result = runner.invoke(main, ["verify", "--config", path,
                                           "--suite", "fd"])
-            assert result.exit_code in (0, 4), result.output
+            assert result.exit_code == 0, result.output
             report = json.loads(result.output)
             assert [c["name"] for c in report["checks"]] == names
-            assert report["pass"] or s_v == 0.0
+            assert report["pass"] is True
+
+    def test_fd_suite_option_read_beyond_the_grid_exit_3(self, tmp_path):
+        # at s_V = 0.01 the grid reaches x = B e^{8 sqrt(I)}, 0.67 from
+        # t = 0 and 0.65 from one ulp before T1, short of V / Z = 1.11 and
+        # 1.05: variance is left before T1 at both, so the option checks run
+        # and their read fails
+        for t in (0.0, math.nextafter(1.0, 0.0)):
+            def mutate(d):
+                d["model"]["s_V"] = 0.01
+                d["state"]["t"] = t
+                d["verify"].update(grid_nx=800, grid_nt=800)
+            path = make_config(tmp_path, mutate)
+            result = runner.invoke(main, ["verify", "--config", path,
+                                          "--suite", "fd"])
+            assert result.exit_code == 3, result.output
+            assert "ResolutionError" in result.output
+            assert "beyond the grid's reach" in result.output
 
     def test_fd_suite_with_steps_of_zero_length_exit_3(self, tmp_path):
         # steps of equal time over the 1e-13 before T1 would round to zero

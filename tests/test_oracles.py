@@ -102,6 +102,17 @@ class TestCnSolve:
             exact = survival_curve(x, t0, 1.0, 2.0, BENCH)
             assert abs(float(sol.interpolate(x, t0)) - exact) <= 1e-12
 
+    def test_read_where_the_variance_rate_falls_to_zero(self):
+        # at s_V = 0, sigma_x^2 -> 0 at T: [1.8, 2] holds 1.4% of the
+        # window's variance, 5.5 steps of dv at nt = 400, and the steps
+        # halving toward the payoff resolve it as calendar steps did (error
+        # 9.2e-5 either way; 3.6e-4 with equal steps of dv)
+        params = dataclasses.replace(BENCH, s_V=0.0)
+        sol = cn_solve(unit_payoff, 1.0, 2.0, 2.0, params,
+                       grid=GridConfig(nx=400, nt=400))
+        exact = survival_curve(0.601, 1.8, 2.0, 2.0, params)
+        assert abs(float(sol.interpolate(0.601, 1.8)) - exact) <= 1.5e-4
+
     def test_rejects_window_without_variance(self):
         # at s_V = 0 the variance over the last ulp before T1 is exactly 0
         params = dataclasses.replace(BENCH, s_V=0.0)
@@ -179,16 +190,18 @@ class TestCnSolve:
 
     @pytest.mark.parametrize("nx,nt", [(100, 100), (100, 1)])
     def test_payoff_rows_march_as_their_own_solves(self, nx, nt):
-        # at nt = 1 only the two Rannacher half steps run
+        # at nt = 1 only the ladder runs: the two Rannacher half steps and
+        # one step at each coarser level
         grid = GridConfig(nx=nx, nt=nt)
         payoffs = (unit_payoff, lambda x: np.maximum(0.9 - 0.5 * x, 0.0))
         both = cn_solve(lambda x: np.array([f(x) for f in payoffs]),
                         0.0, 1.0, 2.0, BENCH, grid=grid)
-        assert both.values.shape == (nt + 1, 2, nx + 1)
+        slices = len(both.variances)
+        assert both.values.shape == (slices, 2, nx + 1)
         xs = np.array([[0.7, 1.0], [1.3, 2.1]])
         for j, payoff in enumerate(payoffs):
             one = cn_solve(payoff, 0.0, 1.0, 2.0, BENCH, grid=grid)
-            assert one.values.shape == (nt + 1, nx + 1)
+            assert one.values.shape == (slices, nx + 1)
             assert np.array_equal(both.values[:, j], one.values)
             for t in (0.0, 0.37, 1.0):
                 got = both.interpolate(xs, t)
@@ -242,10 +255,10 @@ class TestGridSolutionInterpolate:
 
 
 def reference_cn_solve(terminal_payoff, t0, t1, bond_T, params, grid):
-    """cn_solve's equal-variance march with each step's right-hand side
-    formed by an explicit tridiagonal product and the unsymmetrised system
-    solved by LAPACK gtsv, with partial pivoting.  Its refusals are left
-    out, so the grid must pass them.
+    """cn_solve's march in the variance clock with each step's right-hand
+    side formed by an explicit tridiagonal product and the unsymmetrised
+    system solved by LAPACK gtsv, with partial pivoting.  Its refusals are
+    left out, so the grid must pass them.
     """
     b = params.barrier_b
     total_var = model.cum_variance(t0, bond_T, bond_T, params)
@@ -253,6 +266,14 @@ def reference_cn_solve(terminal_payoff, t0, t1, bond_T, params, grid):
     y = np.linspace(math.log(b), math.log(b) + width, grid.nx + 1)
     h = y[1] - y[0]
     dv = model.cum_variance(t0, t1, bond_T, params) / grid.nt
+    # from the payoff back: 2q steps of dv / 2^L, q of each dv / 2^j for
+    # j = L - 1 down to 1, and the nt - q steps of dv left
+    levels, q = oracles._LADDER_LEVELS, min(oracles._LADDER_STEPS, grid.nt)
+    spans = [dv / 2 ** levels] * (2 * q)
+    for j in range(levels - 1, 0, -1):
+        spans += [dv / 2 ** j] * q
+    spans += [dv] * (grid.nt - q)
+    n_steps = len(spans)
     # u_v = A u in the variance clock, A = tridiag(lower, centre, upper)
     lower = 0.5 * (1.0 / (h * h) + 1.0 / (2.0 * h))
     centre = -1.0 / (h * h)
@@ -260,11 +281,11 @@ def reference_cn_solve(terminal_payoff, t0, t1, bond_T, params, grid):
 
     payoff = np.asarray(terminal_payoff(np.exp(y)), dtype=float)
     rows = payoff.reshape(-1, grid.nx + 1)
-    values = np.empty((grid.nt + 1,) + rows.shape)
-    values[grid.nt] = rows
+    values = np.empty((n_steps + 1,) + rows.shape)
+    values[n_steps] = rows
     values[:, :, 0] = 0.0
-    values[:, :, -1] = values[grid.nt, :, -1]
-    far = values[grid.nt, :, -1]
+    values[:, :, -1] = values[n_steps, :, -1]
+    far = values[n_steps, :, -1]
 
     n_int = grid.nx - 1
     sub, diag, sup = np.empty(n_int - 1), np.empty(n_int), np.empty(n_int - 1)
@@ -289,15 +310,17 @@ def reference_cn_solve(terminal_payoff, t0, t1, bond_T, params, grid):
         assert info == 0
         values[n, :, 1:-1] = x.T
 
-    for n in range(grid.nt - 1, -1, -1):
-        if n == grid.nt - 1:
-            step(n + 1, n, 0.5 * dv, implicit_weight=1.0)
-            step(n, n, 0.5 * dv, implicit_weight=1.0)
+    for i, span in enumerate(spans):
+        n = n_steps - 1 - i
+        if i == 0:
+            step(n + 1, n, 0.5 * span, implicit_weight=1.0)
+            step(n, n, 0.5 * span, implicit_weight=1.0)
         else:
-            step(n + 1, n, dv, implicit_weight=0.5)
+            step(n + 1, n, span, implicit_weight=0.5)
     if payoff.ndim == 1:
         values = values[:, 0]
-    return values
+    # and the variance left to t1 at each slice
+    return values, np.append(np.cumsum(spans)[::-1], 0.0)
 
 
 class TestCnSolveAgainstReference:
@@ -324,11 +347,14 @@ class TestCnSolveAgainstReference:
         payoff = payoffs[0] if rows == 1 else (
             lambda x: np.array([f(x) for f in payoffs]))
         grid = GridConfig(nx=nx, nt=nt)
-        got = cn_solve(payoff, t0, t1, bond_T, params, grid=grid).values
-        expected = reference_cn_solve(payoff, t0, t1, bond_T, params, grid)
+        sol = cn_solve(payoff, t0, t1, bond_T, params, grid=grid)
+        expected, variances = reference_cn_solve(payoff, t0, t1, bond_T,
+                                                 params, grid)
+        np.testing.assert_allclose(sol.variances, variances, rtol=1e-13)
+        got = sol.values
         assert got.shape == expected.shape
         assert np.array_equal(got[-1], expected[-1])
-        got, expected = (v.reshape(nt + 1, rows, nx + 1) for v in (got, expected))
+        got, expected = (v.reshape(-1, rows, nx + 1) for v in (got, expected))
         for j in range(rows):
             error = np.max(np.abs(got[:, j] - expected[:, j]))
             assert error <= 1e-11 * np.max(np.abs(expected[:, j]))
