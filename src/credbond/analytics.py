@@ -61,9 +61,10 @@ _GL20 = _leggauss(20)
 # The same rules for the array form, as column vectors of t and w
 _GL_COLUMNS = tuple(tuple(np.array(column)[:, None] for column in zip(*rule))
                     for rule in (_GL6, _GL12, _GL20))
-# Upper ends of the |rho| ranges of the array form's 6-, 12- and 20-node
-# rules
-_RHO_BOUNDS = np.array([0.3, 0.75, 0.925])
+# Upper ends of the |rho| ranges of the 6-, 12- and 20-node rules; from the
+# last, binorm_cdf takes its high-correlation branch (with the 20-node rule).
+# Both forms choose by these; the scalar one compares with the plain floats.
+_RHO_GL6, _RHO_GL12, _RHO_HIGH = _RHO_BOUNDS = (0.3, 0.75, 0.925)
 
 
 def binorm_cdf(a: float, b: float, rho: float) -> float:
@@ -91,9 +92,9 @@ def binorm_cdf(a: float, b: float, rho: float) -> float:
         return max(0.0, norm_cdf(a) + norm_cdf(b) - 1.0)
 
     r = abs(rho)
-    if r < 0.3:
+    if r < _RHO_GL6:
         rule = _GL6
-    elif r < 0.75:
+    elif r < _RHO_GL12:
         rule = _GL12
     else:
         rule = _GL20
@@ -102,7 +103,7 @@ def binorm_cdf(a: float, b: float, rho: float) -> float:
     h, k = -a, -b
     hk = h * k
     bvn = 0.0
-    if r < 0.925:
+    if r < _RHO_HIGH:
         hs = (h * h + k * k) / 2.0
         asr = math.asin(rho)
         sin = math.sin
@@ -166,7 +167,7 @@ def binorm_cdf_array(a, b, rho) -> np.ndarray:
     shape = a.shape
     a, b, rho = a.ravel(), b.ravel(), rho.ravel()
     # branch 0-2: a quadrature rule, 3: binorm_cdf one element at a time
-    branch = _RHO_BOUNDS.searchsorted(np.abs(rho), side="right")
+    branch = np.searchsorted(_RHO_BOUNDS, np.abs(rho), side="right")
     branch[~(np.maximum(np.abs(a), np.abs(b)) < SATURATION)] = 3
     out = np.empty(a.size)
     for i in np.flatnonzero(np.bincount(branch)):

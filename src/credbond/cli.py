@@ -103,13 +103,15 @@ def _check_verify(settings: VerifySettings) -> None:
                 f"verify.{key}: must be at least {least}, got {value}")
 
 
-def _section(doc: dict, name: str, required: bool = True) -> Optional[dict]:
+def _section(doc: dict, name: str, keys: tuple, required: bool = True):
     if name not in doc:
         if required:
             raise ConfigError(f"{name}: missing required section")
         return None
     if not isinstance(doc[name], dict):
         raise ConfigError(f"{name}: expected an object")
+    if unknown := [key for key in doc[name] if key not in keys]:
+        raise ConfigError(f"{name}.{unknown[0]}: unknown field")
     return doc[name]
 
 
@@ -124,10 +126,12 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
     if not isinstance(doc, dict):
         raise ConfigError("top-level config must be a JSON object")
+    if unknown := [name for name in doc if name not in (*_RECORDS, "verify")]:
+        raise ConfigError(f"{unknown[0]}: unknown section")
 
     records = {}
     for name, (cls, keys) in _RECORDS.items():
-        section = _section(doc, name, required=name != "option")
+        section = _section(doc, name, keys, required=name != "option")
         if section is None:
             continue
         try:
@@ -135,17 +139,17 @@ def load_config(path: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}")
 
-    v = _section(doc, "verify", required=False) or {}
-    verify = VerifySettings(**{f.name: _require(v, "verify", f.name, int)
-                               for f in fields(VerifySettings) if f.name in v})
+    keys = tuple(f.name for f in fields(VerifySettings))
+    v = _section(doc, "verify", keys, required=False) or {}
+    verify = VerifySettings(**{key: _require(v, "verify", key, int)
+                               for key in keys if key in v})
     _check_verify(verify)
     return RunConfig(**records, verify=verify)
 
 
-def _need_option(cfg: RunConfig, instrument: str) -> options.OptionSpec:
+def _need_option(cfg: RunConfig, use: str) -> options.OptionSpec:
     if cfg.option is None:
-        raise ConfigError(
-            f"option: section is required for instrument {instrument!r}")
+        raise ConfigError(f"option: section required for {use}")
     return cfg.option
 
 
@@ -158,7 +162,7 @@ def price_instrument(cfg: RunConfig, instrument: str) -> dict:
     """
     params, state, bond_spec = cfg.model, cfg.state, cfg.bond
     holds_bond, leg = _LEGS[instrument]
-    spec = None if leg is None else _need_option(cfg, instrument)
+    spec = _need_option(cfg, f"instrument {instrument!r}") if leg else None
     diagnostics = {}
     straight = option = None
     if holds_bond and leg:
@@ -198,13 +202,9 @@ def _with_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
     Only the swept record is rebuilt, from the same field values: the point
     shares every other record, and every other value, with cfg.
     """
-    if axis not in _SWEPT:
-        raise ConfigError(f"unknown sweep axis {axis!r}")
     slot, read, index = _SWEPT[axis]
     parts = list(_CONFIG_PARTS(cfg))
     record = parts[slot]
-    if record is None:
-        raise ConfigError(f"{_AXES[axis][0]}: section required to sweep {axis}")
     values = list(read(record))
     values[index] = value
     parts[slot] = type(record)(*values)
@@ -214,65 +214,56 @@ def _with_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
 def _sweep_job(cfg: RunConfig, instrument: str, boundary_l: Optional[float]):
     """The checked scalar inputs of one sweep point, for the array pass.
 
-    (z, x, straight, option): straight = (B, R, variance over [t, T]) for the
-    straight bond in bond/puttable/callable; option = (v, B, R, E, L, total,
-    first) for an option priced by its closed form; each None where the
-    point has no such part.  A live option leg's inputs include the
-    straight bond's.  L is boundary_l where that is not None, else solved
-    here.  None for a point that price_instrument prices alone: a
-    zero-coupon bond, a bond at maturity, an option at its expiry payoff, or
-    a point whose x/B or v/B is beyond the float range.  Raises what
+    One flat record (z, x, v, B, R, total, E, first, L): total and first are
+    the variances over [t, T] and [t, T1], and E, first and L are 0 where the
+    point has no live option leg.  An option leg takes its inputs, L
+    included, from options._option_inputs, as price does; L is boundary_l
+    where that is not None, else solved there.  None for a point with no
+    closed form, which price_instrument prices alone: a zero-coupon bond, a
+    bond at maturity or an option at its expiry payoff.  Raises what
     price_instrument raises, in the same order.
     """
-    params, state, bond_spec = cfg.model, cfg.state, cfg.bond
+    params, state, bond_spec, spec = cfg.model, cfg.state, cfg.bond, cfg.option
     holds_bond, leg = _LEGS[instrument]
-    if not (holds_bond or leg):  # the zero-coupon bond
-        return None
-    spec = None if leg is None else _need_option(cfg, instrument)
-    straight = option = None
     if leg and not (holds_bond and state.t > spec.expiry_T1):
-        z, x, total, first = options._option_inputs(state, spec, bond_spec,
-                                                    params)
+        z, x, total, first, boundary_l = options._option_inputs(
+            state, spec, bond_spec, params, boundary_l)
         if first is None:
             return None
-        if boundary_l is None:
-            boundary_l = options.find_boundary_l(spec, bond_spec, params)
-        option = (state.v, params.barrier_b, params.recovery_r,
-                  spec.exercise_e, boundary_l, total, first)
-    else:
+        option = (spec.exercise_e, first, boundary_l)
+    elif holds_bond:
         inputs = bond_mod._bond_inputs(state, bond_spec, params)
         if inputs is None:
             return None
         z, x, total = inputs
-    if holds_bond:
-        straight = (params.barrier_b, params.recovery_r, total)
-    # the array pass would overflow at x/B or v/B; the scalar path takes it
-    if max(x, state.v) / params.barrier_b == math.inf:
+        option = (0.0, 0.0, 0.0)
+    else:  # the zero-coupon bond
         return None
-    return z, x, straight, option
+    return (z, x, state.v, params.barrier_b, params.recovery_r, total,
+            *option)
 
 
 def _sweep_prices(instrument: str, jobs: list) -> tuple[list, list]:
-    """Price and straight-bond W of each _sweep_job job, in one array pass."""
+    """Price and straight-bond W of each _sweep_job record, in one array pass."""
     holds_bond, leg = _LEGS[instrument]
-    z, x = np.array([job[:2] for job in jobs]).T
+    table = np.array(jobs)
+    z, x, v, b, recovery, total, e, first, boundary_l = table.T
     price, w = np.zeros(len(jobs)), [None] * len(jobs)
     if holds_bond:
-        b, recovery, variance = np.array([job[2] for job in jobs]).T
-        units, w = bond_mod._bond_units(x, b, recovery, variance)
+        units, w = bond_mod._bond_units(x, b, recovery, total)
         price, w = units * z, w.tolist()
-    priced = [i for i, job in enumerate(jobs) if job[3] is not None]
-    if priced:
-        v, b, recovery, e, boundary_l, total, first = np.array(
-            [jobs[i][3] for i in priced]).T
-        # (L/B)(x/B) may overflow, and log (B/L)(B/x) be log 0 = -inf
-        with np.errstate(over="ignore", divide="ignore"):
-            d = options._d_arguments(x[priced], boundary_l, b, total, first,
-                                     options._Array)
+    live = first > 0.0  # the points with a live option leg
+    if live.any():
+        z, x, v, b, recovery, total, e, first, boundary_l = table[live].T
         block = options._call_block if leg == "call" else options._put_block
-        option = options._option_value(block, z[priced], v, b, e, recovery, d,
-                                       options._Array)
-        price[priced] += -option if holds_bond and leg == "call" else option
+        # x/B, v/B and (L/B)(x/B) may overflow, log (B/L)(B/x) be log 0 =
+        # -inf, and an image block of 0 meet v/B = inf
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            d = options._d_arguments(x, boundary_l, b, total, first,
+                                     options._Array)
+            option = options._option_value(block, z, v, b, e, recovery, d,
+                                           options._Array)
+        price[live] += -option if holds_bond and leg == "call" else option
     return price.tolist(), w
 
 
@@ -285,10 +276,13 @@ def sweep_rows(cfg: RunConfig, instrument: str, axis: str,
                lo: float, hi: float, n: int) -> list[list[str]]:
     """CSV rows (axis_value, price, z, x, w, note) for a parameter sweep.
 
-    Each point is checked, and its z, variances and boundary L found, on the
-    scalar path; then all the points are priced in one array pass.  L depends
-    on no state variable, so along r, V and t it is solved at the first point
-    that needs it and shared with the rest; along the other axes each point
+    The sweep's arguments, and the option section that an option leg or the
+    E axis needs, are checked once, before any point: a fault there is a
+    ConfigError, as price raises it.  Each point is then checked, and its z,
+    variances and boundary L found, on the scalar path by _sweep_job; every
+    point with a closed form is priced in one array pass.  L depends on no
+    state variable, so along r, V and t it is solved at the first point that
+    needs it and shared with the rest; along the other axes each point
     solves its own.  Rows and notes are those of price_instrument point by
     point, prices and w to 1e-15 Z.
     """
@@ -300,7 +294,10 @@ def sweep_rows(cfg: RunConfig, instrument: str, axis: str,
         raise ConfigError(
             f"sweep bounds must be finite and a finite span apart, got "
             f"lo={lo!r}, hi={hi!r}")
-    shares_l = _AXES[axis][0] == "state"
+    section = _AXES[axis][0]
+    if _LEGS[instrument][1] or section == "option":
+        _need_option(cfg, f"a sweep of {instrument!r} along {axis}")
+    shares_l = section == "state"
     boundary_l = None
     rows, jobs, slots = [], [], []
     for value in np.linspace(lo, hi, n).tolist():
@@ -313,17 +310,17 @@ def sweep_rows(cfg: RunConfig, instrument: str, axis: str,
                 rows.append(_row(value, doc["price"], diag.get("z"),
                                  diag.get("x"), diag.get("w")))
             else:
-                if shares_l and job[3] is not None:
-                    boundary_l = job[3][4]
+                if shares_l and job[-1]:  # L, 0 with no live option leg
+                    boundary_l = job[-1]
                 jobs.append(job)
                 slots.append((len(rows), value))
                 rows.append(None)
         except (CredBondError, ValueError) as exc:
             rows.append([repr(value), "", "", "", "", type(exc).__name__])
     if jobs:
-        for (i, value), job, price, w in zip(slots, jobs,
-                                             *_sweep_prices(instrument, jobs)):
-            rows[i] = _row(value, price, job[0], job[1], w)
+        for (i, value), (z, x, *_), price, w in zip(
+                slots, jobs, *_sweep_prices(instrument, jobs)):
+            rows[i] = _row(value, price, z, x, w)
     return rows
 
 
@@ -441,8 +438,8 @@ def run_verify(cfg: RunConfig, suite: str) -> dict:
     else:
         raise ConfigError(f"unknown verify suite {suite!r}")
     # before any suite runs, so that --suite all fails without the oracles
-    if "parity" in selected and cfg.option is None:
-        raise ConfigError("option: section required for the parity suite")
+    if "parity" in selected:
+        _need_option(cfg, "the parity suite")
     checks = []
     for name in selected:
         checks.extend(suites[name](cfg))

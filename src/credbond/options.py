@@ -69,12 +69,15 @@ class _Scalar:
 class _Array:
     """What a sweep evaluates with: numpy, elementwise over its points.
 
-    Every per-point input is an array over the points, all of one shape,
-    with x/B and v/B finite.
+    Every per-point input is an array over the points, all of one shape.
+    A ratio beyond the float range is evaluated as _Scalar evaluates it; the
+    caller silences numpy's warnings on the way (over, divide, invalid).
     """
 
     log, sqrt, minimum, maximum = np.log, np.sqrt, np.minimum, np.maximum
-    scale = staticmethod(lambda v, b, block: (v / b) * block)
+    # (v/B) block: a block of 0 adds 0, also where v/B overflows
+    scale = staticmethod(
+        lambda v, b, block: np.where(block != 0.0, (v / b) * block, 0.0))
 
     @staticmethod
     def pair(block, near, image):
@@ -183,17 +186,17 @@ def _boundary(b: float, u: float) -> float:
 
 
 def _option_inputs(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
-                   params: model.ModelParams):
-    """(z, x, total, first) of one option price, checked.
+                   params: model.ModelParams, boundary_l: float | None = None):
+    """(z, x, total, first, L) of one option price, checked.
 
     The option terms are checked first, then the straight bond's z, x and
     total, the variance over [t, T], by bond._bond_inputs; a puttable or
     callable bond is checked in this order too.  first, the variance over
     [t, T1], is None where no variance remains before expiry (it is 0, as
-    at t = T1): the price is then the payoff at T1.  The
-    boundary L depends on no state variable and is left to the caller: past
-    the checks made here, find_boundary_l raises only NoConvergence or
-    DomainError.
+    at t = T1): the price is then the payoff at T1.  The boundary L depends
+    on no state variable: it is boundary_l where the caller shares one,
+    else solved last by find_boundary_l, which past the checks made here
+    raises only NoConvergence or DomainError.
     """
     _validate(spec, bond, params)
     if state.t > spec.expiry_T1:
@@ -202,7 +205,9 @@ def _option_inputs(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
     z, x, total = _bond_inputs(state, bond, params)
     first = model.cum_variance(state.t, spec.expiry_T1, bond.maturity_T,
                                params)
-    return z, x, total, (first if first > 0.0 else None)
+    if boundary_l is None:
+        boundary_l = find_boundary_l(spec, bond, params)
+    return z, x, total, (first if first > 0.0 else None), boundary_l
 
 
 def _expiry_payoff(units, spec: OptionSpec, call: bool) -> np.ndarray:
@@ -290,8 +295,7 @@ def _option_value(block, z, v, b, e, recovery, d: dict, k=_Scalar):
 
 def _option_price(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
                   params: model.ModelParams, call: bool) -> OptionPriceResult:
-    z, x, total, first = _option_inputs(state, spec, bond, params)
-    boundary_l = find_boundary_l(spec, bond, params)
+    z, x, total, first, boundary_l = _option_inputs(state, spec, bond, params)
     if first is None:
         price, d = _expiry_price(z, x, spec, bond, params, call), {}
     else:
