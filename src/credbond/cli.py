@@ -10,7 +10,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import click
 import numpy as np
@@ -211,6 +211,17 @@ def _with_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
     return RunConfig(*parts)
 
 
+class _Alone(NamedTuple):
+    """A sweep point priced on its own: its row's price, z, x and w, and L,
+    0 where it has none."""
+
+    price: float
+    z: Optional[float]
+    x: Optional[float]
+    w: Optional[float]
+    boundary_l: float
+
+
 def _sweep_job(cfg: RunConfig, instrument: str, boundary_l: Optional[float]):
     """The checked scalar inputs of one sweep point, for the array pass.
 
@@ -218,27 +229,36 @@ def _sweep_job(cfg: RunConfig, instrument: str, boundary_l: Optional[float]):
     the variances over [t, T] and [t, T1], and E, first and L are 0 where the
     point has no live option leg.  An option leg takes its inputs, L
     included, from options._option_inputs, as price does; L is boundary_l
-    where that is not None, else solved there.  None for a point with no
-    closed form, which price_instrument prices alone: a zero-coupon bond, a
-    bond at maturity or an option at its expiry payoff.  Raises what
-    price_instrument raises, in the same order.
+    where that is not None, else solved there.  A point with no closed form
+    is an _Alone, priced as price_instrument prices it: an option leg at its
+    expiry payoff from those inputs and that L, and a zero-coupon bond or a
+    bond at maturity by price_instrument.  Raises what price_instrument
+    raises, in the same order.
     """
     params, state, bond_spec, spec = cfg.model, cfg.state, cfg.bond, cfg.option
     holds_bond, leg = _LEGS[instrument]
     if leg and not (holds_bond and state.t > spec.expiry_T1):
         z, x, total, first, boundary_l = options._option_inputs(
             state, spec, bond_spec, params, boundary_l)
-        if first is None:
-            return None
+        if first is None:  # priced as _option_price and _bond_with_option do
+            price = options._expiry_price(z, x, spec, bond_spec, params,
+                                          leg == "call")
+            if not holds_bond:
+                return _Alone(price, z, x, None, boundary_l)
+            straight = bond_mod._straight_bond(z, x, total, params)
+            price = (straight.price - price if leg == "call"
+                     else straight.price + price)
+            return _Alone(price, z, x, straight.w, boundary_l)
         option = (spec.exercise_e, first, boundary_l)
-    elif holds_bond:
-        inputs = bond_mod._bond_inputs(state, bond_spec, params)
-        if inputs is None:
-            return None
+    elif holds_bond and (inputs := bond_mod._bond_inputs(
+            state, bond_spec, params)) is not None:
         z, x, total = inputs
         option = (0.0, 0.0, 0.0)
-    else:  # the zero-coupon bond
-        return None
+    else:  # the zero-coupon bond, or a bond at maturity
+        doc = price_instrument(cfg, instrument)
+        diag = doc["diagnostics"]
+        return _Alone(doc["price"], diag.get("z"), diag.get("x"),
+                      diag.get("w"), 0.0)
     return (z, x, state.v, params.barrier_b, params.recovery_r, total,
             *option)
 
@@ -304,14 +324,11 @@ def sweep_rows(cfg: RunConfig, instrument: str, axis: str,
         try:
             point = _with_axis(cfg, axis, value)
             job = _sweep_job(point, instrument, boundary_l)
-            if job is None:
-                doc = price_instrument(point, instrument)
-                diag = doc["diagnostics"]
-                rows.append(_row(value, doc["price"], diag.get("z"),
-                                 diag.get("x"), diag.get("w")))
+            if shares_l and job[-1]:  # L, 0 with no option leg
+                boundary_l = job[-1]
+            if isinstance(job, _Alone):
+                rows.append(_row(value, *job[:4]))
             else:
-                if shares_l and job[-1]:  # L, 0 with no live option leg
-                    boundary_l = job[-1]
                 jobs.append(job)
                 slots.append((len(rows), value))
                 rows.append(None)
@@ -508,7 +525,9 @@ def cmd_sweep(instrument: str, config_path: str, axis: str,
 @click.option("--steps-per-year", default=None, type=int,
               help="Override the config step density.")
 @click.option("--workers", default=None, type=int,
-              help="Monte-Carlo worker threads (results are independent of this).")
+              help="Monte-Carlo worker threads, each with one more that "
+                   "draws its chunk's normals (results are independent of "
+                   "this).")
 def cmd_verify(config_path: str, suite: str,
                **overrides: Optional[int]) -> None:
     """Run oracle comparisons against the closed forms; exit 4 on failure."""

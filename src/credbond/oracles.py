@@ -9,15 +9,18 @@ two Monte-Carlo pricers: a forward-measure engine for the driftless ratio x
 (exact lognormal stepping with Brownian-bridge barrier correction) and a
 risk-neutral two-factor engine simulating (r, V) jointly.  Each Monte-Carlo
 path scores its exact Brownian-bridge survival given its nodes, from one
-bridge factor, and both engines draw only normals.
+bridge factor, and both engines draw only normals.  The two-factor engine
+draws each chunk's normals on a helper thread, one block of steps ahead of
+the chunk's march, from the same stream in the same order.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -54,6 +57,10 @@ _SURVIVAL_CUTOFF = 40.0
 # a control enters the regression only where at least about this many
 # samples carry its spread (see _reduce_chunks)
 _CONTROL_MIN_SAMPLES = 10.0
+# mc_spot's steps per normal block (see _normal_blocks): blocks of 8 to 128
+# steps time alike, and at most two, of 1 MB each for an 8192-path chunk at
+# 32, are held at once
+_DRAW_BLOCK = 32
 
 
 @dataclass
@@ -292,6 +299,34 @@ _SIGNS = np.array([[1.0], [-1.0]])
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     seq = np.random.SeedSequence((seed % 2 ** 64, chunk_index))
     return np.random.Generator(np.random.SFC64(seq))
+
+
+@contextmanager
+def _normal_blocks(rng: np.random.Generator, n_steps: int,
+                   groups: int) -> Iterator[Iterator[np.ndarray]]:
+    """An iterator over n_steps standard normal draws of shape (2, groups).
+
+    The draws are rng's, in its order: one (k, 2, groups) fill consumes the
+    stream as k fills of (2, groups) do.  A helper thread fills blocks of
+    _DRAW_BLOCK steps, each submitted as the caller starts on the block
+    before it; numpy holds no interpreter lock while it fills.  The thread
+    is joined when the with block exits, by return or by raise.
+    """
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        def block(start):
+            shape = (min(_DRAW_BLOCK, n_steps - start), 2, groups)
+            return pool.submit(rng.standard_normal, shape)
+
+        def draws():
+            ahead = block(0)
+            for start in range(_DRAW_BLOCK, n_steps + _DRAW_BLOCK,
+                               _DRAW_BLOCK):
+                current = ahead.result()
+                if start < n_steps:
+                    ahead = block(start)
+                yield from current
+
+        yield draws()
 
 
 def _group_means(values: np.ndarray, size: int) -> np.ndarray:
@@ -549,7 +584,10 @@ def mc_spot(
     advances the deviations of both pairs.  A step takes its bridge factor
     only on a path with 2 g+ g' <= _SURVIVAL_CUTOFF v_step, g+ = max(g, 0)
     and g' the new gap: beyond it the factor rounds to 1 and the step
-    changes nothing.  A chunk draws only normals, one (2, Q) block a step.
+    changes nothing.  A chunk draws only normals, one (z1, z2) per group a
+    step, in blocks of _DRAW_BLOCK steps that a helper thread draws one
+    block ahead of the march (see _normal_blocks): every estimate is the
+    same to the bit whatever the worker or CPU count.
     """
     if n_paths <= 0:
         raise SeedError("n_paths must be positive")
@@ -636,7 +674,6 @@ def mc_spot(
         # rows 0-3 hold the deviations of (g, y, d, m), rows 4-5 the normals;
         # column q is pair A of group q and column groups + q its pair B
         dev, dev_next = np.zeros((6, pairs)), np.empty((6, pairs))
-        normals = np.empty((2, groups))
         # the gap of every path at the last node and at this one
         gap_last, gap = np.full(shape, max(gap_det[0], 0.0)), np.empty(shape)
         prod = np.empty(shape)
@@ -656,44 +693,44 @@ def mc_spot(
             idx = near.ravel().nonzero()[0]
             return idx, _bridge_survival(prod.ravel()[idx], var)
 
-        for i, kernel in enumerate(kernels):
-            rng.standard_normal(out=normals)
-            dev[4:, :groups] = normals
-            np.negative(normals[1], out=dev[4, groups:])
-            dev[5, groups:] = normals[0]
-            np.matmul(kernel, dev, out=dev_next[:4])
-            dev, dev_next = dev_next, dev
-            g, y, d = dev[:3]
-            np.add(gap_det[i + 1], g, out=gap[0])
-            np.subtract(gap_det[i + 1], g, out=gap[1])
-            # g+ g': node 0's gap is clamped, and a path whose last gap is
-            # <= 0 has alive 0 already
-            idx, factor = bridge_factors(gap_last, gap, step_vars[i])
-            alive.ravel()[idx] *= factor
-            if (var := bridge_var.get(i + 1)) is not None:
-                np.add(level[i + 1], dev[3], out=above[0])
-                np.subtract(level[i + 1], dev[3], out=above[1])
-                # a b: where it is <= 0 the factor is 0, and where a <= 0 S
-                # is 0 already
-                idx, factor = bridge_factors(above_last, above, var)
-                survival.ravel()[idx] *= factor
-                above_last, above = above, above_last
-            if i == expiry_step:
-                # alive Z(r, T1) e^{-int r du}
-                scale = alive * np.exp(log_z_det[i + 1] - disc_det[i + 1]
-                                       - _SIGNS * (bb[i + 1] * y + d))
-                # a path with gap <= 0 has alive 0: it is taken at B
-                units = _unit_value(
-                    params.barrier_b * np.exp(np.maximum(gap, 0.0)), T1, T,
-                    params)
-                put = scale * _expiry_payoff(units, option, call=False)
-                call = scale * _expiry_payoff(units, option, call=True)
-                held = recovery_leg + scale * (units - recovery)
-                at_expiry = [put, call, held + put, held - call]
-                expiry_controls = [
-                    np.expm1(log_m_det[i + 1] + _SIGNS * dev[3]),
-                    survival - survival_means[1]]
-            gap_last, gap = gap, gap_last
+        with _normal_blocks(rng, len(kernels), groups) as draws:
+            for i, (kernel, normals) in enumerate(zip(kernels, draws)):
+                dev[4:, :groups] = normals
+                np.negative(normals[1], out=dev[4, groups:])
+                dev[5, groups:] = normals[0]
+                np.matmul(kernel, dev, out=dev_next[:4])
+                dev, dev_next = dev_next, dev
+                g, y, d = dev[:3]
+                np.add(gap_det[i + 1], g, out=gap[0])
+                np.subtract(gap_det[i + 1], g, out=gap[1])
+                # g+ g': node 0's gap is clamped, and a path whose last gap is
+                # <= 0 has alive 0 already
+                idx, factor = bridge_factors(gap_last, gap, step_vars[i])
+                alive.ravel()[idx] *= factor
+                if (var := bridge_var.get(i + 1)) is not None:
+                    np.add(level[i + 1], dev[3], out=above[0])
+                    np.subtract(level[i + 1], dev[3], out=above[1])
+                    # a b: where it is <= 0 the factor is 0, and where a <= 0 S
+                    # is 0 already
+                    idx, factor = bridge_factors(above_last, above, var)
+                    survival.ravel()[idx] *= factor
+                    above_last, above = above, above_last
+                if i == expiry_step:
+                    # alive Z(r, T1) e^{-int r du}
+                    scale = alive * np.exp(log_z_det[i + 1] - disc_det[i + 1]
+                                           - _SIGNS * (bb[i + 1] * y + d))
+                    # a path with gap <= 0 has alive 0: it is taken at B
+                    units = _unit_value(
+                        params.barrier_b * np.exp(np.maximum(gap, 0.0)), T1, T,
+                        params)
+                    put = scale * _expiry_payoff(units, option, call=False)
+                    call = scale * _expiry_payoff(units, option, call=True)
+                    held = recovery_leg + scale * (units - recovery)
+                    at_expiry = [put, call, held + put, held - call]
+                    expiry_controls = [
+                        np.expm1(log_m_det[i + 1] + _SIGNS * dev[3]),
+                        survival - survival_means[1]]
+                gap_last, gap = gap, gap_last
         value = recovery_leg + (1.0 - recovery) * alive * np.exp(
             -(disc_det[-1] + _SIGNS * d))
         controls = (np.expm1(log_m_det[-1] + _SIGNS * dev[3]),

@@ -640,6 +640,27 @@ class TestRatiosBeyondTheFloatRange:
         v = cfg.state.v
         _assert_sweep_matches((instrument, "V", 0.1 * v, v, 3), cfg)
 
+    @pytest.mark.parametrize("instrument", ["put-option", "callable"])
+    @pytest.mark.parametrize("axis,lo,hi,solves", [
+        ("V", 0.1, 1.0, 1), ("r", 999.0, 1000.0, 1), ("E", 0.5, 0.9, 3)])
+    def test_sweep_solves_l_once_at_the_expiry_payoff(
+            self, tmp_path, monkeypatch, instrument, axis, lo, hi, solves):
+        # x_over_b leaves no variance before T1, so every point is priced at
+        # its payoff there: L is solved once per point at most, and shared
+        # along r and V, and the rows are price's to the byte
+        cfg = load_config(_ratio_range_config(tmp_path, "x_over_b"))
+        calls = []
+        solve = options.find_boundary_l
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(options, "find_boundary_l", counted)
+        rows = cli.sweep_rows(cfg, instrument, axis, lo, hi, 3)
+        assert len(calls) == solves
+        assert rows == _per_point_rows(cfg, instrument, axis, lo, hi, 3)
+
 
 @st.composite
 def _box_docs(draw):

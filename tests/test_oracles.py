@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -823,7 +824,8 @@ class TestMcSpotPathStep:
     @pytest.mark.parametrize("n_paths", [N_PATHS, oracles._CHUNK + 3])
     def test_one_normal_draw_per_group(self, monkeypatch, n_paths):
         # each step draws one (z1, z2) per group of four paths, and nothing
-        # else, near the barrier too
+        # else, near the barrier too; a chunk draws them in blocks of whole
+        # steps, _DRAW_BLOCK steps a block
         args = (MarketState(r=0.05, v=0.65, t=0.0), BOND, SPLIT_OPT, BENCH,
                 n_paths)
         expected = mc_spot(*args, steps_per_year=50, seed=5)
@@ -831,9 +833,84 @@ class TestMcSpotPathStep:
         assert mc_spot(*args, steps_per_year=50, seed=5) == expected
         sizes = [min(oracles._CHUNK, n_paths - start)
                  for start in range(0, n_paths, oracles._CHUNK)]
-        # 100 steps of 1/50, the one across T1 split in two
-        assert logs == {index: [("normal", 2 * math.ceil(size / 4))] * 101
-                        for index, size in enumerate(sizes)}
+        assert list(logs) == list(range(len(sizes)))
+        for index, size in enumerate(sizes):
+            per_step = 2 * math.ceil(size / 4)
+            # 100 steps of 1/50, the one across T1 split in two
+            blocks = [min(oracles._DRAW_BLOCK, 101 - start) * per_step
+                      for start in range(0, 101, oracles._DRAW_BLOCK)]
+            assert logs[index] == [("normal", n) for n in blocks]
+            assert sum(blocks) == 101 * per_step
+
+
+class ThreadLogged:
+    """A chunk's generator that logs the thread of each standard_normal
+    draw."""
+
+    def __init__(self, rng, log):
+        self.rng, self.log = rng, log
+
+    def standard_normal(self, size=None, out=None):
+        self.log.append(threading.current_thread())
+        return self.rng.standard_normal(size, out=out)
+
+
+class TestMcSpotDraws:
+    """Each chunk's normals come from a helper thread, one block ahead of the
+    march, and change no bit of any estimate."""
+
+    # README config, seed 1, 16384 paths, 500 steps a year, as recorded from
+    # the engine that drew each step's normals on the stepping thread
+    RECORDED = {
+        None: {"bond": (0.8833687599011636, 0.00017357414642984862)},
+        OPT: {"bond": (0.8833769191325509, 0.0001732059582855564),
+              "put": (0.005648575345280658, 0.000146305831952617),
+              "call": (0.07572191458545217, 6.963829036066216e-05),
+              "puttable": (0.8889591198340351, 9.359216697788078e-05),
+              "callable": (0.8075886299033022, 0.00012877443678888881)},
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("option", [None, OPT], ids=["None", "option"])
+    def test_estimates_as_recorded(self, option, workers):
+        got = mc_spot(STATE, BOND, option, BENCH, 16384, steps_per_year=500,
+                      seed=1, workers=workers)
+        assert {key: (est.mean, est.std_error) for key, est in got.items()} \
+            == self.RECORDED[option]
+
+    # three chunks, the last of 3 paths
+    N_PATHS = 2 * oracles._CHUNK + 3
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_no_thread_outlives_the_call(self, monkeypatch, workers):
+        before = threading.active_count()
+        logs = log_draws(monkeypatch, ThreadLogged)
+        mc_spot(STATE, BOND, OPT, BENCH, self.N_PATHS, steps_per_year=50,
+                seed=5, workers=workers)
+        assert threading.active_count() == before
+        drawn_on = {t for log in logs.values() for t in log}
+        assert len(logs) == 3 and drawn_on
+        assert threading.current_thread() not in drawn_on
+        assert not any(t.is_alive() for t in drawn_on)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_no_thread_outlives_a_raise(self, monkeypatch, workers):
+        # every chunk raises at T1, mid-march, with a block drawn ahead
+        class AtExpiry(Exception):
+            pass
+
+        def raising(*args):
+            raise AtExpiry
+
+        before = threading.active_count()
+        monkeypatch.setattr(oracles, "_unit_value", raising)
+        with pytest.raises(AtExpiry) as caught:
+            mc_spot(STATE, BOND, OPT, BENCH, self.N_PATHS, steps_per_year=50,
+                    seed=5, workers=workers)
+        # counted while the traceback, and so each chunk's frame, lives on:
+        # the join does not wait for the frames to be collected
+        assert caught.tb is not None
+        assert threading.active_count() == before
 
 
 def plain_estimates(run_chunk, n_paths, seed):
