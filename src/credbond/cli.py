@@ -349,19 +349,24 @@ def _verify_fd(cfg: RunConfig) -> list[dict]:
     checks = []
 
     sol = oracles.cn_solve(np.ones_like, state.t, T, T, params, grid=grid)
-    total_var = model.cum_variance(state.t, T, T, params)
-    xs = params.barrier_b * np.exp(
-        np.linspace(0.15, 5.0, 12) * math.sqrt(total_var))
     recovery = params.recovery_r
 
-    def fd_units(x, tt):
+    def fd_units(solved, x, tt):
         # the straight bond's FD value at (x, tt) in units of Z
-        return recovery + (1.0 - recovery) * np.asarray(sol.interpolate(x, tt))
+        return (recovery
+                + (1.0 - recovery) * np.asarray(solved.interpolate(x, tt)))
 
     worst = 0.0
     for tt in np.linspace(state.t, state.t + 0.9 * (T - state.t), 8):
+        # each read time has a solve of its own over [tt, T], whose grid
+        # spans 8 sqrt(I(tt, T)), and reads its first slice at 12 points
+        # 0.15 to 5 sqrt(I(tt, T)) from the barrier in ln x
+        read = sol if tt == state.t else oracles.cn_solve(
+            np.ones_like, tt, T, T, params, grid=grid)
+        xs = params.barrier_b * np.exp(np.linspace(0.15, 5.0, 12) * math.sqrt(
+            model.cum_variance(tt, T, T, params)))
         closed = bond_mod._unit_value(xs, tt, T, params)
-        fd = fd_units(xs, tt)
+        fd = fd_units(read, xs, tt)
         err = np.abs(fd - closed)
         # at R = 0 the bond is worth 0 where the points round onto the
         # barrier: there only an FD value of 0 has no relative error
@@ -381,7 +386,7 @@ def _verify_fd(cfg: RunConfig) -> list[dict]:
             # the put's and call's payoffs take the bond's value at T1 from
             # its FD solve, on the same ln x grid, so that the oracle shares
             # neither L nor the bond's closed form with the prices it checks
-            units = fd_units(x, T1)
+            units = fd_units(sol, x, T1)
             return np.array([options._expiry_payoff(units, spec, call)
                              for call in (False, True)])
 

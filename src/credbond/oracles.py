@@ -2,12 +2,13 @@
 
 A Crank-Nicolson solver for the reduced one-dimensional barrier PDE
   u_t + 0.5 * sigma_x^2(t; T) * x^2 * u_xx = 0   (x > B)
-in ln x, marched in the variance clock v = int sigma_x^2 du, where its
-coefficients are constant: each step size's symmetric positive-definite
-tridiagonal matrix is factored once for the march, and
-two Monte-Carlo pricers: a forward-measure engine for the driftless ratio x
-(exact lognormal stepping with Brownian-bridge barrier correction) and a
-risk-neutral two-factor engine simulating (r, V) jointly.  Each Monte-Carlo
+in ln x, stepped in the variance clock v = int sigma_x^2 du, where its
+coefficients are constant and the sine basis diagonalises every step: no
+step is marched, and each slice read is one inverse sine transform of the
+payoff's coefficients; and two Monte-Carlo pricers: a forward-measure
+engine for the driftless ratio x (exact lognormal stepping with
+Brownian-bridge barrier correction) and a risk-neutral two-factor engine
+simulating (r, V) jointly.  Each Monte-Carlo
 path scores its exact Brownian-bridge survival given its nodes, from one
 bridge factor, and both engines draw only normals.  The two-factor engine
 draws each chunk's normals on a helper thread, one block of steps ahead of
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
+from scipy.fft import dst
 from scipy.interpolate import CubicSpline
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import model
 from .bond import BondSpec, _unit_value
@@ -49,6 +50,10 @@ _LADDER_STEPS = 24
 # cn_solve's steps take node i at ln B + i h: a node off that place by this
 # fraction of h moves a read by as small a fraction of one step's change
 _GRID_UNIFORMITY = 1e-6
+# the smallest rho^(nx - 2) cn_solve takes: the sine basis of the symmetric
+# form is 1 / rho^(nx - 2) from the grid's, so a slice's far nodes carry
+# about 1e-15 / rho^(nx - 2) of roundoff
+_SYMMETRIC_FLOOR = 1e-8
 # mc_spot's survival control takes its bridge factor over this many steps
 _SURVIVAL_STRIDE = 10
 # c with 1 - exp(-c) == 1.0: mc_spot evaluates a bridge factor only where
@@ -73,22 +78,55 @@ class GridConfig:
 
 @dataclass
 class GridSolution:
-    """Backward-solved surface u(x, t) on a uniform grid in ln x.
+    """Backward-solved surface u(x, t) on a uniform grid in ln x, kept in
+    the sine basis of its step matrix.
 
-    values has shape (n + 1, nx + 1) for a payoff of one row and
-    (n + 1, m, nx + 1) for a payoff of m rows, n being cn_solve's number of
-    steps.  values[k] is the slice with variances[k] of variance left to
-    t1, falling from the window's whole variance at k = 0 to 0 at k = n.
-    t1, bond_T and params are cn_solve's: interpolate maps a time t to
-    cum_variance over [t, t1].
+    slice(k) is the slice with variances[k] of variance left to t1, falling
+    from the window's whole variance at k = 0 to 0 at k = n, n being
+    cn_solve's number of steps; each is built when it is read, and no slice
+    is stored but the payoff (there is no values array).  payoff is the
+    terminal slice, shape (nx + 1,) for a payoff of one row and (m, nx + 1)
+    for one of m rows, 0 at the barrier node.  On the interior, slice k is
+    payoff + D^-1 DST(coefficients (G_k - 1)): D = diag(scale),
+    coefficients the orthonormal DST-I of D (payoff - steady state), and G_k
+    mode by mode the product of the factors of the steps from the payoff
+    back to slice k, exp(steps[k] @ log_factors) in magnitude and negative
+    where steps[k] @ flips is odd.  Each row of steps counts, per kind of
+    step (a Crank-Nicolson step at each ladder level, then the pair of
+    Rannacher half steps), how many lie between its slice and the payoff;
+    each row of log_factors is one kind's log |factor| per mode, and of
+    flips 1 where that factor is negative.  t1, bond_T and params are
+    cn_solve's: interpolate maps a time t to cum_variance over [t, t1].
     """
 
     log_x_nodes: np.ndarray
     variances: np.ndarray
-    values: np.ndarray
+    payoff: np.ndarray
+    coefficients: np.ndarray
+    scale: np.ndarray
+    steps: np.ndarray
+    log_factors: np.ndarray
+    flips: np.ndarray
     t1: float
     bond_T: float
     params: model.ModelParams
+
+    def _gains_less_one(self, k) -> np.ndarray:
+        """G - 1 per mode at slice k, or at each slice of a range as rows."""
+        counts = self.steps[k]
+        e = np.expm1(counts @ self.log_factors)
+        return np.where((counts @ self.flips) % 2.0 == 1.0, -2.0 - e, e)
+
+    def _surface(self, gains_less_one: np.ndarray) -> np.ndarray:
+        """The slice whose modes are the payoff's times G, from G - 1."""
+        out = self.payoff.copy()
+        out[..., 1:-1] += dst(self.coefficients * gains_less_one, type=1,
+                              norm="ortho") / self.scale
+        return out
+
+    def slice(self, k: int) -> np.ndarray:
+        """Slice k, shaped as payoff: at k = n the payoff itself."""
+        return self._surface(self._gains_less_one(k))
 
     def interpolate(self, x, t: float):
         """u at (x, t): cubic in ln x, linear in variance between slices.
@@ -125,30 +163,11 @@ class GridSolution:
                             np.arange(n, -1, -1.0)))
         k = min(int(p), n - 1)
         w = p - k
-        # a spline is linear in its data: blend the slices, then fit once
-        blended = (1.0 - w) * self.values[k] + w * self.values[k + 1]
+        # a slice is linear in G and a spline in its data: blend the two
+        # slices' G, build one slice, then fit once
+        gains = self._gains_less_one(np.s_[k:k + 2])
+        blended = self._surface((1.0 - w) * gains[0] + w * gains[1])
         return CubicSpline(self.log_x_nodes, blended, axis=-1)(y)
-
-
-def _step_factors(s: float, lower: float, upper: float,
-                  n: int) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK pttrf's factors of D M D^-1, M = I - s tridiag(lower,
-    -(lower + upper), upper) of size n.
-
-    D = diag(rho^i), rho = sqrt(upper / lower) with lower, upper >= 0, makes
-    it symmetric, off-diagonal -s sqrt(lower upper), and for s >= 0 positive
-    definite, as 1 + s (lower + upper) > 2 s sqrt(lower upper): pttrf
-    factors it as L D L^T with no pivoting, and pttrs solves with the
-    factors, (n,) d and (n - 1,) e.  Raises ResolutionError where pttrf
-    finds it indefinite.
-    """
-    diag = np.full(n, 1.0 + s * (lower + upper))
-    off = np.full(n - 1, -s * math.sqrt(lower * upper))
-    d, e, info = dpttrf(diag, off, 1, 1)
-    if info != 0:
-        raise ResolutionError(
-            f"Crank-Nicolson system not positive definite (pttrf info {info})")
-    return d, e
 
 
 def cn_solve(
@@ -165,10 +184,10 @@ def cn_solve(
     both ends: 0 at the barrier, where the claim knocks out, and the terminal
     payoff's value at the far node, constant in time.  terminal_payoff maps
     the array of nx + 1 x nodes to one payoff, shape (nx + 1,), or to m
-    payoffs as the rows of an (m, nx + 1) array.  The m payoffs march as one
-    system with m right-hand sides, each row as its own solve would to the
-    bit; GridSolution says how the surface and interpolate are shaped.
-    The march runs in the variance clock v = cum_variance, in which the PDE
+    payoffs as the rows of an (m, nx + 1) array.  Each of the m rows is to
+    the bit what its own solve would give; GridSolution says how the
+    surface and interpolate are shaped.
+    The scheme runs in the variance clock v = cum_variance, in which the PDE
     u_v + (u_yy - u_y) / 2 = 0, y = ln x, has constant coefficients, in
     steps of dv = cum_variance(t0, t1, bond_T) / grid.nt that halve toward
     the payoff (see _LADDER_LEVELS), grid.nt + q _LADDER_LEVELS in all,
@@ -180,16 +199,20 @@ def cn_solve(
     A window with no variance raises ResolutionError; a variance too small
     for grid.nx ln x steps equal to within _GRID_UNIFORMITY of a step,
     DegenerateVariance; a far node beyond the float range, DomainError.
-    Both kinds of step of one size solve one matrix M = I - s A, s half
-    that size, factored once by _step_factors, each solve one pttrs: with
-    y = M^-1 (v + s upper far e_last), a half step is v_new = y and a
-    Crank-Nicolson step v_new = 2 y - v, as I + s A = 2 I - M.  The
-    interior marches as D v, divided by D once at the end.  An ln x step
-    h >= 2, where upper <= 0 and the scheme is not monotone, a
-    rho^(nx - 2) below the smallest normal float, or dv / 2 > 1e4 h^2, too
-    large a step for the half steps to damp, raises ResolutionError.  pttrs
-    does not check its input, so a non-finite payoff raises DomainError
-    before the first step, as does a surface that overflows on the way.
+    No step is marched.  Every step, of either kind, leaves the discrete
+    steady state u_far (rho^(2 (nx - i)) - rho^(2 nx)) / (1 - rho^(2 nx))
+    fixed, and D = diag(rho^i), rho = sqrt(upper / lower), makes the step
+    matrix of size s a symmetric tridiagonal Toeplitz one, which the DST-I
+    diagonalises: mode k's eigenvalue is mu_k = -(lower + upper)
+    + 2 sqrt(lower upper) cos(k pi / nx), a Crank-Nicolson step of size 2 s
+    multiplies it by (1 + s mu_k) / (1 - s mu_k) and the two half steps of
+    size s by (1 - s mu_k)^-2.  So the solve takes the sine coefficients of
+    the payoff less the steady state once, and GridSolution builds a slice
+    from them with one inverse DST.  An ln x step h >= 2, where upper <= 0
+    and the scheme is not monotone, a rho^(nx - 2) below _SYMMETRIC_FLOOR,
+    or dv / 2 > 1e4 h^2, too large a step for the half steps to damp,
+    raises ResolutionError.  A non-finite payoff raises DomainError, as
+    does one so large that a slice could overflow.
     """
     if grid is None:
         grid = GridConfig()
@@ -213,11 +236,13 @@ def cn_solve(
             "uniform ln x steps")
     # D's diagonal rho^i, rho^2 = upper / lower = (2 - h) / (2 + h); at
     # h >= 2 it is 0 from i = 1 on
-    scale = math.sqrt(max((2.0 - h) / (2.0 + h), 0.0)) ** np.arange(grid.nx - 1)
-    if not scale[-1] >= np.finfo(float).tiny:
+    rho2 = max((2.0 - h) / (2.0 + h), 0.0)
+    scale = math.sqrt(rho2) ** np.arange(grid.nx - 1)
+    if not scale[-1] >= _SYMMETRIC_FLOOR:
         raise ResolutionError(
             f"ln x step {h} too large at nx = {grid.nx}: the scheme is not "
-            "monotone, or its symmetric form underflows")
+            f"monotone, or its symmetric form's rho^{grid.nx - 2} = "
+            f"{scale[-1]:.3g} is below {_SYMMETRIC_FLOOR}")
     window_var = model.cum_variance(t0, t1, bond_T, params)
     if window_var == 0.0:
         raise ResolutionError(f"no variance over [{t0}, {t1}] to march in")
@@ -231,55 +256,60 @@ def cn_solve(
                      [grid.nt - q] + [q] * (_LADDER_LEVELS - 1) + [2 * q])
     n = len(exps)
 
-    payoff = np.asarray(terminal_payoff(np.exp(y)), dtype=float)
+    payoff = np.array(terminal_payoff(np.exp(y)), dtype=float)
     if not np.all(np.isfinite(payoff)):
         raise DomainError("terminal payoff is not finite on the grid")
-    # values[n] holds the m payoffs' slices as rows, their interior D v below
-    # the terminal slice until the march ends.  rhs holds the m right-hand
-    # sides as rows: its transpose is the Fortran (nx - 1, m) array pttrs
-    # overwrites with its solution
-    rows = payoff.reshape(-1, grid.nx + 1)
-    values = np.empty((n + 1,) + rows.shape)
-    values[n] = rows
-    values[:, :, 0] = 0.0  # knocked out at the barrier: nothing to add to rhs[0]
-    values[:, :, -1] = values[n, :, -1]
-    marched = values[:n, :, 1:-1]
-    rhs = values[n, :, 1:-1] * scale  # the first half step's D v
+    payoff[..., 0] = 0.0  # knocked out at the barrier
+    far = payoff[..., -1:]
+    # the interior of the steady state u_far (rho^(2 (nx - i)) - rho^(2 nx))
+    # / (1 - rho^(2 nx)), 0 at the barrier and u_far at the far node
+    nodes = np.arange(grid.nx - 1, 0, -1)
+    steady = far * ((rho2 ** nodes - rho2 ** grid.nx)
+                    / (1.0 - rho2 ** grid.nx))
+    coefficients = dst((payoff[..., 1:-1] - steady) * scale, type=1,
+                       norm="ortho")
+    # |slice - payoff| <= 2 sum |coefficients| / rho^(nx - 2), as |G| <= 1
+    # and no entry of the orthonormal DST-I exceeds 1
+    with np.errstate(over="ignore"):
+        reach = (np.max(np.abs(payoff), axis=-1)
+                 + 2.0 * np.sum(np.abs(coefficients), axis=-1) / scale[-1])
+    if not np.all(np.isfinite(reach)):
+        raise DomainError("the FD surface could overflow: payoff too large")
+
+    # -mu_k = (sqrt(lower) - sqrt(upper))^2 + 4 sqrt(lower upper)
+    # sin^2(k pi / 2 nx), two terms that do not cancel, and lower - upper is
+    # 1 / (2 h)
     lower = 0.5 * (1.0 / (h * h) + 1.0 / (2.0 * h))
     upper = 0.5 * (1.0 / (h * h) - 1.0 / (2.0 * h))
-    # per level j, the factors of M = I - s A, s = dv / 2^(j + 1), and the
-    # far node's term of its steps, s upper u_far in D's scaling
-    levels = []
-    for j in range(_LADDER_LEVELS + 1):
-        s = dv * 0.5 ** (j + 1)
-        levels.append((*_step_factors(s, lower, upper, grid.nx - 1),
-                       s * upper * values[n, :, -1] * scale[-1]))
+    decay = (0.5 / h / (math.sqrt(lower) + math.sqrt(upper))) ** 2 \
+        + 4.0 * math.sqrt(lower * upper) * np.sin(
+            np.arange(1, grid.nx) * (0.5 * math.pi / grid.nx)) ** 2
+    # a = -s mu_k at level j, s = dv / 2^(j + 1): a Crank-Nicolson factor
+    # (1 - a) / (1 + a) has log |.| = -2 atanh(min(a, 1 / a)) and is
+    # negative where a > 1; the half steps' (1 + a)^-2 has log -2 log1p(a)
+    a = (dv * 0.5 ** np.arange(1, _LADDER_LEVELS + 2))[:, None] * decay
+    with np.errstate(divide="ignore", over="ignore"):
+        log_cn = -2.0 * np.arctanh(np.minimum(a, 1.0 / a))
+    # a factor of exactly 0 (a = 1) as the smallest normal float, so that a
+    # level with no steps still counts 0 * log
+    log_factors = np.vstack([np.maximum(log_cn, -model._LOG_HUGE),
+                             -2.0 * np.log1p(a[-1])])
+    flips = np.zeros_like(log_factors)
+    flips[:-1] = a > 1.0
+    # kind exps[k] for the Crank-Nicolson step from k + 1 back to k, k < n - 1,
+    # the last kind for the half steps off the payoff; summed from each
+    # slice to the payoff
+    taken = np.zeros((n + 1, _LADDER_LEVELS + 2))
+    taken[np.arange(n - 1), exps[:-1]] = 1.0
+    taken[n - 1, -1] = 1.0
+    steps = np.cumsum(taken[::-1], axis=0)[::-1]
 
-    def solve(d, e, far) -> None:
-        # rhs <- y = (D M D^-1)^-1 (rhs + far e_last)
-        rhs[:, -1] += far
-        dpttrs(d, e, rhs.T, 1)
-
-    # an overflow is caught on the whole surface, below
-    with np.errstate(over="ignore", invalid="ignore"):
-        solve(*levels[exps[-1]])
-        solve(*levels[exps[-1]])
-        marched[-1] = rhs
-        for k in range(n - 2, -1, -1):
-            rhs[:] = marched[k + 1]
-            solve(*levels[exps[k]])
-            np.multiply(rhs, 2.0, out=marched[k])
-            np.subtract(marched[k], marched[k + 1], out=marched[k])
-        np.divide(marched, scale, out=marched)
-    if not np.all(np.isfinite(values)):
-        raise DomainError("the FD surface overflowed: payoff too large")
-
-    if payoff.ndim == 1:
-        values = values[:, 0]
     # the variance left to t1 at each slice, dv times binary fractions
     variances = dv * np.append(np.cumsum(0.5 ** exps[::-1])[::-1], 0.0)
-    return GridSolution(log_x_nodes=y, variances=variances, values=values,
-                        t1=t1, bond_T=bond_T, params=params)
+    return GridSolution(log_x_nodes=y, variances=variances, payoff=payoff,
+                        coefficients=coefficients, scale=scale, steps=steps,
+                        log_factors=log_factors, flips=flips, t1=t1,
+                        bond_T=bond_T, params=params)
 
 
 @dataclass(frozen=True)

@@ -846,11 +846,11 @@ class TestVerify:
             assert [c["name"] for c in report["checks"]] == names
             assert report["pass"] is True
 
-    @pytest.mark.xfail(strict=True, reason="FOUND: on line 69 of CHANGES.md")
     def test_fd_suite_without_firm_volatility(self, tmp_path):
         # at s_V = 0 the bond check's last read, at t + 0.9 (T - t), has 0.3%
-        # of the window's variance left, a few ln x steps of an 800 x 800
-        # grid: its error reads 2.8e-4 against the bound of 1e-4 (exit 4)
+        # of the window's variance left: on the whole window's grid that is
+        # a few ln x steps, and its error read 2.8e-4 against the bound of
+        # 1e-4.  Each read time's own solve spans its own variance: 1.7e-6
         def mutate(d):
             d.pop("option")
             d["model"]["s_V"] = 0.0

@@ -6,8 +6,7 @@ import threading
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgtsv, dpttrs
+from scipy.linalg.lapack import dgtsv
 from scipy.special import ndtr
 
 from credbond import (
@@ -156,6 +155,9 @@ class TestCnSolve:
         # h = 1.50 < 2, but rho^798 = e^-776 is below the smallest normal
         # float; the far node B e^1199 = e^508 is in range
         (106.0, 1e-300, 800),
+        # h = 0.901: rho^38 = 9.9e-9, just below the floor of the sine
+        # basis's roundoff (see TestCnSolveAtTheSineBasisFloor)
+        (3.19, 0.6, 40),
     ])
     def test_rejects_grid_without_symmetric_form(self, s_v, barrier_b, nx):
         params = dataclasses.replace(BENCH, s_V=s_v, barrier_b=barrier_b)
@@ -184,7 +186,7 @@ class TestCnSolve:
                      grid=GridConfig(nx=50, nt=50))
 
     def test_rejects_overflowing_surface(self):
-        # a finite payoff whose first step overflows the right-hand side
+        # a finite payoff whose sine coefficients overflow
         with pytest.raises(DomainError):
             cn_solve(lambda x: np.full_like(x, 1e308), 0.0, 2.0, 2.0, BENCH,
                      grid=GridConfig(nx=50, nt=50))
@@ -197,13 +199,14 @@ class TestCnSolve:
         payoffs = (unit_payoff, lambda x: np.maximum(0.9 - 0.5 * x, 0.0))
         both = cn_solve(lambda x: np.array([f(x) for f in payoffs]),
                         0.0, 1.0, 2.0, BENCH, grid=grid)
-        slices = len(both.variances)
-        assert both.values.shape == (slices, 2, nx + 1)
+        slices = range(len(both.variances))
+        assert both.slice(0).shape == (2, nx + 1)
         xs = np.array([[0.7, 1.0], [1.3, 2.1]])
         for j, payoff in enumerate(payoffs):
             one = cn_solve(payoff, 0.0, 1.0, 2.0, BENCH, grid=grid)
-            assert one.values.shape == (slices, nx + 1)
-            assert np.array_equal(both.values[:, j], one.values)
+            assert one.slice(0).shape == (nx + 1,)
+            for k in slices:
+                assert np.array_equal(both.slice(k)[j], one.slice(k))
             for t in (0.0, 0.37, 1.0):
                 got = both.interpolate(xs, t)
                 assert got.shape == (2,) + xs.shape
@@ -255,25 +258,31 @@ class TestGridSolutionInterpolate:
         assert sol.interpolate([b, 2.0 * b], t)[0] == 0.0
 
 
-def reference_cn_solve(terminal_payoff, t0, t1, bond_T, params, grid):
-    """cn_solve's march in the variance clock with each step's right-hand
-    side formed by an explicit tridiagonal product and the unsymmetrised
-    system solved by LAPACK gtsv, with partial pivoting.  Its refusals are
-    left out, so the grid must pass them.
-    """
+def ladder(t0, t1, bond_T, params, grid):
+    """cn_solve's ln x nodes and its step sizes from the payoff back: 2q
+    steps of dv / 2^L, q of each dv / 2^j for j = L - 1 down to 1, and the
+    nt - q steps of dv left."""
     b = params.barrier_b
     total_var = model.cum_variance(t0, bond_T, bond_T, params)
     width = oracles._DOMAIN_WIDTH_SIGMAS * math.sqrt(total_var)
     y = np.linspace(math.log(b), math.log(b) + width, grid.nx + 1)
-    h = y[1] - y[0]
     dv = model.cum_variance(t0, t1, bond_T, params) / grid.nt
-    # from the payoff back: 2q steps of dv / 2^L, q of each dv / 2^j for
-    # j = L - 1 down to 1, and the nt - q steps of dv left
     levels, q = oracles._LADDER_LEVELS, min(oracles._LADDER_STEPS, grid.nt)
     spans = [dv / 2 ** levels] * (2 * q)
     for j in range(levels - 1, 0, -1):
         spans += [dv / 2 ** j] * q
     spans += [dv] * (grid.nt - q)
+    return y, spans
+
+
+def reference_cn_solve(terminal_payoff, t0, t1, bond_T, params, grid):
+    """cn_solve's scheme marched in the variance clock, with each step's
+    right-hand side formed by an explicit tridiagonal product and the
+    unsymmetrised system solved by LAPACK gtsv, with partial pivoting.  Its
+    refusals are left out, so the grid must pass them.
+    """
+    y, spans = ladder(t0, t1, bond_T, params, grid)
+    h = y[1] - y[0]
     n_steps = len(spans)
     # u_v = A u in the variance clock, A = tridiag(lower, centre, upper)
     lower = 0.5 * (1.0 / (h * h) + 1.0 / (2.0 * h))
@@ -324,6 +333,47 @@ def reference_cn_solve(terminal_payoff, t0, t1, bond_T, params, grid):
     return values, np.append(np.cumsum(spans)[::-1], 0.0)
 
 
+def extended_cn_march(terminal_payoff, t0, t1, bond_T, params, grid):
+    """cn_solve's scheme marched in np.longdouble, each step solved by the
+    Thomas algorithm: its slices as an (n + 1, m, nx + 1) array."""
+    y, spans = ladder(t0, t1, bond_T, params, grid)
+    h = np.longdouble(y[1] - y[0])
+    lower = (1 / (h * h) + 1 / (2 * h)) / 2
+    centre = -1 / (h * h)
+    upper = (1 / (h * h) - 1 / (2 * h)) / 2
+    u = np.array(terminal_payoff(np.exp(y)), dtype=np.longdouble)
+    u = u.reshape(-1, grid.nx + 1)
+    u[:, 0] = 0
+    slices = [u]
+
+    def step(u, span, implicit_weight):
+        implicit = np.longdouble(span) * implicit_weight
+        explicit = np.longdouble(span) - implicit
+        rhs = u[:, 1:-1] + explicit * (
+            lower * u[:, :-2] + centre * u[:, 1:-1] + upper * u[:, 2:])
+        rhs[:, -1] += implicit * upper * u[:, -1]
+        sub, diag, sup = -implicit * lower, 1 - implicit * centre, \
+            -implicit * upper
+        pivots = np.full(grid.nx - 1, diag)
+        for i in range(1, grid.nx - 1):
+            ratio = sub / pivots[i - 1]
+            pivots[i] -= ratio * sup
+            rhs[:, i] -= ratio * rhs[:, i - 1]
+        new = u.copy()
+        new[:, -2] = rhs[:, -1] / pivots[-1]
+        for i in range(grid.nx - 3, -1, -1):
+            new[:, i + 1] = (rhs[:, i] - sup * new[:, i + 2]) / pivots[i]
+        return new
+
+    for i, span in enumerate(spans):
+        if i == 0:
+            u = step(step(u, span / 2, 1), span / 2, 1)
+        else:
+            u = step(u, span, 0.5)
+        slices.append(u)
+    return np.array(slices[::-1])
+
+
 class TestCnSolveAgainstReference:
     # (seed, nx, nt, rows): each seed draws its parameters, window and payoffs
     CONFIGS = [(0, 40, 40, 1), (1, 40, 7, 2), (2, 40, 1, 2),
@@ -333,7 +383,7 @@ class TestCnSolveAgainstReference:
 
     @pytest.mark.parametrize("seed,nx,nt,rows", CONFIGS)
     def test_agrees_with_explicit_product_and_gtsv(self, seed, nx, nt, rows):
-        # the symmetric solve and the 2 y - v step round differently from the
+        # the sine basis's product of factors rounds differently from the
         # reference's product and pivoted solve, and nothing else
         rng = np.random.default_rng(seed)
         params = ModelParams(
@@ -352,7 +402,7 @@ class TestCnSolveAgainstReference:
         expected, variances = reference_cn_solve(payoff, t0, t1, bond_T,
                                                  params, grid)
         np.testing.assert_allclose(sol.variances, variances, rtol=1e-13)
-        got = sol.values
+        got = np.array([sol.slice(k) for k in range(len(sol.variances))])
         assert got.shape == expected.shape
         assert np.array_equal(got[-1], expected[-1])
         got, expected = (v.reshape(-1, rows, nx + 1) for v in (got, expected))
@@ -361,83 +411,36 @@ class TestCnSolveAgainstReference:
             assert error <= 1e-11 * np.max(np.abs(expected[:, j]))
 
 
-def step_matrix(s, lower, upper, n):
-    """I - s tridiag(lower, -(lower + upper), upper), as solve_banded takes it."""
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -s * upper
-    ab[1] = 1.0 + s * (lower + upper)
-    ab[2, :-1] = -s * lower
-    return ab
-
-
-def solve_factored(s, lower, upper, rhs):
-    """pttrs on the _step_factors of M = step_matrix(...): the solution of
-    the symmetric form for each column of the (n, nrhs) rhs."""
-    d, e = oracles._step_factors(s, lower, upper, len(rhs))
-    x, info = dpttrs(d, e, rhs)
-    assert info == 0
-    return x
-
-
-def solve_unsymmetrised(s, lower, upper, rhs):
-    """x with M x = rhs, M = step_matrix(...), from the factors of D M D^-1."""
-    d = math.sqrt(upper / lower) ** np.arange(len(rhs))
-    return solve_factored(s, lower, upper, (rhs * d)[:, None])[:, 0] / d
-
-
-def step_coefficients(rng, h):
-    """s, lower, upper of a step at ln x spacing h, with s (lower + upper)
-    in [0.1, 10], the range the README grid's steps take."""
-    s = rng.uniform(1e-4, 1e-2)
-    k = 10.0 ** rng.uniform(-1.0, 1.0) / (2.0 * s)
-    return s, k * (1.0 + 0.5 * h), k * (1.0 - 0.5 * h)
-
-
-class TestSolveTridiagonal:
-    """_step_factors, the factored symmetric form of the step matrix."""
-
-    @pytest.mark.parametrize("n", [5, 799])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_equals_solve_banded(self, n, seed):
-        rng = np.random.default_rng(seed)
-        s, lower, upper = step_coefficients(rng, rng.uniform(0.01, 1.0))
-        rhs = rng.standard_normal(n)
-        expected = solve_banded((1, 1), step_matrix(s, lower, upper, n), rhs)
-        got = solve_unsymmetrised(s, lower, upper, rhs)
-        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
-
-    # upper -> 0+ as h -> 2-, and rho with it: rho^4 = 3e-33 at the float
-    # below 2
-    @pytest.mark.parametrize("h", [2.0 - 1e-3, 2.0 - 1e-9,
-                                   math.nextafter(2.0, 0.0)])
-    def test_equals_solve_banded_as_h_nears_2(self, h):
-        rng = np.random.default_rng(7)
-        s, lower, upper = step_coefficients(rng, h)
-        rhs = rng.standard_normal(5)
-        expected = solve_banded((1, 1), step_matrix(s, lower, upper, 5), rhs)
-        got = solve_unsymmetrised(s, lower, upper, rhs)
-        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
-
-    @pytest.mark.parametrize("n", [5, 799])
-    def test_columns_equal_solve_banded(self, n):
-        rng = np.random.default_rng(n)
-        s, lower, upper = step_coefficients(rng, 0.5)
-        rhs = np.asfortranarray(rng.standard_normal((n, 2)))
-        got = solve_factored(s, lower, upper, rhs)
-        assert got.shape == (n, 2)
-        ab = step_matrix(s, lower, upper, n)
+class TestCnSolveAtTheSineBasisFloor:
+    def test_just_inside_agrees_with_an_extended_precision_march(self):
+        # s_V = 3.18 at 40 x 40: rho^38 = 1.03e-8, just above the floor, and
+        # a slice's far nodes carry about 1e-15 / rho^38 of roundoff (2.1e-8
+        # and 2.4e-8 of each row's largest value, against 5e-16 at s_V = 0.2)
+        params = dataclasses.replace(BENCH, s_V=3.18)
+        grid = GridConfig(nx=40, nt=40)
+        payoff = lambda x: np.array([np.ones_like(x),
+                                     np.maximum(0.9 - 0.5 * x, 0.0)])
+        sol = cn_solve(payoff, 0.0, 2.0, 2.0, params, grid=grid)
+        floor = sol.scale[-1]
+        assert oracles._SYMMETRIC_FLOOR <= floor <= 1.1 * oracles._SYMMETRIC_FLOOR
+        expected = extended_cn_march(payoff, 0.0, 2.0, 2.0, params, grid)
+        got = np.array([sol.slice(k) for k in range(len(sol.variances))])
+        assert got.shape == expected.shape
         for j in range(2):
-            one = solve_factored(s, lower, upper, rhs[:, j:j + 1])
-            assert np.array_equal(got[:, j], one[:, 0])
-            expected = solve_banded((1, 1), ab, rhs[:, j])
-            error = solve_unsymmetrised(s, lower, upper, rhs[:, j]) - expected
-            assert np.max(np.abs(error)) <= 1e-13 * np.max(np.abs(expected))
+            scale = np.max(np.abs(expected[:, j]))
+            error = np.max(np.abs(got[:, j] - expected[:, j])) / scale
+            assert error <= 1e-15 / floor
 
-    def test_singular_system_raises(self):
-        # s = -1, lower = upper = 1/2: a zero main diagonal and off-diagonals
-        # 1/2, singular at an odd size; pttrf stops at the first pivot
-        with pytest.raises(ResolutionError, match="info 1"):
-            oracles._step_factors(-1.0, 0.5, 0.5, 5)
+    @pytest.mark.parametrize("nx", [40, 800])
+    def test_corner_of_the_box_is_not_refused(self, nx):
+        # the CLI box's corner of most variance: rho^(nx - 2) is 1.76e-6 at
+        # nx = 40 and 1.55e-6 at 800, some 150 times the floor
+        params = ModelParams(theta=1e-12, mu=0.05, s_r=0.05, s_V=0.8,
+                             rho=1.0, barrier_b=0.6, recovery_r=0.4)
+        sol = cn_solve(unit_payoff, 0.0, 10.0, 10.0, params,
+                       grid=GridConfig(nx=nx, nt=40))
+        assert sol.scale[-1] >= 100.0 * oracles._SYMMETRIC_FLOOR
+        assert np.all(np.isfinite(sol.slice(0)))
 
 
 class TestMcForward:
