@@ -442,6 +442,109 @@ class TestCnSolveAtTheSineBasisFloor:
         assert sol.scale[-1] >= 100.0 * oracles._SYMMETRIC_FLOOR
         assert np.all(np.isfinite(sol.slice(0)))
 
+    # rho^38 = 0.34, 4.5e-3 and 8.1e-7: the worst error reads 5.1e-16,
+    # 4.6e-14 and 2.5e-10, each about a fifth of 1e-15 / rho^38
+    @pytest.mark.parametrize("s_v", [0.2, 1.0, 2.5])
+    def test_roundoff_grows_as_rho_falls(self, s_v):
+        params = dataclasses.replace(BENCH, s_V=s_v)
+        grid = GridConfig(nx=40, nt=40)
+        payoff = lambda x: np.array([np.ones_like(x),
+                                     np.maximum(0.9 - 0.5 * x, 0.0)])
+        sol = cn_solve(payoff, 0.0, 2.0, 2.0, params, grid=grid)
+        expected = extended_cn_march(payoff, 0.0, 2.0, 2.0, params, grid)
+        got = np.array([sol.slice(k) for k in range(len(sol.variances))])
+        for j in range(2):
+            scale = np.max(np.abs(expected[:, j]))
+            error = np.max(np.abs(got[:, j] - expected[:, j])) / scale
+            assert error <= 1e-15 / sol.scale[-1]
+
+
+def dense_cn_march(u, spans, h):
+    """cn_solve's scheme on the interior values u, 0 at both Dirichlet
+    nodes, each step a dense np.linalg.solve: its slices, first to last."""
+    n = len(u)
+    lower = 0.5 * (1.0 / (h * h) + 1.0 / (2.0 * h))
+    upper = 0.5 * (1.0 / (h * h) - 1.0 / (2.0 * h))
+    a = (np.diag(np.full(n, -1.0 / (h * h)))
+         + np.diag(np.full(n - 1, lower), -1)
+         + np.diag(np.full(n - 1, upper), 1))
+    eye = np.eye(n)
+    slices = [u]
+    for i, span in enumerate(spans):
+        if i == 0:
+            half = eye - 0.5 * span * a
+            u = np.linalg.solve(half, np.linalg.solve(half, u))
+        else:
+            u = np.linalg.solve(eye - 0.5 * span * a, (eye + 0.5 * span * a) @ u)
+        slices.append(u)
+    return np.array(slices[::-1])
+
+
+class TestSineBasis:
+    """GridSolution's slices against what its modes say of the scheme."""
+
+    # at nt = 1 the coarse steps' factors (1 - a) / (1 + a) have a > 1 from
+    # mode 22 on: G_0 reads -2.1e-3 at mode 20 and 1.9e-3 at mode 39, each
+    # past an odd count of negative factors on the way
+    @pytest.mark.parametrize("mode,flips", [(1, False), (20, True),
+                                            (39, True)])
+    def test_one_mode_agrees_with_a_dense_march(self, mode, flips):
+        grid = GridConfig(nx=40, nt=1)
+        y, spans = ladder(0.0, 2.0, 2.0, BENCH, grid)
+        h = y[1] - y[0]
+        # D^-1 times the orthonormal DST-I's vector of this mode
+        rho = math.sqrt((2.0 - h) / (2.0 + h))
+        i = np.arange(1, grid.nx)
+        vector = (math.sqrt(2.0 / grid.nx) * np.sin(mode * i * math.pi / grid.nx)
+                  / rho ** (i - 1))
+        payoff = np.concatenate([[0.0], vector, [0.0]])
+        sol = cn_solve(lambda x: payoff.copy(), 0.0, 2.0, 2.0, BENCH,
+                       grid=grid)
+        expected = dense_cn_march(vector, spans, h)
+        got = np.array([sol.slice(k) for k in range(len(sol.variances))])
+        assert got.shape == (len(spans) + 1, grid.nx + 1)
+        assert np.all(got[:, [0, -1]] == 0.0)
+        error = np.max(np.abs(got[:, 1:-1] - expected))
+        assert error <= 1e-13 * np.max(np.abs(vector))
+        gains = got[:, 1] / vector[0]
+        assert (np.min(gains) < -1e-3) == flips
+
+    @pytest.mark.parametrize("nx", [40, 800])
+    def test_discrete_steady_state_is_every_slice(self, nx):
+        # u_far (rho^(2 (nx - i)) - rho^(2 nx)) / (1 - rho^(2 nx)) has no
+        # sine coefficients, and no step moves it
+        grid = GridConfig(nx=nx, nt=40)
+        y, _ = ladder(0.0, 2.0, 2.0, BENCH, grid)
+        h = y[1] - y[0]
+        rho2 = (2.0 - h) / (2.0 + h)
+        i = np.arange(nx + 1)
+        steady = 0.7 * (rho2 ** (nx - i) - rho2 ** nx) / (1.0 - rho2 ** nx)
+        sol = cn_solve(lambda x: steady.copy(), 0.0, 2.0, 2.0, BENCH,
+                       grid=grid)
+        assert np.max(np.abs(sol.coefficients)) <= 1e-14
+        for k in range(len(sol.variances)):
+            assert np.max(np.abs(sol.slice(k) - steady)) <= 1e-15
+
+    def test_slice_is_a_new_array(self):
+        sol = cn_solve(unit_payoff, 0.0, 2.0, 2.0, BENCH,
+                       grid=GridConfig(nx=40, nt=40))
+        n = len(sol.variances) - 1
+        first, last = sol.slice(0), sol.slice(n)
+        assert np.array_equal(last, sol.payoff)
+        first[:] = last[:] = np.nan
+        assert np.all(np.isfinite(sol.slice(0)))
+        assert np.all(np.isfinite(sol.slice(n)))
+        assert np.all(np.isfinite(sol.payoff))
+
+    # t0 reads slice 0 and t1 the payoff, each to roundoff at the nodes
+    @pytest.mark.parametrize("t,end", [(0.0, 0), (2.0, -1)])
+    def test_interpolate_at_the_nodes_reads_the_end_slices(self, t, end):
+        sol = cn_solve(lambda x: np.maximum(0.9 - 0.5 * x, 0.0), 0.0, 2.0,
+                       2.0, BENCH, grid=GridConfig(nx=40, nt=40))
+        k = range(len(sol.variances))[end]
+        got = sol.interpolate(np.exp(sol.log_x_nodes), t)
+        assert np.max(np.abs(got - sol.slice(k))) <= 1e-15
+
 
 class TestMcForward:
     def test_bond_within_errors(self):
