@@ -11,8 +11,10 @@ Brownian-bridge barrier correction) and a risk-neutral two-factor engine
 simulating (r, V) jointly.  Each Monte-Carlo
 path scores its exact Brownian-bridge survival given its nodes, from one
 bridge factor, and both engines draw only normals.  The two-factor engine
-draws each chunk's normals on a helper thread, one block of steps ahead of
-the chunk's march, from the same stream in the same order.
+draws its fine scheme's law exactly at coarse nodes and refines a block,
+drawing its fine normals given the coarse draw, only where a crossing can
+happen; each chunk's normals come from two streams of its own, drawn on a
+helper thread a fill ahead of the chunk's march.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 from scipy.fft import dst
-from scipy.interpolate import CubicSpline
 
 from . import model
 from .bond import BondSpec, _unit_value
@@ -54,7 +55,8 @@ _GRID_UNIFORMITY = 1e-6
 # form is 1 / rho^(nx - 2) from the grid's, so a slice's far nodes carry
 # about 1e-15 / rho^(nx - 2) of roundoff
 _SYMMETRIC_FLOOR = 1e-8
-# mc_spot's survival control takes its bridge factor over this many steps
+# mc_spot's survival control takes its bridge factor over this many steps,
+# and its coarse march draws blocks of this many
 _SURVIVAL_STRIDE = 10
 # c with 1 - exp(-c) == 1.0: mc_spot evaluates a bridge factor only where
 # 2 a+ b <= c var, since beyond it the factor rounds to 1
@@ -62,10 +64,15 @@ _SURVIVAL_CUTOFF = 40.0
 # a control enters the regression only where at least about this many
 # samples carry its spread (see _reduce_chunks)
 _CONTROL_MIN_SAMPLES = 10.0
-# mc_spot's steps per normal block (see _normal_blocks): blocks of 8 to 128
-# steps time alike, and at most two, of 1 MB each for an 8192-path chunk at
-# 32, are held at once
-_DRAW_BLOCK = 32
+# mc_spot's normals per group in one fill of a stream (see _DrawAhead): at
+# most two fills of each of a chunk's two streams, of 256 KB each for an
+# 8192-path chunk at 16, are held at once
+_DRAW_BLOCK = 16
+# the bias that mc_spot's coarse march may take on a survival probability,
+# in all, by skipping the fine factors of blocks (see _refine_cutoff)
+_SKIP_BIAS = 1e-10
+# a block's singular values below this share of its largest are taken as 0
+_RANK_TOL = 1e-10
 
 
 @dataclass
@@ -131,11 +138,13 @@ class GridSolution:
     def interpolate(self, x, t: float):
         """u at (x, t): cubic in ln x, linear in variance between slices.
 
-        A t before the window reads its first slice and one after t1 the
-        slice at t1.  Returns shape x.shape for a payoff of one row and
+        The cubic is local: the one through the four nodes around ln x, the
+        two on each side of it, or the first or last four at the grid's
+        ends.  A t before the window reads its first slice and one after t1
+        the slice at t1.  Returns shape x.shape for a payoff of one row and
         (m,) + x.shape for one of m rows.  Raises DomainError for a
         non-finite x or t, ResolutionError for an x beyond the grid's far
-        node, where the spline would extrapolate, and BelowBarrier for an x
+        node, where the cubic would extrapolate, and BelowBarrier for an x
         below the first node whose ln x lies below it too.  So x = B and the
         first node pass whichever way exp(ln B) rounds, and both are taken
         at the node, where u is 0.
@@ -163,11 +172,23 @@ class GridSolution:
                             np.arange(n, -1, -1.0)))
         k = min(int(p), n - 1)
         w = p - k
-        # a slice is linear in G and a spline in its data: blend the two
-        # slices' G, build one slice, then fit once
+        # a slice is linear in G and the cubic in its data: blend the two
+        # slices' G and build one slice
         gains = self._gains_less_one(np.s_[k:k + 2])
         blended = self._surface((1.0 - w) * gains[0] + w * gains[1])
-        return CubicSpline(self.log_x_nodes, blended, axis=-1)(y)
+        # y at s steps of h from the barrier node, read from the cubic
+        # through nodes i - 1 to i + 2, i = floor(s) kept off both ends
+        nx = len(self.log_x_nodes) - 1
+        s = (y - log_b) * (nx / (self.log_x_nodes[-1] - log_b))
+        i = np.clip(np.floor(s), 1, nx - 2)
+        t = (s - i)[..., None]
+        weights = np.concatenate([
+            -t * (t - 1.0) * (t - 2.0) / 6.0,
+            (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
+            -(t + 1.0) * t * (t - 2.0) / 2.0,
+            (t + 1.0) * t * (t - 1.0) / 6.0], axis=-1)
+        stencil = i.astype(int)[..., None] + np.arange(-1, 3)
+        return (blended[..., stencil] * weights).sum(axis=-1)
 
 
 def cn_solve(
@@ -326,37 +347,59 @@ class McEstimate:
 _SIGNS = np.array([[1.0], [-1.0]])
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    seq = np.random.SeedSequence((seed % 2 ** 64, chunk_index))
+def _chunk_rng(seed: int, chunk_index: int,
+               *stream: int) -> np.random.Generator:
+    seq = np.random.SeedSequence((seed % 2 ** 64, chunk_index, *stream))
     return np.random.Generator(np.random.SFC64(seq))
 
 
-@contextmanager
-def _normal_blocks(rng: np.random.Generator, n_steps: int,
-                   groups: int) -> Iterator[Iterator[np.ndarray]]:
-    """An iterator over n_steps standard normal draws of shape (2, groups).
+class _DrawAhead:
+    """rng's standard normals, in the stream's order, drawn one fill ahead.
 
-    The draws are rng's, in its order: one (k, 2, groups) fill consumes the
-    stream as k fills of (2, groups) do.  A helper thread fills blocks of
-    _DRAW_BLOCK steps, each submitted as the caller starts on the block
-    before it; numpy holds no interpreter lock while it fills.  The thread
-    is joined when the with block exits, by return or by raise.
+    take(n) returns the next n normals of the stream.  The normals come in
+    fills of fill normals, the next one submitted to pool, a one-thread
+    executor, as the caller starts on the one before it; numpy holds no
+    interpreter lock while it fills.  A fill of k normals takes the same
+    normals from the stream as k fills of one do, so the normals returned
+    depend on neither fill nor the caller's n.
+    """
+
+    def __init__(self, pool: ThreadPoolExecutor, rng: np.random.Generator,
+                 fill: int):
+        self._pool, self._rng, self._fill = pool, rng, fill
+        self._ahead = pool.submit(rng.standard_normal, fill)
+        self._buffer, self._used = np.empty(0), 0
+
+    def take(self, n: int) -> np.ndarray:
+        parts = []
+        while n > 0:
+            if self._used == len(self._buffer):
+                self._buffer, self._used = self._ahead.result(), 0
+                self._ahead = self._pool.submit(self._rng.standard_normal,
+                                                self._fill)
+            k = min(n, len(self._buffer) - self._used)
+            parts.append(self._buffer[self._used:self._used + k])
+            self._used += k
+            n -= k
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate([np.empty(0), *parts])  # no part where n = 0
+
+
+@contextmanager
+def _normal_blocks(rngs: list[np.random.Generator],
+                   fill: int) -> Iterator[list[_DrawAhead]]:
+    """A _DrawAhead over each of rngs, all drawing on one helper thread.
+
+    The thread is joined when the with block exits, by return or by raise,
+    after it has drawn the fills it was given; on a return, the fill each
+    drew ahead of its last is read, so that a draw that raised raises.
     """
     with ThreadPoolExecutor(max_workers=1) as pool:
-        def block(start):
-            shape = (min(_DRAW_BLOCK, n_steps - start), 2, groups)
-            return pool.submit(rng.standard_normal, shape)
-
-        def draws():
-            ahead = block(0)
-            for start in range(_DRAW_BLOCK, n_steps + _DRAW_BLOCK,
-                               _DRAW_BLOCK):
-                current = ahead.result()
-                if start < n_steps:
-                    ahead = block(start)
-                yield from current
-
-        yield draws()
+        draws = [_DrawAhead(pool, rng, fill) for rng in rngs]
+        yield draws
+        for draw in draws:
+            draw._ahead.result()
 
 
 def _group_means(values: np.ndarray, size: int) -> np.ndarray:
@@ -377,18 +420,23 @@ def _group_means(values: np.ndarray, size: int) -> np.ndarray:
     return means
 
 
-def _bridge_survival(prod: np.ndarray, var: float) -> np.ndarray:
+def _bridge_survival(prod: np.ndarray, var) -> np.ndarray:
     """The probability that a Brownian bridge of variance var stays above 0.
 
     prod is g g', the bridge's values at its two ends: 1 - exp(-2 g g' / var)
     where both are > 0, and 0 where g' <= 0, prod being clamped at 0 (a path
-    with g <= 0 is at 0 from an earlier factor).  Where var is 0, or so small
-    that 2 / var overflows, the factor is its limit: 1 where prod > 0, else 0.
+    with g <= 0 is at 0 from an earlier factor).  var is a float or an array
+    that broadcasts against prod.  Where var is 0, or so small that 2 / var
+    overflows, the factor is its limit: 1 where prod > 0, else 0.
     """
-    scale = -2.0 / float(var) if var > 0.0 else -math.inf
-    if scale == -math.inf:
-        return np.where(prod > 0.0, 1.0, 0.0)
-    return -np.expm1(np.maximum(prod, 0.0) * scale)
+    # a product past the float range is -inf, where the factor is 1
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = -2.0 / np.asarray(var, dtype=float)
+        flat = np.isinf(scale)
+        if not flat.any():
+            return -np.expm1(np.maximum(prod, 0.0) * scale)
+        return np.where(flat, np.where(prod > 0.0, 1.0, 0.0), -np.expm1(
+            np.maximum(prod, 0.0) * np.where(flat, 0.0, scale)))
 
 
 def _reduce_chunks(run_chunk, n_paths: int, workers: int,
@@ -551,6 +599,170 @@ def mc_forward(
     return _reduce_chunks(run_chunk, n_paths, workers, seed)[0]
 
 
+@dataclass(frozen=True)
+class _Block:
+    """One block of mc_spot's coarse march, over fine steps stop - steps to
+    stop - 1.
+
+    phi takes the deviations (g, y, d, m) of a pair at the block's first
+    node to their part at its last.  normal_map, M, 8 x 2 steps, takes the
+    group's fine normals z (z1, z2 of each step in turn, pair A's; pair B
+    steps on each turned by 90 degrees) to the increments the two pairs
+    add, A's rows then B's: M = U S V^T over the r directions that it
+    spans.  The block draws r normals w per group and adds delta = factor w,
+    factor = U S, so that factor factor^T = M M^T.  Given delta, z has the
+    law of z' + P (delta - M z'), P = M^+ and z' iid standard normal; as
+    P delta = V w and P M = V V^T, that is V w + (I - V V^T) z', and no
+    inverse is formed.  g_maps[p], for pair p, takes (z', w, the pair's
+    deviations at the first node) to g at the block's steps - 1 interior
+    nodes, through that z.  gap_det is the deterministic gap there and
+    fine_vars each fine step's bridge variance.  half_cut is half the
+    cutoff c times the block's bridge variance (see _coarse_blocks).
+    """
+
+    stop: int
+    steps: int
+    phi: np.ndarray
+    normal_map: np.ndarray
+    factor: np.ndarray
+    g_maps: np.ndarray
+    gap_det: np.ndarray
+    fine_vars: np.ndarray
+    half_cut: float
+
+
+def _turned(normal_map: np.ndarray) -> np.ndarray:
+    """normal_map's columns for pair B: each step's (z1, z2) as (-z2, z1)."""
+    out = np.empty_like(normal_map)
+    out[..., 0::2] = normal_map[..., 1::2]
+    out[..., 1::2] = -normal_map[..., 0::2]
+    return out
+
+
+def _refine_cutoff(n_blocks: int) -> float:
+    """The c at which mc_spot's march takes a block's fine factors.
+
+    A path skips them where 2 g+ g' > c V at the block's ends, V the
+    block's bridge variance; for g a Brownian motion in the variance clock,
+    as the fine factors take it, their product has expectation
+    1 - exp(-2 g+ g' / V) given the ends, so a skip takes off at most e^-c
+    of the path's survival, and at most n_blocks e^-c = _SKIP_BIAS over the
+    march.  No c above _SURVIVAL_CUTOFF is taken, where every factor rounds
+    to 1.
+    """
+    return min(_SURVIVAL_CUTOFF, math.log(n_blocks / _SKIP_BIAS))
+
+
+def _coarse_blocks(kernels: np.ndarray, ends: list[int], step_vars: list,
+                   gap_det: np.ndarray) -> list[_Block]:
+    """mc_spot's blocks, one ending at each of the fine nodes ends.
+
+    kernels[i] takes the deviations at fine node i and step i's normals to
+    the deviations at node i + 1.  The blocks are composed side by side,
+    each padded to the longest by steps that keep the deviations and draw
+    nothing.  Each normal map is scaled to a largest entry of 1 and
+    factored by its singular values; those below _RANK_TOL of the largest
+    are taken as 0.  So a block spans 4 directions over equal steps (each
+    row takes its z1, and its z2, from a constant and a geometric series),
+    6 at most, 2 at s_r = 0 (the y and d rows are 0, and g's and m's are
+    one) and none at s_V = s_r = 0.  A block's bridge variance V is the
+    larger of its fine steps' and the variance of its g increment.
+    """
+    starts = [0, *ends[:-1]]
+    n = len(ends)
+    width = max(e - a for a, e in zip(starts, ends))
+    step = np.zeros((n, width, 4, 6))
+    step[..., :4] = np.eye(4)
+    for b, (a, e) in enumerate(zip(starts, ends)):
+        step[b, :e - a] = kernels[a:e]
+    # composed step by step: g_state and g_normals take the deviations at
+    # the first node and pair A's normals to g after each step
+    phi = np.tile(np.eye(4), (n, 1, 1))
+    normal_map = np.zeros((n, 4, 2 * width))
+    g_state, g_normals = np.empty((n, width, 4)), np.empty((n, width, 2 * width))
+    for k in range(width):
+        phi = step[:, k, :, :4] @ phi
+        normal_map = step[:, k, :, :4] @ normal_map
+        normal_map[:, :, 2 * k:2 * k + 2] = step[:, k, :, 4:]
+        g_state[:, k], g_normals[:, k] = phi[:, 0], normal_map[:, 0]
+    joint = np.concatenate([normal_map, _turned(normal_map)], axis=1)
+    size = np.abs(joint).max(axis=(1, 2))
+    size[size == 0.0] = 1.0
+    u, s, vt = np.linalg.svd(joint / size[:, None, None], full_matrices=False)
+    keep = s > _RANK_TOL * s[:, :1]
+    factor = u * (s * size[:, None])[:, None, :]
+    # V, its columns past the rank 0 (the singular values fall, so a block
+    # keeps its first rank); padded steps have rows of 0 in it
+    rank = keep.sum(axis=1).tolist()
+    basis = vt.transpose(0, 2, 1) * keep[:, None, :]
+    # g = H z = H (I - V V^T) z' + H V w, H pair A's g_normals (p = 0) or
+    # pair B's, plus the deviations' part
+    h = np.stack([g_normals, _turned(g_normals)], axis=1)
+    spanned = h @ basis[:, None]
+    rest = h - spanned @ basis[:, None].transpose(0, 1, 3, 2)
+    fine_vars = np.array(step_vars)
+    var = np.maximum(np.add.reduceat(fine_vars, starts),
+                     (normal_map[:, 0] ** 2).sum(axis=1))
+    half_cut = 0.5 * _refine_cutoff(n) * var
+    blocks = []
+    for b, (a, e) in enumerate(zip(starts, ends)):
+        m, w, r = e - a, 2 * (e - a), rank[b]
+        # columns for (z', w, deviations at the first node), a row per
+        # interior node
+        maps = np.empty((2, m - 1, w + r + 4))
+        maps[..., :w] = rest[b, :, :m - 1, :w]
+        maps[..., w:-4] = spanned[b, :, :m - 1, :r]
+        maps[..., -4:] = g_state[b, :m - 1]
+        blocks.append(_Block(
+            stop=e, steps=m, phi=phi[b], normal_map=joint[b, :, :w],
+            factor=factor[b, :, :r], g_maps=maps, gap_det=gap_det[a + 1:e],
+            fine_vars=fine_vars[a:e], half_cut=float(half_cut[b])))
+    return blocks
+
+
+def _fine_survival(block: _Block, fine: _DrawAhead, normals: np.ndarray,
+                   start: np.ndarray, gap_first: np.ndarray,
+                   gap_last: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """The product of block's fine bridge factors on each path near marks.
+
+    normals, (r, groups), are the w the groups drew for the block, start,
+    (4, 2 groups), the pairs' deviations at its first node, and gap_first,
+    gap_last and near (a bool) are shaped (2, 2 groups), the paths' gaps at
+    the block's two ends.  The groups with a path marked draw their z' (see
+    _Block) from fine, 2 steps rows over those groups in order.  Returns
+    the products in the order of near's flat indices.
+    """
+    steps, (rank, groups) = block.steps, normals.shape
+    paths = near.ravel().nonzero()[0]
+    column = paths % (2 * groups)
+    group = column % groups
+    picked = np.zeros(groups, dtype=bool)
+    picked[group] = True
+    z_prime = fine.take(2 * steps * np.count_nonzero(picked)).reshape(
+        2 * steps, -1)
+    # each path's (z', w, deviations at the first node), a column a path
+    operand = np.empty((2 * steps + rank + 4, len(paths)))
+    np.take(z_prime, (np.cumsum(picked) - 1)[group], axis=1,
+            out=operand[:2 * steps], mode="clip")
+    np.take(normals, group, axis=1, out=operand[2 * steps:-4], mode="clip")
+    np.take(start, column, axis=1, out=operand[-4:], mode="clip")
+    # each path's gap at the block's fine nodes, a column a path; the paths
+    # run by sign, then pair
+    nodes = np.empty((steps + 1, len(paths)))
+    nodes[0] = gap_first.ravel()[paths]
+    nodes[-1] = gap_last.ravel()[paths]
+    bounds = [0, *np.searchsorted(paths, groups * np.arange(1, 4)),
+              len(paths)]
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        g = np.matmul(block.g_maps[k % 2], operand[:, lo:hi],
+                      out=nodes[1:-1, lo:hi])
+        if k >= 2:
+            np.negative(g, out=g)
+    nodes[1:-1] += block.gap_det[:, None]
+    factors = _bridge_survival(nodes[:-1] * nodes[1:], block.fine_vars[:, None])
+    return factors.prod(axis=0)
+
+
 def mc_spot(
     state: model.MarketState,
     bond: BondSpec,
@@ -610,14 +822,27 @@ def mc_spot(
     group means (see _group_means for an incomplete chunk).  r - mu, ln V,
     the trapezoid and ln M are linear in the normals, so a pair is a
     deterministic path, computed once per call, plus a deviation that one
-    path adds and its partner subtracts; one 4x6 matrix product per step
-    advances the deviations of both pairs.  A step takes its bridge factor
-    only on a path with 2 g+ g' <= _SURVIVAL_CUTOFF v_step, g+ = max(g, 0)
-    and g' the new gap: beyond it the factor rounds to 1 and the step
-    changes nothing.  A chunk draws only normals, one (z1, z2) per group a
-    step, in blocks of _DRAW_BLOCK steps that a helper thread draws one
-    block ahead of the march (see _normal_blocks): every estimate is the
-    same to the bit whatever the worker or CPU count.
+    path adds and its partner subtracts, stepped by a 4x6 matrix per step.
+    The march draws that fine scheme's law exactly, but only at the coarse
+    nodes where S updates (see _Block and _coarse_blocks): per block of up
+    to _SURVIVAL_STRIDE steps it composes the steps' matrices once per
+    call, and draws the group's 8-dimensional increment, rotation and
+    antithetic pairs kept, from one normal per direction the increment
+    spans: 4 over equal steps where the steps' 2 per group would be 20.
+    The fine steps' bridge factors are 1 but near a crossing: a block takes
+    them only for the groups with a live path whose coarse bridge has
+    2 g+ g' <= c V, V the block's bridge variance, with g+ = max(g, 0) and
+    g' the gaps at its ends.  There the group draws its fine normals given
+    its coarse increment (Brownian-bridge construction; Glasserman 2004,
+    section 3.1), and each such path takes the fine factors over the
+    block's nodes, those beyond _SURVIVAL_CUTOFF v_step being 1 to the bit.
+    A path skipped loses at most e^-c of its survival per block for g a
+    Brownian motion in the variance clock, and c is set so that n_blocks
+    e^-c = _SKIP_BIAS (see _refine_cutoff): 27.6 at 101 blocks.  A chunk
+    draws only normals, its coarse ones from its stream and the
+    refinements' from a second, in the order of the march, on a helper
+    thread one fill ahead of it (see _normal_blocks): every estimate is
+    the same to the bit whatever the worker or CPU count.
     """
     if n_paths <= 0:
         raise SeedError("n_paths must be positive")
@@ -679,32 +904,32 @@ def mc_spot(
     recovery = params.recovery_r
     # the recovery leg, worth R Z(r, t; T) whenever the touch comes
     recovery_leg = recovery * model.zcb_price(state.r, state.t, T, params)
-    # X + g0 on the deterministic path, and the bridge variance of X from the
-    # last update node of S to each update node
+    # X + g0 on the deterministic path; the coarse nodes, where S updates
+    # and each block of the march ends, and the bridge variance of X from
+    # each coarse node to the next
     level = log_m_det + gap_det[0]
-    update_nodes = {*range(_SURVIVAL_STRIDE, len(grid_times), _SURVIVAL_STRIDE),
-                    len(grid_times) - 1}
+    ends = {*range(_SURVIVAL_STRIDE, len(grid_times), _SURVIVAL_STRIDE),
+            len(grid_times) - 1}
     if option is not None:
-        update_nodes.add(expiry_step + 1)
-    bridge_var, last = {}, 0
-    for j in sorted(update_nodes):
-        bridge_var[j] = s_v * s_v * (grid_times[j] - grid_times[last])
-        last = j
+        ends.add(expiry_step + 1)
+    ends = sorted(ends)
+    blocks = _coarse_blocks(kernels, ends, step_vars, gap_det)
+    bridge_vars = s_v * s_v * np.diff(grid_times[[0, *ends]])
     # E[S] at T and, given an option, at T1
     horizons = [T] if option is None else [T, T1]
     survival_means = [_survival_mean(gap_det[0], s_v * s_v * (u - state.t))
                       for u in horizons]
+    expiry_node = None if option is None else expiry_step + 1
 
     def run_chunk(chunk_index: int,
                   size: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        rng = _chunk_rng(seed, chunk_index)
         groups = (size + 3) // 4
         pairs = 2 * groups
         shape = (2, pairs)
-        # rows 0-3 hold the deviations of (g, y, d, m), rows 4-5 the normals;
+        # the deviations of (g, y, d, m) at this coarse node and the last;
         # column q is pair A of group q and column groups + q its pair B
-        dev, dev_next = np.zeros((6, pairs)), np.empty((6, pairs))
-        # the gap of every path at the last node and at this one
+        dev, start = np.zeros((4, pairs)), np.empty((4, pairs))
+        # the gap of every path at the last coarse node and at this one
         gap_last, gap = np.full(shape, max(gap_det[0], 0.0)), np.empty(shape)
         prod = np.empty(shape)
         near = np.empty(shape, dtype=bool)
@@ -723,32 +948,39 @@ def mc_spot(
             idx = near.ravel().nonzero()[0]
             return idx, _bridge_survival(prod.ravel()[idx], var)
 
-        with _normal_blocks(rng, len(kernels), groups) as draws:
-            for i, (kernel, normals) in enumerate(zip(kernels, draws)):
-                dev[4:, :groups] = normals
-                np.negative(normals[1], out=dev[4, groups:])
-                dev[5, groups:] = normals[0]
-                np.matmul(kernel, dev, out=dev_next[:4])
-                dev, dev_next = dev_next, dev
-                g, y, d = dev[:3]
-                np.add(gap_det[i + 1], g, out=gap[0])
-                np.subtract(gap_det[i + 1], g, out=gap[1])
-                # g+ g': node 0's gap is clamped, and a path whose last gap is
-                # <= 0 has alive 0 already
-                idx, factor = bridge_factors(gap_last, gap, step_vars[i])
-                alive.ravel()[idx] *= factor
-                if (var := bridge_var.get(i + 1)) is not None:
-                    np.add(level[i + 1], dev[3], out=above[0])
-                    np.subtract(level[i + 1], dev[3], out=above[1])
-                    # a b: where it is <= 0 the factor is 0, and where a <= 0 S
-                    # is 0 already
-                    idx, factor = bridge_factors(above_last, above, var)
-                    survival.ravel()[idx] *= factor
-                    above_last, above = above, above_last
-                if i == expiry_step:
+        rngs = [_chunk_rng(seed, chunk_index), _chunk_rng(seed, chunk_index, 1)]
+        with _normal_blocks(rngs, _DRAW_BLOCK * groups) as (coarse, fine):
+            for block, var in zip(blocks, bridge_vars):
+                normals = coarse.take(block.factor.shape[1] * groups).reshape(
+                    -1, groups)
+                dev, start = start, dev
+                np.matmul(block.phi, start, out=dev)
+                dev.reshape(4, 2, groups)[:] += (block.factor @ normals).reshape(
+                    2, 4, groups).transpose(1, 0, 2)
+                node = block.stop
+                np.add(gap_det[node], dev[0], out=gap[0])
+                np.subtract(gap_det[node], dev[0], out=gap[1])
+                # the groups with a live path whose coarse bridge may cross:
+                # only there can a fine factor be below 1 by more than the
+                # bias bound allows (see _refine_cutoff)
+                np.multiply(gap_last, gap, out=prod)
+                np.less_equal(prod, block.half_cut, out=near)
+                near &= alive > 0.0
+                if near.any():
+                    alive.ravel()[near.ravel()] *= _fine_survival(
+                        block, fine, normals, start, gap_last, gap, near)
+                np.add(level[node], dev[3], out=above[0])
+                np.subtract(level[node], dev[3], out=above[1])
+                # a b: where it is <= 0 the factor is 0, and where a <= 0 S
+                # is 0 already
+                idx, factor = bridge_factors(above_last, above, var)
+                survival.ravel()[idx] *= factor
+                above_last, above = above, above_last
+                if node == expiry_node:
+                    y, d = dev[1], dev[2]
                     # alive Z(r, T1) e^{-int r du}
-                    scale = alive * np.exp(log_z_det[i + 1] - disc_det[i + 1]
-                                           - _SIGNS * (bb[i + 1] * y + d))
+                    scale = alive * np.exp(log_z_det[node] - disc_det[node]
+                                           - _SIGNS * (bb[node] * y + d))
                     # a path with gap <= 0 has alive 0: it is taken at B
                     units = _unit_value(
                         params.barrier_b * np.exp(np.maximum(gap, 0.0)), T1, T,
@@ -758,11 +990,11 @@ def mc_spot(
                     held = recovery_leg + scale * (units - recovery)
                     at_expiry = [put, call, held + put, held - call]
                     expiry_controls = [
-                        np.expm1(log_m_det[i + 1] + _SIGNS * dev[3]),
+                        np.expm1(log_m_det[node] + _SIGNS * dev[3]),
                         survival - survival_means[1]]
                 gap_last, gap = gap, gap_last
         value = recovery_leg + (1.0 - recovery) * alive * np.exp(
-            -(disc_det[-1] + _SIGNS * d))
+            -(disc_det[-1] + _SIGNS * dev[2]))
         controls = (np.expm1(log_m_det[-1] + _SIGNS * dev[3]),
                     survival - survival_means[0], *expiry_controls)
         return ([_group_means(v.reshape(2, 2, groups), size)
@@ -772,4 +1004,3 @@ def mc_spot(
 
     keys = ("bond", "put", "call", "puttable", "callable")
     return dict(zip(keys, _reduce_chunks(run_chunk, n_paths, workers, seed)))
-

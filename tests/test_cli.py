@@ -764,6 +764,27 @@ class TestWholeBoxFd:
             assert json.loads(result.output)["checks"], result.output
 
 
+class TestWholeBoxMcSpot:
+    """The mc-spot suite's exit-code contract over the parameter box: its
+    coarse blocks factor their increments' covariance at every rank, down
+    to 0 where s_V = s_r = 0, and refine near the barrier, with no numpy
+    RuntimeWarning (tier-1 turns one into an error, and the run into exit
+    1)."""
+
+    @given(_box_docs())
+    @settings(max_examples=100, deadline=None)
+    def test_mc_spot_suite(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("box") / "run.json"
+        path.write_text(json.dumps(
+            {**doc, "verify": {"paths": 64, "steps_per_year": 50}}))
+        result = runner.invoke(main, ["verify", "--config", str(path),
+                                      "--suite", "mc-spot"])
+        assert result.exit_code in (0, 2, 3, 4), (result.output,
+                                                  result.exception)
+        if result.exit_code == 0:
+            assert json.loads(result.output)["checks"], result.output
+
+
 class TestCheckOrder:
     """A puttable or callable bond is checked in its option's order."""
 

@@ -630,12 +630,15 @@ class NormalsOnly:
 
 
 def log_draws(monkeypatch, logged):
-    """Wrap each chunk's generator in logged; returns chunk index -> log."""
+    """Wrap each chunk's generator in logged; returns a log for each: keyed
+    by the chunk index for a chunk's first stream, by (index, stream) for
+    another."""
     logs = {}
     chunk_rng = oracles._chunk_rng
     monkeypatch.setattr(
-        oracles, "_chunk_rng", lambda seed, index: logged(
-            chunk_rng(seed, index), logs.setdefault(index, [])))
+        oracles, "_chunk_rng", lambda seed, index, *stream: logged(
+            chunk_rng(seed, index, *stream),
+            logs.setdefault((index, *stream) if stream else index, [])))
     return logs
 
 
@@ -754,25 +757,27 @@ class TestMcSpot:
 
 
 def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
-                      seed):
-    """mc_spot with a two-row path-step that allocates every intermediate.
+                      seed, normals):
+    """mc_spot as a fine march over the given normals, allocating every
+    intermediate.
 
     Written out from the engine as it stood before its path-step reused
-    buffers, r, ln V and the discount stepped on each row.  Each path's
-    survival probability takes the bridge factor 1 - exp(-2 g+ g' / v_step)
-    of every step on every path, with no cutoff, or 0 where g' <= 0.  The
-    recovery leg is the constant R Z(r, t; T): at T the bond pays it plus
-    (1 - R) times the survival probability, discounted by e^{-int r du}; at
-    T1 the option payoffs and the held bond's u - R, each discounted by
-    Z e^{-int r du}, are weighted by the survival probability, and the held
-    bond adds the constant.  The controls' X = ln(M / M_0) steps on each
-    row by its own recursion, -s_V^2 dt / 2 plus the ln V noise, and the
-    survival S takes its bridge factor on every path, with no cutoff, at
-    the engine's update nodes.  The chunking, seeding and reduction are the
-    engine's own, so a difference can only come from the step's
-    arithmetic.  Each step draws one (z1, z2) per group of four
-    paths: columns q and Q + q of the (2, 2 Q) paths step on +-(z1, z2) and
-    +-(-z2, z1), and each group scores its mean (see oracles._group_means).
+    buffers, r, ln V and the discount stepped on each row, at every fine
+    step.  normals(chunk_index, groups) gives each step's (z1, z2) of each
+    group, shaped (steps, 2, groups).  Each path's survival probability
+    takes the bridge factor 1 - exp(-2 g+ g' / v_step) of every step on
+    every path, with no cutoff, or 0 where g' <= 0.  The recovery leg is
+    the constant R Z(r, t; T): at T the bond pays it plus (1 - R) times the
+    survival probability, discounted by e^{-int r du}; at T1 the option
+    payoffs and the held bond's u - R, each discounted by Z e^{-int r du},
+    are weighted by the survival probability, and the held bond adds the
+    constant.  The controls' X = ln(M / M_0) steps on each row by its own
+    recursion, -s_V^2 dt / 2 plus the ln V noise, and the survival S takes
+    its bridge factor on every path, with no cutoff, at the engine's update
+    nodes.  The chunking, seeding and reduction are the engine's own, so a
+    difference can only come from the step's arithmetic.  Columns q and
+    Q + q of the (2, 2 Q) paths step on +-(z1, z2) and +-(-z2, z1), and
+    each group scores its mean (see oracles._group_means).
     """
     T = bond.maturity_T
     n_steps = max(1, math.ceil((T - state.t) * steps_per_year))
@@ -808,8 +813,8 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
                or i + 1 == len(steps) or i == expiry_step]
 
     def run_chunk(chunk_index, size):
-        rng = oracles._chunk_rng(seed, chunk_index)
         groups = (size + 3) // 4
+        drawn = normals(chunk_index, groups)
         shape = (2, 2 * groups)
         r = np.full(shape, state.r)
         lnv = np.full(shape, math.log(state.v))
@@ -821,7 +826,7 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
         alive = np.ones(shape)
         at_expiry, expiry_controls = [], []
         for i, (dt, exp_th, r_std, sqrt_dt) in enumerate(steps):
-            a1, a2 = rng.standard_normal((2, groups))
+            a1, a2 = drawn[i]
             z1, z2 = np.append(a1, -a2), np.append(a2, a1)
             zv = rho * z1 + rho_c * z2
             log_m = log_m + (-0.5 * s_v * s_v * dt
@@ -890,15 +895,27 @@ class TestMcSpotPathStep:
         pytest.param(0.65, OptionSpec(expiry_T1=1.013, exercise_e=0.9),
                      id="near_barrier"),
     ])
-    def test_equals_allocating_step(self, v, option):
-        # the engine steps a deterministic path plus pair deviations by one
-        # matrix product, so it rounds differently from the two-row step;
-        # the reference takes every bridge factor, so the engine's cutoff
-        # changes nothing
+    def test_equals_a_fine_march_where_every_group_refines(self, monkeypatch,
+                                                           v, option):
+        # at c = inf every group with a live path takes its fine normals in
+        # every block: the engine then equals a fine march over them, which
+        # it composes into one matrix product per block, and so rounds
+        # differently; the reference takes every bridge factor, so the
+        # engine's cutoffs change nothing.  A group whose four paths are
+        # all dead marches on normals that meet its coarse increments: its
+        # fine nodes change no estimate
+        monkeypatch.setattr(oracles, "_refine_cutoff", lambda n: math.inf)
+        refined = RefinementLog(monkeypatch)
         args = (MarketState(r=0.05, v=v, t=0.0), BOND, option, BENCH,
                 self.N_PATHS)
         got = mc_spot(*args, steps_per_year=50, seed=5)
-        expected = reference_mc_spot(*args, steps_per_year=50, seed=5)
+        normals = refined.normals()
+        assert len(normals) == 3
+        for drawn in normals:  # every block
+            assert not np.isnan(drawn).any()
+        expected = reference_mc_spot(*args, steps_per_year=50, seed=5,
+                                     normals=lambda index, groups:
+                                     normals[index])
         assert list(got) == list(expected)
         assert len(got) == (1 if option is None else 5)
         for key, est in got.items():
@@ -928,25 +945,155 @@ class TestMcSpotPathStep:
 
     # an incomplete last chunk of 1001 paths, and one of 3
     @pytest.mark.parametrize("n_paths", [N_PATHS, oracles._CHUNK + 3])
-    def test_one_normal_draw_per_group(self, monkeypatch, n_paths):
-        # each step draws one (z1, z2) per group of four paths, and nothing
-        # else, near the barrier too; a chunk draws them in blocks of whole
-        # steps, _DRAW_BLOCK steps a block
+    def test_normals_drawn_per_block(self, monkeypatch, n_paths):
+        # each block draws one normal per group for each direction its
+        # increments span from a chunk's first stream, and a refined group
+        # 2 per fine step from its second, and nothing else, near the
+        # barrier too; each stream is drawn in fills of _DRAW_BLOCK normals
+        # per group, one fill beyond the last one used
         args = (MarketState(r=0.05, v=0.65, t=0.0), BOND, SPLIT_OPT, BENCH,
                 n_paths)
         expected = mc_spot(*args, steps_per_year=50, seed=5)
         logs = log_draws(monkeypatch, NormalsOnly)
+        refined = RefinementLog(monkeypatch)
         assert mc_spot(*args, steps_per_year=50, seed=5) == expected
         sizes = [min(oracles._CHUNK, n_paths - start)
                  for start in range(0, n_paths, oracles._CHUNK)]
-        assert list(logs) == list(range(len(sizes)))
+        assert set(logs) == {key for index in range(len(sizes))
+                             for key in (index, (index, 1))}
         for index, size in enumerate(sizes):
-            per_step = 2 * math.ceil(size / 4)
-            # 100 steps of 1/50, the one across T1 split in two
-            blocks = [min(oracles._DRAW_BLOCK, 101 - start) * per_step
-                      for start in range(0, 101, oracles._DRAW_BLOCK)]
-            assert logs[index] == [("normal", n) for n in blocks]
-            assert sum(blocks) == 101 * per_step
+            fill = oracles._DRAW_BLOCK * math.ceil(size / 4)
+            # 101 steps of 1/50, the one across T1 split: 12 blocks, ending
+            # at nodes 10, 20, ..., 100, at T1's node 51 and at T's, 101;
+            # the two of one step span 2 directions, the others 4
+            coarse = (2 * 2 + 10 * 4) * math.ceil(size / 4)
+            assert logs[index] == [("normal", fill)] * (
+                math.ceil(coarse / fill) + 1)
+            fine = sum(2 * block.steps * len(groups)
+                       for chunk, block, groups, *_ in refined.calls
+                       if chunk == index)
+            assert fine > 0
+            assert logs[index, 1] == [("normal", fill)] * (
+                math.ceil(fine / fill) + 1)
+
+
+class RefinementLog:
+    """Wraps oracles._fine_survival to keep, for each call, the chunk, the
+    block, the groups refined, their coarse increments, the fine normals
+    z = z' + M^+ (delta - M z') rebuilt from the z' drawn, M the block's
+    normal map, and every group's coarse increment delta."""
+
+    def __init__(self, monkeypatch):
+        self.calls, self.fines = [], []
+        fine_survival = oracles._fine_survival
+
+        def logged(block, fine, normals, start, gap_first, gap_last, near):
+            taken = []
+
+            class Taking:
+                def take(self, n):
+                    got = fine.take(n)
+                    taken.append(got.copy())
+                    return got
+
+            result = fine_survival(block, Taking(), normals, start,
+                                   gap_first, gap_last, near)
+            # chunks run one after another at one worker, each with its own
+            # second stream
+            if not any(fine is seen for seen in self.fines):
+                self.fines.append(fine)
+            chunk = next(i for i, seen in enumerate(self.fines)
+                         if fine is seen)
+            groups = near.reshape(2, 2, -1).any(axis=(0, 1)).nonzero()[0]
+            z_prime = np.concatenate(taken).reshape(2 * block.steps, -1)
+            delta = block.factor @ normals
+            increments = delta[:, groups]
+            # z = z' + M^+ (delta - M z'), M^+ from numpy's own SVD
+            z = z_prime + np.linalg.pinv(block.normal_map, rcond=1e-10) @ (
+                increments - block.normal_map @ z_prime)
+            self.calls.append((chunk, block, groups, increments, z, delta))
+            return result
+
+        monkeypatch.setattr(oracles, "_fine_survival", logged)
+
+    def normals(self):
+        """Each chunk's fine (z1, z2), shaped (steps, 2, groups): those
+        rebuilt where a group refined, and elsewhere M^+ delta, the least of
+        the z with M z = delta; NaN in a block with no call."""
+        out = []
+        for chunk, block, groups, _, z, delta in self.calls:
+            if chunk == len(out):
+                steps = max(call[1].stop for call in self.calls
+                            if call[0] == chunk)
+                out.append(np.full((steps, 2, delta.shape[1]), np.nan))
+            drawn = out[chunk][block.stop - block.steps:block.stop]
+            drawn[:] = (np.linalg.pinv(block.normal_map, rcond=1e-10)
+                        @ delta).reshape(block.steps, 2, -1)
+            drawn[:, :, groups] = z.reshape(block.steps, 2, -1)
+        return out
+
+
+def blocks_of(monkeypatch, *args, **kwargs):
+    """mc_spot(*args, **kwargs)'s coarse blocks, as _coarse_blocks built
+    them."""
+    built = []
+    coarse_blocks = oracles._coarse_blocks
+
+    def kept(*inputs):
+        built.extend(coarse_blocks(*inputs))
+        return built
+
+    monkeypatch.setattr(oracles, "_coarse_blocks", kept)
+    mc_spot(*args, **kwargs)
+    return built
+
+
+# s_r = 0 zeroes the y and d rows of every block's normal map, and makes
+# its g and m rows one: the group's 8 x 8 covariance has rank 2
+RANK_CASES = {"README": BENCH, "s_r=0": dataclasses.replace(BENCH, s_r=0.0)}
+
+
+class TestCoarseDraws:
+    """Each block draws the fine scheme's increments exactly, and its
+    refined groups the fine normals given them."""
+
+    @pytest.mark.parametrize("params", list(RANK_CASES.values()),
+                             ids=list(RANK_CASES))
+    def test_factor_has_the_increments_covariance(self, monkeypatch, params):
+        blocks = blocks_of(monkeypatch, STATE, BOND, SPLIT_OPT, params, 100,
+                           steps_per_year=50, seed=5)
+        assert [block.stop for block in blocks] == [
+            10, 20, 30, 40, 50, 51, 60, 70, 80, 90, 100, 101]
+        for block in blocks:
+            cov = block.normal_map @ block.normal_map.T
+            assert np.abs(block.factor @ block.factor.T - cov).max() \
+                <= 1e-14 * np.abs(cov).max()
+            # one normal per direction the increments span: over equal
+            # steps the rows of g, y, d and m take their z1 and their z2
+            # each from the constant and the geometric, so that a block of
+            # two or more steps spans 4; the block from node 51 starts with
+            # what is left of the step split at T1, and spans 6
+            assert block.factor.shape == (8, np.linalg.matrix_rank(cov))
+            if params.s_r == 0.0:
+                assert block.factor.shape[1] == 2
+                assert np.abs(block.factor[[1, 2, 5, 6]]).max() <= 1e-15 * (
+                    np.abs(block.factor).max())
+            else:
+                assert block.factor.shape[1] == (
+                    6 if block.stop == 60 else min(4, 2 * block.steps))
+
+    @pytest.mark.parametrize("v", [1.0, 0.65])
+    @pytest.mark.parametrize("params", list(RANK_CASES.values()),
+                             ids=list(RANK_CASES))
+    def test_refined_normals_meet_the_increments(self, monkeypatch, v,
+                                                 params):
+        refined = RefinementLog(monkeypatch)
+        mc_spot(MarketState(r=0.05, v=v, t=0.0), BOND, SPLIT_OPT, params,
+                8195, steps_per_year=50, seed=5)
+        assert refined.calls
+        for _, block, groups, increments, z, _ in refined.calls:
+            assert z.shape == (2 * block.steps, len(groups))
+            assert np.abs(block.normal_map @ z - increments).max() <= 1e-12
 
 
 class ThreadLogged:
@@ -962,18 +1109,21 @@ class ThreadLogged:
 
 
 class TestMcSpotDraws:
-    """Each chunk's normals come from a helper thread, one block ahead of the
-    march, and change no bit of any estimate."""
+    """Each chunk's normals come from a helper thread, a fill ahead of the
+    march, and the estimates are the same at every worker count."""
 
     # README config, seed 1, 16384 paths, 500 steps a year, as recorded from
-    # the engine that drew each step's normals on the stepping thread
+    # the coarse march, its refinements drawn from each chunk's second
+    # stream (z against the closed forms: bond +1.20 alone, and with the
+    # option bond +1.22, put -1.79, call -1.97, puttable -1.15, callable
+    # +2.23; the option's four share their T1 draws)
     RECORDED = {
-        None: {"bond": (0.8833687599011636, 0.00017357414642984862)},
-        OPT: {"bond": (0.8833769191325509, 0.0001732059582855564),
-              "put": (0.005648575345280658, 0.000146305831952617),
-              "call": (0.07572191458545217, 6.963829036066216e-05),
-              "puttable": (0.8889591198340351, 9.359216697788078e-05),
-              "callable": (0.8075886299033022, 0.00012877443678888881)},
+        None: {"bond": (0.8835577562586244, 0.00020139192862180457)},
+        OPT: {"bond": (0.8835608944910094, 0.0002014281373078987),
+              "put": (0.005327662379475276, 0.0001436172412246144),
+              "call": (0.07561179392908937, 7.007610815129505e-05),
+              "puttable": (0.8887960434818283, 9.040036612463636e-05),
+              "callable": (0.8078565871732637, 0.0001302485328741807)},
     }
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -995,7 +1145,7 @@ class TestMcSpotDraws:
                 seed=5, workers=workers)
         assert threading.active_count() == before
         drawn_on = {t for log in logs.values() for t in log}
-        assert len(logs) == 3 and drawn_on
+        assert len(logs) == 6 and drawn_on  # two streams a chunk
         assert threading.current_thread() not in drawn_on
         assert not any(t.is_alive() for t in drawn_on)
 
