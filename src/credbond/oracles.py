@@ -13,17 +13,16 @@ path scores its exact Brownian-bridge survival given its nodes, from one
 bridge factor, and both engines draw only normals.  The two-factor engine
 draws its fine scheme's law exactly at coarse nodes and refines a block,
 drawing its fine normals given the coarse draw, only where a crossing can
-happen; each chunk's normals come from two streams of its own, drawn on a
-helper thread a fill ahead of the chunk's march.
+happen; each chunk draws its normals from two streams of its own, on its
+own thread.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 from scipy.fft import dst
@@ -64,10 +63,6 @@ _SURVIVAL_CUTOFF = 40.0
 # a control enters the regression only where at least about this many
 # samples carry its spread (see _reduce_chunks)
 _CONTROL_MIN_SAMPLES = 10.0
-# mc_spot's normals per group in one fill of a stream (see _DrawAhead): at
-# most two fills of each of a chunk's two streams, of 256 KB each for an
-# 8192-path chunk at 16, are held at once
-_DRAW_BLOCK = 16
 # the bias that mc_spot's coarse march may take on a survival probability,
 # in all, by skipping the fine factors of blocks (see _refine_cutoff)
 _SKIP_BIAS = 1e-10
@@ -353,55 +348,6 @@ def _chunk_rng(seed: int, chunk_index: int,
     return np.random.Generator(np.random.SFC64(seq))
 
 
-class _DrawAhead:
-    """rng's standard normals, in the stream's order, drawn one fill ahead.
-
-    take(n) returns the next n normals of the stream.  The normals come in
-    fills of fill normals, the next one submitted to pool, a one-thread
-    executor, as the caller starts on the one before it; numpy holds no
-    interpreter lock while it fills.  A fill of k normals takes the same
-    normals from the stream as k fills of one do, so the normals returned
-    depend on neither fill nor the caller's n.
-    """
-
-    def __init__(self, pool: ThreadPoolExecutor, rng: np.random.Generator,
-                 fill: int):
-        self._pool, self._rng, self._fill = pool, rng, fill
-        self._ahead = pool.submit(rng.standard_normal, fill)
-        self._buffer, self._used = np.empty(0), 0
-
-    def take(self, n: int) -> np.ndarray:
-        parts = []
-        while n > 0:
-            if self._used == len(self._buffer):
-                self._buffer, self._used = self._ahead.result(), 0
-                self._ahead = self._pool.submit(self._rng.standard_normal,
-                                                self._fill)
-            k = min(n, len(self._buffer) - self._used)
-            parts.append(self._buffer[self._used:self._used + k])
-            self._used += k
-            n -= k
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate([np.empty(0), *parts])  # no part where n = 0
-
-
-@contextmanager
-def _normal_blocks(rngs: list[np.random.Generator],
-                   fill: int) -> Iterator[list[_DrawAhead]]:
-    """A _DrawAhead over each of rngs, all drawing on one helper thread.
-
-    The thread is joined when the with block exits, by return or by raise,
-    after it has drawn the fills it was given; on a return, the fill each
-    drew ahead of its last is read, so that a draw that raised raises.
-    """
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        draws = [_DrawAhead(pool, rng, fill) for rng in rngs]
-        yield draws
-        for draw in draws:
-            draw._ahead.result()
-
-
 def _group_means(values: np.ndarray, size: int) -> np.ndarray:
     """A chunk's samples from its paths' values, shaped (2, k, groups).
 
@@ -613,10 +559,11 @@ class _Block:
     factor = U S, so that factor factor^T = M M^T.  Given delta, z has the
     law of z' + P (delta - M z'), P = M^+ and z' iid standard normal; as
     P delta = V w and P M = V V^T, that is V w + (I - V V^T) z', and no
-    inverse is formed.  g_maps[p], for pair p, takes (z', w, the pair's
-    deviations at the first node) to g at the block's steps - 1 interior
-    nodes, through that z.  gap_det is the deterministic gap there and
-    fine_vars each fine step's bridge variance.  half_cut is half the
+    inverse is formed.  g_maps holds four signed maps, for the paths +A, +B,
+    -A and -B in turn: g_maps[k] takes (z', w, the pair's deviations at the
+    first node) to path k's g less gap_det, the deterministic gap, at the
+    block's steps - 1 interior nodes, through that z.  fine_vars is each
+    fine step's bridge variance.  half_cut is half the
     cutoff c times the block's bridge variance (see _coarse_blocks).
     """
 
@@ -715,22 +662,24 @@ def _coarse_blocks(kernels: np.ndarray, ends: list[int], step_vars: list,
         maps[..., -4:] = g_state[b, :m - 1]
         blocks.append(_Block(
             stop=e, steps=m, phi=phi[b], normal_map=joint[b, :, :w],
-            factor=factor[b, :, :r], g_maps=maps, gap_det=gap_det[a + 1:e],
-            fine_vars=fine_vars[a:e], half_cut=float(half_cut[b])))
+            factor=factor[b, :, :r], g_maps=np.concatenate([maps, -maps]),
+            gap_det=gap_det[a + 1:e], fine_vars=fine_vars[a:e],
+            half_cut=float(half_cut[b])))
     return blocks
 
 
-def _fine_survival(block: _Block, fine: _DrawAhead, normals: np.ndarray,
-                   start: np.ndarray, gap_first: np.ndarray,
-                   gap_last: np.ndarray, near: np.ndarray) -> np.ndarray:
+def _fine_survival(block: _Block, fine: np.random.Generator,
+                   normals: np.ndarray, start: np.ndarray,
+                   gap_first: np.ndarray, gap_last: np.ndarray,
+                   near: np.ndarray) -> np.ndarray:
     """The product of block's fine bridge factors on each path near marks.
 
     normals, (r, groups), are the w the groups drew for the block, start,
     (4, 2 groups), the pairs' deviations at its first node, and gap_first,
     gap_last and near (a bool) are shaped (2, 2 groups), the paths' gaps at
     the block's two ends.  The groups with a path marked draw their z' (see
-    _Block) from fine, 2 steps rows over those groups in order.  Returns
-    the products in the order of near's flat indices.
+    _Block) from the generator fine, 2 steps rows over those groups in
+    order.  Returns the products in the order of near's flat indices.
     """
     steps, (rank, groups) = block.steps, normals.shape
     paths = near.ravel().nonzero()[0]
@@ -738,8 +687,8 @@ def _fine_survival(block: _Block, fine: _DrawAhead, normals: np.ndarray,
     group = column % groups
     picked = np.zeros(groups, dtype=bool)
     picked[group] = True
-    z_prime = fine.take(2 * steps * np.count_nonzero(picked)).reshape(
-        2 * steps, -1)
+    z_prime = fine.standard_normal(
+        2 * steps * np.count_nonzero(picked)).reshape(2 * steps, -1)
     # each path's (z', w, deviations at the first node), a column a path
     operand = np.empty((2 * steps + rank + 4, len(paths)))
     np.take(z_prime, (np.cumsum(picked) - 1)[group], axis=1,
@@ -747,17 +696,14 @@ def _fine_survival(block: _Block, fine: _DrawAhead, normals: np.ndarray,
     np.take(normals, group, axis=1, out=operand[2 * steps:-4], mode="clip")
     np.take(start, column, axis=1, out=operand[-4:], mode="clip")
     # each path's gap at the block's fine nodes, a column a path; the paths
-    # run by sign, then pair
+    # run by sign, then pair, as g_maps does
     nodes = np.empty((steps + 1, len(paths)))
     nodes[0] = gap_first.ravel()[paths]
     nodes[-1] = gap_last.ravel()[paths]
     bounds = [0, *np.searchsorted(paths, groups * np.arange(1, 4)),
               len(paths)]
     for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        g = np.matmul(block.g_maps[k % 2], operand[:, lo:hi],
-                      out=nodes[1:-1, lo:hi])
-        if k >= 2:
-            np.negative(g, out=g)
+        np.matmul(block.g_maps[k], operand[:, lo:hi], out=nodes[1:-1, lo:hi])
     nodes[1:-1] += block.gap_det[:, None]
     factors = _bridge_survival(nodes[:-1] * nodes[1:], block.fine_vars[:, None])
     return factors.prod(axis=0)
@@ -840,9 +786,9 @@ def mc_spot(
     Brownian motion in the variance clock, and c is set so that n_blocks
     e^-c = _SKIP_BIAS (see _refine_cutoff): 27.6 at 101 blocks.  A chunk
     draws only normals, its coarse ones from its stream and the
-    refinements' from a second, in the order of the march, on a helper
-    thread one fill ahead of it (see _normal_blocks): every estimate is
-    the same to the bit whatever the worker or CPU count.
+    refinements' from a second, in the order of the march, on the chunk's
+    own thread: every estimate is the same to the bit whatever the worker
+    or CPU count.
     """
     if n_paths <= 0:
         raise SeedError("n_paths must be positive")
@@ -948,51 +894,51 @@ def mc_spot(
             idx = near.ravel().nonzero()[0]
             return idx, _bridge_survival(prod.ravel()[idx], var)
 
-        rngs = [_chunk_rng(seed, chunk_index), _chunk_rng(seed, chunk_index, 1)]
-        with _normal_blocks(rngs, _DRAW_BLOCK * groups) as (coarse, fine):
-            for block, var in zip(blocks, bridge_vars):
-                normals = coarse.take(block.factor.shape[1] * groups).reshape(
-                    -1, groups)
-                dev, start = start, dev
-                np.matmul(block.phi, start, out=dev)
-                dev.reshape(4, 2, groups)[:] += (block.factor @ normals).reshape(
-                    2, 4, groups).transpose(1, 0, 2)
-                node = block.stop
-                np.add(gap_det[node], dev[0], out=gap[0])
-                np.subtract(gap_det[node], dev[0], out=gap[1])
-                # the groups with a live path whose coarse bridge may cross:
-                # only there can a fine factor be below 1 by more than the
-                # bias bound allows (see _refine_cutoff)
-                np.multiply(gap_last, gap, out=prod)
-                np.less_equal(prod, block.half_cut, out=near)
-                near &= alive > 0.0
-                if near.any():
-                    alive.ravel()[near.ravel()] *= _fine_survival(
-                        block, fine, normals, start, gap_last, gap, near)
-                np.add(level[node], dev[3], out=above[0])
-                np.subtract(level[node], dev[3], out=above[1])
-                # a b: where it is <= 0 the factor is 0, and where a <= 0 S
-                # is 0 already
-                idx, factor = bridge_factors(above_last, above, var)
-                survival.ravel()[idx] *= factor
-                above_last, above = above, above_last
-                if node == expiry_node:
-                    y, d = dev[1], dev[2]
-                    # alive Z(r, T1) e^{-int r du}
-                    scale = alive * np.exp(log_z_det[node] - disc_det[node]
-                                           - _SIGNS * (bb[node] * y + d))
-                    # a path with gap <= 0 has alive 0: it is taken at B
-                    units = _unit_value(
-                        params.barrier_b * np.exp(np.maximum(gap, 0.0)), T1, T,
-                        params)
-                    put = scale * _expiry_payoff(units, option, call=False)
-                    call = scale * _expiry_payoff(units, option, call=True)
-                    held = recovery_leg + scale * (units - recovery)
-                    at_expiry = [put, call, held + put, held - call]
-                    expiry_controls = [
-                        np.expm1(log_m_det[node] + _SIGNS * dev[3]),
-                        survival - survival_means[1]]
-                gap_last, gap = gap, gap_last
+        coarse = _chunk_rng(seed, chunk_index)
+        fine = _chunk_rng(seed, chunk_index, 1)
+        for block, var in zip(blocks, bridge_vars):
+            normals = coarse.standard_normal(
+                block.factor.shape[1] * groups).reshape(-1, groups)
+            dev, start = start, dev
+            np.matmul(block.phi, start, out=dev)
+            dev.reshape(4, 2, groups)[:] += (block.factor @ normals).reshape(
+                2, 4, groups).transpose(1, 0, 2)
+            node = block.stop
+            np.add(gap_det[node], dev[0], out=gap[0])
+            np.subtract(gap_det[node], dev[0], out=gap[1])
+            # the groups with a live path whose coarse bridge may cross:
+            # only there can a fine factor be below 1 by more than the
+            # bias bound allows (see _refine_cutoff)
+            np.multiply(gap_last, gap, out=prod)
+            np.less_equal(prod, block.half_cut, out=near)
+            near &= alive > 0.0
+            if near.any():
+                alive.ravel()[near.ravel()] *= _fine_survival(
+                    block, fine, normals, start, gap_last, gap, near)
+            np.add(level[node], dev[3], out=above[0])
+            np.subtract(level[node], dev[3], out=above[1])
+            # a b: where it is <= 0 the factor is 0, and where a <= 0 S
+            # is 0 already
+            idx, factor = bridge_factors(above_last, above, var)
+            survival.ravel()[idx] *= factor
+            above_last, above = above, above_last
+            if node == expiry_node:
+                y, d = dev[1], dev[2]
+                # alive Z(r, T1) e^{-int r du}
+                scale = alive * np.exp(log_z_det[node] - disc_det[node]
+                                       - _SIGNS * (bb[node] * y + d))
+                # a path with gap <= 0 has alive 0: it is taken at B
+                units = _unit_value(
+                    params.barrier_b * np.exp(np.maximum(gap, 0.0)), T1, T,
+                    params)
+                put = scale * _expiry_payoff(units, option, call=False)
+                call = scale * _expiry_payoff(units, option, call=True)
+                held = recovery_leg + scale * (units - recovery)
+                at_expiry = [put, call, held + put, held - call]
+                expiry_controls = [
+                    np.expm1(log_m_det[node] + _SIGNS * dev[3]),
+                    survival - survival_means[1]]
+            gap_last, gap = gap, gap_last
         value = recovery_leg + (1.0 - recovery) * alive * np.exp(
             -(disc_det[-1] + _SIGNS * dev[2]))
         controls = (np.expm1(log_m_det[-1] + _SIGNS * dev[3]),

@@ -1,6 +1,7 @@
 """Unit tests for the finite-difference and Monte-Carlo pricing oracles."""
 
 import dataclasses
+import itertools
 import math
 import threading
 
@@ -949,8 +950,8 @@ class TestMcSpotPathStep:
         # each block draws one normal per group for each direction its
         # increments span from a chunk's first stream, and a refined group
         # 2 per fine step from its second, and nothing else, near the
-        # barrier too; each stream is drawn in fills of _DRAW_BLOCK normals
-        # per group, one fill beyond the last one used
+        # barrier too: one fill a block from the first stream and one a
+        # refined block from the second, with no fill beyond them
         args = (MarketState(r=0.05, v=0.65, t=0.0), BOND, SPLIT_OPT, BENCH,
                 n_paths)
         expected = mc_spot(*args, steps_per_year=50, seed=5)
@@ -961,20 +962,20 @@ class TestMcSpotPathStep:
                  for start in range(0, n_paths, oracles._CHUNK)]
         assert set(logs) == {key for index in range(len(sizes))
                              for key in (index, (index, 1))}
+        # 101 steps of 1/50, the one across T1 split: 12 blocks, ending at
+        # nodes 10, 20, ..., 100, at T1's node 51 and at T's, 101; the two
+        # of one step span 2 directions, the one from node 51, which starts
+        # with what is left of the split step, 6, and the others 4
+        ranks = [4] * 5 + [2, 6] + [4] * 4 + [2]
         for index, size in enumerate(sizes):
-            fill = oracles._DRAW_BLOCK * math.ceil(size / 4)
-            # 101 steps of 1/50, the one across T1 split: 12 blocks, ending
-            # at nodes 10, 20, ..., 100, at T1's node 51 and at T's, 101;
-            # the two of one step span 2 directions, the others 4
-            coarse = (2 * 2 + 10 * 4) * math.ceil(size / 4)
-            assert logs[index] == [("normal", fill)] * (
-                math.ceil(coarse / fill) + 1)
-            fine = sum(2 * block.steps * len(groups)
-                       for chunk, block, groups, *_ in refined.calls
-                       if chunk == index)
-            assert fine > 0
-            assert logs[index, 1] == [("normal", fill)] * (
-                math.ceil(fine / fill) + 1)
+            groups = math.ceil(size / 4)
+            assert logs[index] == [("normal", rank * groups)
+                                   for rank in ranks]
+            fine = [("normal", 2 * block.steps * len(refined_groups))
+                    for chunk, block, refined_groups, *_ in refined.calls
+                    if chunk == index]
+            assert fine
+            assert logs[index, 1] == fine
 
 
 class RefinementLog:
@@ -991,8 +992,8 @@ class RefinementLog:
             taken = []
 
             class Taking:
-                def take(self, n):
-                    got = fine.take(n)
+                def standard_normal(self, size):
+                    got = fine.standard_normal(size)
                     taken.append(got.copy())
                     return got
 
@@ -1096,6 +1097,94 @@ class TestCoarseDraws:
             assert np.abs(block.normal_map @ z - increments).max() <= 1e-12
 
 
+def fine_survival_by_path(block, fine, normals, start, gap_first, gap_last,
+                          near):
+    """_fine_survival written out path by path: each marked path's gaps at
+    the block's interior nodes are +-g_maps[pair] @ (z', w, deviations at
+    the first node) + gap_det, its sign's and pair's, and its product is
+    over the bridge factors of its own nodes."""
+    groups = normals.shape[1]
+    paths = near.ravel().nonzero()[0]
+    picked = np.unique(paths % groups)
+    z_prime = fine.standard_normal((2 * block.steps, len(picked)))
+    products = []
+    for path in paths:
+        sign, column = divmod(path, 2 * groups)
+        pair, group = divmod(column, groups)
+        operand = np.concatenate([z_prime[:, np.searchsorted(picked, group)],
+                                  normals[:, group], start[:, column]])
+        gaps = (1 - 2 * sign) * (block.g_maps[pair] @ operand) + block.gap_det
+        nodes = np.concatenate([[gap_first.flat[path]], gaps,
+                                [gap_last.flat[path]]])
+        products.append(oracles._bridge_survival(nodes[:-1] * nodes[1:],
+                                                 block.fine_vars).prod())
+    return np.array(products)
+
+
+class ScaledNormals:
+    """A generator's standard normals times scale."""
+
+    def __init__(self, seed, scale):
+        self.rng, self.scale = np.random.default_rng(seed), scale
+
+    def standard_normal(self, size):
+        return self.scale * self.rng.standard_normal(size)
+
+
+class TestFineSurvival:
+    """A refined block's fine factors, however its paths split between the
+    two signs and the two pairs."""
+
+    GROUPS = 12
+
+    def test_signed_maps(self, monkeypatch):
+        # g_maps runs +A, +B, -A, -B
+        for block in blocks_of(monkeypatch, STATE, BOND, SPLIT_OPT, BENCH, 100,
+                               steps_per_year=50, seed=5):
+            assert block.g_maps.shape[0] == 4
+            assert np.array_equal(block.g_maps[2:], -block.g_maps[:2])
+
+    # a block of 10 equal steps, and the one from T1's node, whose first
+    # step is what is left of the step split at T1
+    @pytest.mark.parametrize("stop", [10, 60])
+    def test_every_split_equals_a_path_by_path_march(self, monkeypatch, stop):
+        # 1 to 12 marked paths in every split over the stretches +A, +B, -A
+        # and -B, stretch k marking the groups from 3 k on: among them 8
+        # paths with one on -z, the case where an in-place negation of one
+        # column of the gaps read other entries under numpy 2.4.6
+        block = next(block for block in blocks_of(
+            monkeypatch, STATE, BOND, SPLIT_OPT, BENCH, 100,
+            steps_per_year=50, seed=5) if block.stop == stop)
+        # every gap about the square root of a fine step's variance, the
+        # normals scaled to a twentieth: each path's fine factors are below
+        # 1 and above 0, and each of its gaps moves its product
+        block = dataclasses.replace(block,
+                                    gap_det=np.full_like(block.gap_det, 0.04))
+        groups = self.GROUPS
+        rng = np.random.default_rng(3)
+        normals = 0.05 * rng.standard_normal((block.factor.shape[1], groups))
+        start = 0.001 * rng.standard_normal((4, 2 * groups))
+        gap_first = rng.uniform(0.03, 0.05, (2, 2 * groups))
+        gap_last = rng.uniform(0.03, 0.05, (2, 2 * groups))
+        splits = [split for split in itertools.product(range(13), repeat=4)
+                  if 1 <= sum(split) <= 12]
+        assert len(splits) == 1819
+        for split in splits:
+            near = np.zeros((2, 2 * groups), dtype=bool)
+            for k, count in enumerate(split):
+                near[k // 2, (k % 2) * groups
+                     + (3 * k + np.arange(count)) % groups] = True
+            got = oracles._fine_survival(
+                block, ScaledNormals(11, 0.05), normals, start, gap_first,
+                gap_last, near)
+            expected = fine_survival_by_path(
+                block, ScaledNormals(11, 0.05), normals, start, gap_first,
+                gap_last, near)
+            assert ((0.0 < expected) & (expected < 1.0)).all()
+            np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0,
+                                       err_msg=str(split))
+
+
 class ThreadLogged:
     """A chunk's generator that logs the thread of each standard_normal
     draw."""
@@ -1109,8 +1198,8 @@ class ThreadLogged:
 
 
 class TestMcSpotDraws:
-    """Each chunk's normals come from a helper thread, a fill ahead of the
-    march, and the estimates are the same at every worker count."""
+    """Each chunk draws its normals on its own thread, and the estimates are
+    the same at every worker count."""
 
     # README config, seed 1, 16384 paths, 500 steps a year, as recorded from
     # the coarse march, its refinements drawn from each chunk's second
@@ -1134,24 +1223,72 @@ class TestMcSpotDraws:
         assert {key: (est.mean, est.std_error) for key, est in got.items()} \
             == self.RECORDED[option]
 
+    @pytest.mark.parametrize("option", [None, OPT], ids=["None", "option"])
+    def test_estimates_independent_of_fresh_memory(self, monkeypatch, option):
+        # at seed 31 two blocks refine 8 paths with one of them on -z; with
+        # every float array that numpy.empty returns filled with NaN, each
+        # estimate is the same to the bit, so no gap is read before the
+        # march writes it
+        args = (STATE, BOND, option, BENCH, 16384)
+        expected = mc_spot(*args, steps_per_year=500, seed=31)
+        refined = []
+        fine_survival = oracles._fine_survival
+
+        def logged(block, fine, normals, start, gap_first, gap_last, near):
+            refined.append(near.reshape(4, -1).sum(axis=1).tolist())
+            return fine_survival(block, fine, normals, start, gap_first,
+                                 gap_last, near)
+
+        empty = np.empty
+
+        def nan_filled(*shape, **kwargs):
+            out = empty(*shape, **kwargs)
+            if out.dtype.kind == "f":
+                out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(oracles, "_fine_survival", logged)
+        monkeypatch.setattr(np, "empty", nan_filled)
+        got = mc_spot(*args, steps_per_year=500, seed=31)
+        monkeypatch.undo()
+        assert [1 for split in refined
+                if sum(split) == 8 and 1 in split[2:]] == [1, 1]
+        assert got == expected
+        for est in got.values():
+            assert math.isfinite(est.mean) and math.isfinite(est.std_error)
+
     # three chunks, the last of 3 paths
     N_PATHS = 2 * oracles._CHUNK + 3
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_no_thread_outlives_the_call(self, monkeypatch, workers):
+        # at one worker no thread starts and every chunk draws on the
+        # caller's; at three each chunk draws on its pool's threads
         before = threading.active_count()
+        started = []
+        start = threading.Thread.start
+
+        def logged_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", logged_start)
         logs = log_draws(monkeypatch, ThreadLogged)
         mc_spot(STATE, BOND, OPT, BENCH, self.N_PATHS, steps_per_year=50,
                 seed=5, workers=workers)
         assert threading.active_count() == before
         drawn_on = {t for log in logs.values() for t in log}
         assert len(logs) == 6 and drawn_on  # two streams a chunk
-        assert threading.current_thread() not in drawn_on
-        assert not any(t.is_alive() for t in drawn_on)
+        if workers == 1:
+            assert not started
+            assert drawn_on == {threading.current_thread()}
+        else:
+            assert started and drawn_on <= set(started)
+            assert not any(t.is_alive() for t in drawn_on)
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_no_thread_outlives_a_raise(self, monkeypatch, workers):
-        # every chunk raises at T1, mid-march, with a block drawn ahead
+        # every chunk raises at T1, mid-march
         class AtExpiry(Exception):
             pass
 
