@@ -356,23 +356,27 @@ def _verify_fd(cfg: RunConfig) -> list[dict]:
         return (recovery
                 + (1.0 - recovery) * np.asarray(solved.interpolate(x, tt)))
 
-    worst = 0.0
-    for tt in np.linspace(state.t, state.t + 0.9 * (T - state.t), 8):
-        # each read time has a solve of its own over [tt, T], whose grid
-        # spans 8 sqrt(I(tt, T)), and reads its first slice at 12 points
-        # 0.15 to 5 sqrt(I(tt, T)) from the barrier in ln x
+    # 8 read times, each with a solve of its own over [tt, T], whose grid
+    # spans 8 sqrt(I(tt, T)), and read on its first slice at 12 points 0.15
+    # to 5 sqrt(I(tt, T)) from the barrier in ln x
+    times = np.linspace(state.t, state.t + 0.9 * (T - state.t), 8)
+    variances = np.array([model.cum_variance(tt, T, T, params)
+                          for tt in times])
+    xs = params.barrier_b * np.exp(
+        np.linspace(0.15, 5.0, 12) * np.sqrt(variances)[:, None])
+    fd = np.empty_like(xs)
+    for i, tt in enumerate(times):
         read = sol if tt == state.t else oracles.cn_solve(
             np.ones_like, tt, T, T, params, grid=grid)
-        xs = params.barrier_b * np.exp(np.linspace(0.15, 5.0, 12) * math.sqrt(
-            model.cum_variance(tt, T, T, params)))
-        closed = bond_mod._unit_value(xs, tt, T, params)
-        fd = fd_units(read, xs, tt)
-        err = np.abs(fd - closed)
-        # at R = 0 the bond is worth 0 where the points round onto the
-        # barrier: there only an FD value of 0 has no relative error
-        rel = np.divide(err, closed, out=np.where(err > 0.0, np.inf, 0.0),
-                        where=closed > 0.0)
-        worst = max(worst, float(np.max(rel)))
+        fd[i] = fd_units(read, xs[i], tt)
+    closed = bond_mod._bond_units(xs, params.barrier_b, recovery,
+                                  variances[:, None])[0]
+    err = np.abs(fd - closed)
+    # at R = 0 the bond is worth 0 where the points round onto the
+    # barrier: there only an FD value of 0 has no relative error
+    rel = np.divide(err, closed, out=np.where(err > 0.0, np.inf, 0.0),
+                    where=closed > 0.0)
+    worst = float(np.max(rel))
     checks.append(_check("fd straight bond max relative error", 0.0, worst, 1e-4))
 
     spec = cfg.option

@@ -19,6 +19,7 @@ own thread.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -97,8 +98,10 @@ class GridSolution:
     step (a Crank-Nicolson step at each ladder level, then the pair of
     Rannacher half steps), how many lie between its slice and the payoff;
     each row of log_factors is one kind's log |factor| per mode, and of
-    flips 1 where that factor is negative.  t1, bond_T and params are
-    cn_solve's: interpolate maps a time t to cum_variance over [t, t1].
+    flips 1 where that factor is negative.  steps depends on the grid's
+    shape alone: every solve of one (nx, nt) shares the one read-only array.
+    t1, bond_T and params are cn_solve's: interpolate maps a time t to
+    cum_variance over [t, t1].
     """
 
     log_x_nodes: np.ndarray
@@ -186,6 +189,32 @@ class GridSolution:
         return (blended[..., stencil] * weights).sum(axis=-1)
 
 
+@functools.lru_cache(maxsize=4)
+def _grid_tables(nx: int, nt: int) -> tuple[np.ndarray, ...]:
+    """cn_solve's read-only tables of the grid's shape: GridSolution's steps,
+    each slice's variance left to t1 in units of dv, the modes' sin^2(k pi /
+    2 nx), the levels' 0.5^(j + 1), and the exponents of scale and steady."""
+    # the step from slice k + 1 back to slice k is dv / 2^exps[k]
+    q = min(_LADDER_STEPS, nt)
+    exps = np.repeat(np.arange(_LADDER_LEVELS + 1),
+                     [nt - q] + [q] * (_LADDER_LEVELS - 1) + [2 * q])
+    n = len(exps)
+    # kind exps[k] for the Crank-Nicolson step from k + 1 back to k, k < n - 1,
+    # the last kind for the half steps off the payoff; summed from each
+    # slice to the payoff
+    taken = np.zeros((n + 1, _LADDER_LEVELS + 2))
+    taken[np.arange(n - 1), exps[:-1]] = 1.0
+    taken[n - 1, -1] = 1.0
+    tables = (np.cumsum(taken[::-1], axis=0)[::-1],
+              np.append(np.cumsum(0.5 ** exps[::-1])[::-1], 0.0),
+              np.sin(np.arange(1, nx) * (0.5 * math.pi / nx)) ** 2,
+              0.5 ** np.arange(1, _LADDER_LEVELS + 2),
+              np.arange(nx - 1), np.arange(nx - 1, 0, -1))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def cn_solve(
     terminal_payoff: Callable[[np.ndarray], np.ndarray],
     t0: float,
@@ -228,7 +257,8 @@ def cn_solve(
     and the scheme is not monotone, a rho^(nx - 2) below _SYMMETRIC_FLOOR,
     or dv / 2 > 1e4 h^2, too large a step for the half steps to damp,
     raises ResolutionError.  A non-finite payoff raises DomainError, as
-    does one so large that a slice could overflow.
+    does one so large that a slice could overflow.  The step counts, and
+    all else of the grid's shape alone, are shared read-only (_grid_tables).
     """
     if grid is None:
         grid = GridConfig()
@@ -250,10 +280,12 @@ def cn_solve(
         raise DegenerateVariance(
             f"variance over [{t0}, {bond_T}] is too small for {grid.nx} "
             "uniform ln x steps")
+    steps, fractions, sin_sq, levels, powers, nodes = _grid_tables(
+        grid.nx, grid.nt)
     # D's diagonal rho^i, rho^2 = upper / lower = (2 - h) / (2 + h); at
     # h >= 2 it is 0 from i = 1 on
     rho2 = max((2.0 - h) / (2.0 + h), 0.0)
-    scale = math.sqrt(rho2) ** np.arange(grid.nx - 1)
+    scale = math.sqrt(rho2) ** powers
     if not scale[-1] >= _SYMMETRIC_FLOOR:
         raise ResolutionError(
             f"ln x step {h} too large at nx = {grid.nx}: the scheme is not "
@@ -266,11 +298,6 @@ def cn_solve(
     if 0.5 * dv > 1e4 * h * h:
         raise ResolutionError(
             "time step too large relative to spatial step for damped smoothing")
-    # the step from slice k + 1 back to slice k is dv / 2^exps[k]
-    q = min(_LADDER_STEPS, grid.nt)
-    exps = np.repeat(np.arange(_LADDER_LEVELS + 1),
-                     [grid.nt - q] + [q] * (_LADDER_LEVELS - 1) + [2 * q])
-    n = len(exps)
 
     payoff = np.array(terminal_payoff(np.exp(y)), dtype=float)
     if not np.all(np.isfinite(payoff)):
@@ -279,7 +306,6 @@ def cn_solve(
     far = payoff[..., -1:]
     # the interior of the steady state u_far (rho^(2 (nx - i)) - rho^(2 nx))
     # / (1 - rho^(2 nx)), 0 at the barrier and u_far at the far node
-    nodes = np.arange(grid.nx - 1, 0, -1)
     steady = far * ((rho2 ** nodes - rho2 ** grid.nx)
                     / (1.0 - rho2 ** grid.nx))
     coefficients = dst((payoff[..., 1:-1] - steady) * scale, type=1,
@@ -298,32 +324,22 @@ def cn_solve(
     lower = 0.5 * (1.0 / (h * h) + 1.0 / (2.0 * h))
     upper = 0.5 * (1.0 / (h * h) - 1.0 / (2.0 * h))
     decay = (0.5 / h / (math.sqrt(lower) + math.sqrt(upper))) ** 2 \
-        + 4.0 * math.sqrt(lower * upper) * np.sin(
-            np.arange(1, grid.nx) * (0.5 * math.pi / grid.nx)) ** 2
+        + 4.0 * math.sqrt(lower * upper) * sin_sq
     # a = -s mu_k at level j, s = dv / 2^(j + 1): a Crank-Nicolson factor
     # (1 - a) / (1 + a) has log |.| = -2 atanh(min(a, 1 / a)) and is
     # negative where a > 1; the half steps' (1 + a)^-2 has log -2 log1p(a)
-    a = (dv * 0.5 ** np.arange(1, _LADDER_LEVELS + 2))[:, None] * decay
+    a = (dv * levels)[:, None] * decay
+    log_factors, flips = np.zeros((2, len(levels) + 1, grid.nx - 1))
     with np.errstate(divide="ignore", over="ignore"):
         log_cn = -2.0 * np.arctanh(np.minimum(a, 1.0 / a))
     # a factor of exactly 0 (a = 1) as the smallest normal float, so that a
     # level with no steps still counts 0 * log
-    log_factors = np.vstack([np.maximum(log_cn, -model._LOG_HUGE),
-                             -2.0 * np.log1p(a[-1])])
-    flips = np.zeros_like(log_factors)
-    flips[:-1] = a > 1.0
-    # kind exps[k] for the Crank-Nicolson step from k + 1 back to k, k < n - 1,
-    # the last kind for the half steps off the payoff; summed from each
-    # slice to the payoff
-    taken = np.zeros((n + 1, _LADDER_LEVELS + 2))
-    taken[np.arange(n - 1), exps[:-1]] = 1.0
-    taken[n - 1, -1] = 1.0
-    steps = np.cumsum(taken[::-1], axis=0)[::-1]
-
-    # the variance left to t1 at each slice, dv times binary fractions
-    variances = dv * np.append(np.cumsum(0.5 ** exps[::-1])[::-1], 0.0)
-    return GridSolution(log_x_nodes=y, variances=variances, payoff=payoff,
-                        coefficients=coefficients, scale=scale, steps=steps,
+    np.maximum(log_cn, -model._LOG_HUGE, out=log_factors[:-1])
+    np.multiply(-2.0, np.log1p(a[-1]), out=log_factors[-1])
+    np.greater(a, 1.0, out=flips[:-1])
+    return GridSolution(log_x_nodes=y, variances=dv * fractions,
+                        payoff=payoff, coefficients=coefficients,
+                        scale=scale, steps=steps,
                         log_factors=log_factors, flips=flips, t1=t1,
                         bond_T=bond_T, params=params)
 
@@ -600,7 +616,7 @@ def _refine_cutoff(n_blocks: int) -> float:
     return min(_SURVIVAL_CUTOFF, math.log(n_blocks / _SKIP_BIAS))
 
 
-def _coarse_blocks(kernels: np.ndarray, ends: list[int], step_vars: list,
+def _coarse_blocks(kernels: np.ndarray, ends: list[int], step_vars: np.ndarray,
                    gap_det: np.ndarray) -> list[_Block]:
     """mc_spot's blocks, one ending at each of the fine nodes ends.
 
@@ -647,8 +663,7 @@ def _coarse_blocks(kernels: np.ndarray, ends: list[int], step_vars: list,
     h = np.stack([g_normals, _turned(g_normals)], axis=1)
     spanned = h @ basis[:, None]
     rest = h - spanned @ basis[:, None].transpose(0, 1, 3, 2)
-    fine_vars = np.array(step_vars)
-    var = np.maximum(np.add.reduceat(fine_vars, starts),
+    var = np.maximum(np.add.reduceat(step_vars, starts),
                      (normal_map[:, 0] ** 2).sum(axis=1))
     half_cut = 0.5 * _refine_cutoff(n) * var
     blocks = []
@@ -663,7 +678,7 @@ def _coarse_blocks(kernels: np.ndarray, ends: list[int], step_vars: list,
         blocks.append(_Block(
             stop=e, steps=m, phi=phi[b], normal_map=joint[b, :, :w],
             factor=factor[b, :, :r], g_maps=np.concatenate([maps, -maps]),
-            gap_det=gap_det[a + 1:e], fine_vars=fine_vars[a:e],
+            gap_det=gap_det[a + 1:e], fine_vars=step_vars[a:e],
             half_cut=float(half_cut[b])))
     return blocks
 
@@ -707,6 +722,30 @@ def _fine_survival(block: _Block, fine: np.random.Generator,
     nodes[1:-1] += block.gap_det[:, None]
     factors = _bridge_survival(nodes[:-1] * nodes[1:], block.fine_vars[:, None])
     return factors.prod(axis=0)
+
+
+def _node_tables(grid_times: np.ndarray, T: float,
+                 params: model.ModelParams) -> tuple[np.ndarray, ...]:
+    """abar and bbar at mc_spot's nodes and each step's cum_variance, to the
+    bit the model's: its terms in its order, from each node's _h1, _h2 and
+    bbar, with its DomainError on a non-finite sum and its clamp at 0."""
+    theta = params.theta
+    h1, h2, bb = np.array([(model._h1(theta, tau), model._h2(theta, tau),
+                            -math.expm1(-theta * tau) / theta)
+                           for tau in (T - grid_times).tolist()]).T
+    sq_r = model._squared(params.s_r)
+    # the model's float arithmetic overflows to inf without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        ab = -theta * params.mu * h1 + 0.5 * sq_r * h2
+        var = (sq_r * (h2[:-1] - h2[1:])
+               + model._squared(params.s_V) * np.diff(grid_times)
+               + 2.0 * params.rho * params.s_r * params.s_V
+               * (h1[:-1] - h1[1:]))
+    if not np.all(np.isfinite(var)):
+        k = int(np.argmin(np.isfinite(var)))
+        raise DomainError(f"variance over [{grid_times[k]}, "
+                          f"{grid_times[k + 1]}] is {var[k]}, not finite")
+    return ab, bb, np.where(var > 0.0, var, 0.0)
 
 
 def mc_spot(
@@ -817,10 +856,7 @@ def mc_spot(
     theta, mu, s_r, s_v, rho = (params.theta, params.mu, params.s_r,
                                 params.s_V, params.rho)
     rho_c = math.sqrt(1.0 - rho * rho)
-    ab = np.array([model.abar(u, T, params) for u in grid_times])
-    bb = np.array([model.bbar(u, T, params) for u in grid_times])
-    step_vars = [model.cum_variance(u, w, T, params)
-                 for u, w in zip(grid_times[:-1], grid_times[1:])]
+    ab, bb, step_vars = _node_tables(grid_times, T, params)
     # y = r - mu, ln V, the trapezoid of int r du and ln M are linear in the
     # normals: each is a deterministic path, stepped here once per call on
     # zero normals, plus a pair deviation that row 0 adds and row 1
@@ -828,25 +864,29 @@ def mc_spot(
     # and the step's normals (z1, z2) to the deviations at node i + 1, with g
     # the gap ln V - ln Z - ln B, ln Z = abar - bbar r, d the trapezoid and
     # m = ln M, the control's discounted firm value (see the docstring).
-    kernels = np.empty((len(step_dts), 4, 6))
-    y_det, lnv_det, disc_det = [state.r - mu], [math.log(state.v)], [0.0]
-    for i, h in enumerate(step_dts):
-        decay = math.exp(-theta * h)
-        r_std = s_r * math.sqrt(-math.expm1(-2.0 * theta * h) / (2.0 * theta))
-        v_std = s_v * math.sqrt(h)
-        y = y_det[-1]
-        y_det.append(y * decay)
-        lnv_det.append(lnv_det[-1] + (mu + y - 0.5 * s_v * s_v) * h)
-        disc_det.append(disc_det[-1] + (mu + 0.5 * (y + y_det[-1])) * h)
-        kernels[i] = (
-            (1.0, h - bb[i] + bb[i + 1] * decay, 0.0, 0.0,
-             rho * v_std + bb[i + 1] * r_std, rho_c * v_std),
-            (0.0, decay, 0.0, 0.0, r_std, 0.0),
-            (0.0, 0.5 * h * (1.0 + decay), 1.0, 0.0, 0.5 * h * r_std, 0.0),
-            (0.0, 0.0, 0.0, 1.0, rho * v_std, rho_c * v_std))
+    # As arrays: the paths accumulate in order, as a loop rounds, and exp and
+    # expm1 are math's, which numpy's can miss by an ulp
+    h = np.array(step_dts)
+    decay = np.array([math.exp(-theta * u) for u in step_dts])
+    r_std = s_r * np.sqrt(np.array(
+        [-math.expm1(-2.0 * theta * u) for u in step_dts]) / (2.0 * theta))
+    v_std = s_v * np.sqrt(h)
+    y_det = np.multiply.accumulate(np.append(state.r - mu, decay))
+    lnv_det = np.add.accumulate(np.append(
+        math.log(state.v), (mu + y_det[:-1] - 0.5 * s_v * s_v) * h))
+    disc_det = np.add.accumulate(np.append(
+        0.0, (mu + 0.5 * (y_det[:-1] + y_det[1:])) * h))
+    zero, one = np.zeros_like(h), np.ones_like(h)
+    kernels = np.stack([
+        one, h - bb[:-1] + bb[1:] * decay, zero, zero,
+        rho * v_std + bb[1:] * r_std, rho_c * v_std,
+        zero, decay, zero, zero, r_std, zero,
+        zero, 0.5 * h * (1.0 + decay), one, zero, 0.5 * h * r_std, zero,
+        zero, zero, zero, one, rho * v_std, rho_c * v_std], axis=-1).reshape(
+            -1, 4, 6)
     log_m_det = -0.5 * s_v * s_v * (grid_times - state.t)  # X's drifts
-    log_z_det = ab - bb * (mu + np.array(y_det))
-    gap_det = np.array(lnv_det) - log_z_det - math.log(params.barrier_b)
+    log_z_det = ab - bb * (mu + y_det)
+    gap_det = lnv_det - log_z_det - math.log(params.barrier_b)
     recovery = params.recovery_r
     # the recovery leg, worth R Z(r, t; T) whenever the touch comes
     recovery_leg = recovery * model.zcb_price(state.r, state.t, T, params)

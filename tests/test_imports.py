@@ -66,6 +66,24 @@ def test_sweeping_every_instrument_and_axis_loads_no_scipy(tmp_path):
     assert _heavy(loaded) == []
 
 
+def test_verify_loads_neither_scipy_interpolate_nor_linalg(tmp_path):
+    # every suite at small sizes: the FD oracle takes scipy.fft's DST and no
+    # spline or linear solver of SciPy's
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**PRICE_CONFIG, "verify": {
+        "paths": 64, "steps_per_year": 50, "grid_nx": 40, "grid_nt": 40}}))
+    loaded = _fresh(
+        "from credbond import cli\n"
+        f"cfg = cli.load_config({str(path)!r})\n"
+        "for suite in ('fd', 'mc-forward', 'mc-spot', 'parity'):\n"
+        "    cli.run_verify(cfg, suite)\n"
+        "print(json.dumps(sorted(sys.modules)))")
+    assert "credbond.oracles" in loaded and "scipy.fft" in loaded
+    assert [m for m in loaded
+            if m.split(".")[:2] in (["scipy", "interpolate"],
+                                    ["scipy", "linalg"])] == []
+
+
 def test_oracle_names_load_the_oracles_on_access():
     found = _fresh(
         "import credbond\n"

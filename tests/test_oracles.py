@@ -259,6 +259,46 @@ class TestGridSolutionInterpolate:
         assert sol.interpolate([b, 2.0 * b], t)[0] == 0.0
 
 
+class TestGridTables:
+    """cn_solve builds the tables of a grid shape once and shares them."""
+
+    GRID = GridConfig(nx=60, nt=30)
+
+    def test_solves_of_one_shape_share_their_steps(self):
+        one = cn_solve(unit_payoff, 0.0, 2.0, 2.0, BENCH, grid=self.GRID)
+        other = cn_solve(lambda x: np.maximum(0.9 - 0.5 * x, 0.0), 0.5, 1.0,
+                         2.0, BENCH, grid=self.GRID)
+        assert other.steps is one.steps
+        wider = cn_solve(unit_payoff, 0.0, 2.0, 2.0, BENCH,
+                         grid=GridConfig(nx=61, nt=30))
+        assert wider.steps is not one.steps
+        assert np.array_equal(wider.steps, one.steps)
+
+    def test_steps_are_read_only(self):
+        sol = cn_solve(unit_payoff, 0.0, 2.0, 2.0, BENCH, grid=self.GRID)
+        with pytest.raises(ValueError):
+            sol.steps[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            sol.steps[:] *= 1.0
+
+    def test_a_solve_after_cache_clear_equals_one_from_a_hit(self):
+        def solve():
+            return cn_solve(unit_payoff, 0.0, 1.5, 2.0, BENCH, grid=self.GRID)
+
+        oracles._grid_tables.cache_clear()
+        built = solve()
+        assert oracles._grid_tables.cache_info().misses == 1
+        hit = solve()
+        assert oracles._grid_tables.cache_info().hits == 1
+        for k in range(len(built.variances)):
+            assert np.array_equal(hit.slice(k), built.slice(k))
+        assert np.array_equal(hit.variances, built.variances)
+        xs = np.array([0.61, 0.9, 1.3, 2.0])
+        for t in (0.0, 0.3, 1.0, 1.5):
+            assert np.array_equal(hit.interpolate(xs, t),
+                                  built.interpolate(xs, t))
+
+
 def ladder(t0, t1, bond_T, params, grid):
     """cn_solve's ln x nodes and its step sizes from the payoff back: 2q
     steps of dv / 2^L, q of each dv / 2^j for j = L - 1 down to 1, and the
@@ -874,6 +914,62 @@ def reference_mc_spot(state, bond, option, params, n_paths, steps_per_year,
 
     keys = ("bond", "put", "call", "puttable", "callable")
     return dict(zip(keys, oracles._reduce_chunks(run_chunk, n_paths, 1, seed)))
+
+
+class TestNodeTables:
+    """mc_spot's node tables equal the scalar model's values to the bit."""
+
+    @staticmethod
+    def grid_of(monkeypatch, params, bond, option):
+        # the node times that mc_spot passes to _node_tables
+        seen = []
+        node_tables = oracles._node_tables
+
+        def logged(grid_times, T, p):
+            seen.append(grid_times.copy())
+            return node_tables(grid_times, T, p)
+
+        monkeypatch.setattr(oracles, "_node_tables", logged)
+        mc_spot(STATE, bond, option, params, 8, steps_per_year=500, seed=1)
+        monkeypatch.undo()
+        (grid_times,) = seen
+        return grid_times
+
+    # theta tau crosses _SMALL_THETA_TAU at tau = 1.25 at theta = 0.04;
+    # T1 = 1.0005 splits the step from 1.0 to 1.002
+    @pytest.mark.parametrize("params,option", [
+        pytest.param(BENCH, OPT, id="readme"),
+        pytest.param(dataclasses.replace(BENCH, theta=0.04), None,
+                     id="small_theta_tau"),
+        pytest.param(BENCH, OptionSpec(expiry_T1=1.0005, exercise_e=0.9),
+                     id="split_step"),
+        pytest.param(dataclasses.replace(BENCH, s_r=0.0), OPT, id="s_r_0"),
+    ])
+    def test_equal_the_scalar_model(self, monkeypatch, params, option):
+        T = BOND.maturity_T
+        grid_times = self.grid_of(monkeypatch, params, BOND, option)
+        if option is not None:
+            assert option.expiry_T1 in grid_times.tolist()
+        taus = T - grid_times
+        if params.theta == 0.04:
+            assert (params.theta * taus).min() < model._SMALL_THETA_TAU \
+                < (params.theta * taus).max()
+        ab, bb, step_vars = oracles._node_tables(grid_times, T, params)
+        assert ab.tolist() == [model.abar(u, T, params) for u in grid_times]
+        assert bb.tolist() == [model.bbar(u, T, params) for u in grid_times]
+        assert step_vars.tolist() == [
+            model.cum_variance(u, w, T, params)
+            for u, w in zip(grid_times[:-1], grid_times[1:])]
+
+    def test_non_finite_variance_raises(self):
+        # s_r^2 = 1e308 is finite, and s_r^2 times the 2.3 of _h2 over the
+        # first step is not
+        params = dataclasses.replace(BENCH, theta=1e-3, s_r=1e154)
+        grid_times = np.array([0.0, 1.0, 2.0])
+        with pytest.raises(DomainError, match="not finite"):
+            model.cum_variance(0.0, 1.0, 2.0, params)
+        with pytest.raises(DomainError, match=r"variance over \[0.0, 1.0\]"):
+            oracles._node_tables(grid_times, 2.0, params)
 
 
 class TestMcSpotPathStep:
