@@ -26,11 +26,11 @@ from .errors import (
     InvalidTenor,
 )
 
-# instrument -> (holds the straight bond, its option leg: None, "put" or
-# "call"); a bond that holds a call is short it
+# instrument -> (holds the straight bond, its option leg: None, or whether
+# it is the call rather than the put); a bond that holds a call is short it
 _LEGS = {"zcb": (False, None), "bond": (True, None),
-         "put-option": (False, "put"), "call-option": (False, "call"),
-         "puttable": (True, "put"), "callable": (True, "call")}
+         "put-option": (False, False), "call-option": (False, True),
+         "puttable": (True, False), "callable": (True, True)}
 INSTRUMENTS = tuple(_LEGS)
 _DOMAIN_ERRORS = (BelowBarrier, InvalidExercise, InvalidTenor, DomainError)
 
@@ -156,24 +156,25 @@ def _need_option(cfg: RunConfig, use: str) -> options.OptionSpec:
 def price_instrument(cfg: RunConfig, instrument: str) -> dict:
     """Price one instrument, returning its price and diagnostics.
 
+    An option is options._option_price, as put_price and call_price are.
     A puttable or callable bond is options._bond_with_option: up to T1 it is
     checked in its option's order, and its straight bond is priced from the
     z, x and variance that its option carries.
     """
     params, state, bond_spec = cfg.model, cfg.state, cfg.bond
-    holds_bond, leg = _LEGS[instrument]
+    holds_bond, call = _LEGS[instrument]
+    leg = call is not None
     spec = _need_option(cfg, f"instrument {instrument!r}") if leg else None
     diagnostics = {}
     straight = option = None
     if holds_bond and leg:
         price, straight, option = options._bond_with_option(
-            state, spec, bond_spec, params, leg == "call")
+            state, spec, bond_spec, params, call)
     elif holds_bond:
         straight = bond_mod.bond_price(state, bond_spec, params)
         price = straight.price
     elif leg:
-        pricer = options.call_price if leg == "call" else options.put_price
-        option = pricer(state, spec, bond_spec, params)
+        option = options._option_price(state, spec, bond_spec, params, call)
         price = option.price
     else:  # the zero-coupon bond
         price = model.zcb_price(state.r, state.t, bond_spec.maturity_T, params)
@@ -212,79 +213,14 @@ def _with_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
 
 
 class _Alone(NamedTuple):
-    """A sweep point priced on its own: its row's price, z, x and w, and L,
-    0 where it has none."""
+    """A sweep point that price_instrument prices: its row's price, z, x
+    and w, and L = 0."""
 
     price: float
     z: Optional[float]
     x: Optional[float]
     w: Optional[float]
     boundary_l: float
-
-
-def _sweep_job(cfg: RunConfig, instrument: str, boundary_l: Optional[float]):
-    """The checked scalar inputs of one sweep point, for the array pass.
-
-    One flat record (z, x, v, B, R, total, E, first, L): total and first are
-    the variances over [t, T] and [t, T1], and E, first and L are 0 where the
-    point has no live option leg.  An option leg takes its inputs, L
-    included, from options._option_inputs, as price does; L is boundary_l
-    where that is not None, else solved there.  A point with no closed form
-    is an _Alone, priced as price_instrument prices it: an option leg at its
-    expiry payoff from those inputs and that L, and a zero-coupon bond or a
-    bond at maturity by price_instrument.  Raises what price_instrument
-    raises, in the same order.
-    """
-    params, state, bond_spec, spec = cfg.model, cfg.state, cfg.bond, cfg.option
-    holds_bond, leg = _LEGS[instrument]
-    if leg and not (holds_bond and state.t > spec.expiry_T1):
-        z, x, total, first, boundary_l = options._option_inputs(
-            state, spec, bond_spec, params, boundary_l)
-        if first is None:  # priced as _option_price and _bond_with_option do
-            price = options._expiry_price(z, x, spec, bond_spec, params,
-                                          leg == "call")
-            if not holds_bond:
-                return _Alone(price, z, x, None, boundary_l)
-            straight = bond_mod._straight_bond(z, x, total, params)
-            price = (straight.price - price if leg == "call"
-                     else straight.price + price)
-            return _Alone(price, z, x, straight.w, boundary_l)
-        option = (spec.exercise_e, first, boundary_l)
-    elif holds_bond and (inputs := bond_mod._bond_inputs(
-            state, bond_spec, params)) is not None:
-        z, x, total = inputs
-        option = (0.0, 0.0, 0.0)
-    else:  # the zero-coupon bond, or a bond at maturity
-        doc = price_instrument(cfg, instrument)
-        diag = doc["diagnostics"]
-        return _Alone(doc["price"], diag.get("z"), diag.get("x"),
-                      diag.get("w"), 0.0)
-    return (z, x, state.v, params.barrier_b, params.recovery_r, total,
-            *option)
-
-
-def _sweep_prices(instrument: str, jobs: list) -> tuple[list, list]:
-    """Price and straight-bond W of each _sweep_job record, in one array pass."""
-    holds_bond, leg = _LEGS[instrument]
-    table = np.array(jobs)
-    z, x, v, b, recovery, total, e, first, boundary_l = table.T
-    price, w = np.zeros(len(jobs)), [None] * len(jobs)
-    if holds_bond:
-        units, w = bond_mod._bond_units(x, b, recovery, total)
-        price, w = units * z, w.tolist()
-    live = first > 0.0  # the points with a live option leg
-    if live.any():
-        z, x, v, b, recovery, total, e, first, boundary_l = table[live].T
-        block = options._call_block if leg == "call" else options._put_block
-        # x/B, v/B and (L/B)(x/B) may overflow, log (B/L)(B/x) be log 0 =
-        # -inf, and an image block of 0 meet v/B = inf
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            d = options._d_arguments(x, boundary_l, b, total, first,
-                                     options._Array)
-            option = options._option_value(block, z, v, b, e, recovery, d,
-                                           options._Array)
-        price[live] += -option if holds_bond and leg == "call" else option
-    return price.tolist(), w
 
 
 def _row(value: float, price: float, z=None, x=None, w=None) -> list[str]:
@@ -298,10 +234,15 @@ def sweep_rows(cfg: RunConfig, instrument: str, axis: str,
 
     The sweep's arguments, and the option section that an option leg or the
     E axis needs, are checked once, before any point: a fault there is a
-    ConfigError, as price raises it.  Each point is then checked, and its z,
-    variances and boundary L found, on the scalar path by _sweep_job; every
-    point with a closed form is priced in one array pass.  L depends on no
-    state variable, so along r, V and t it is solved at the first point that
+    ConfigError, as price raises it.  Each point is then
+    options._sweep_point of its config, checked, and its z, variances and
+    boundary L found, on the scalar path in price's order: a record for the
+    array pass, which prices every point with a closed form at once, or a
+    point priced on its own, (price, z, x, w, L).  That is a point at its
+    expiry payoff, priced by options as price prices it, or an _Alone that
+    price_instrument prices (a zero-coupon bond, or a bond at maturity).
+    Either ends in its L, 0 with no live option leg.  L depends on no state
+    variable, so along r, V and t it is solved at the first point that
     needs it and shared with the rest; along the other axes each point
     solves its own.  Rows and notes are those of price_instrument point by
     point, prices and w to 1e-15 Z.
@@ -315,7 +256,8 @@ def sweep_rows(cfg: RunConfig, instrument: str, axis: str,
             f"sweep bounds must be finite and a finite span apart, got "
             f"lo={lo!r}, hi={hi!r}")
     section = _AXES[axis][0]
-    if _LEGS[instrument][1] or section == "option":
+    holds_bond, call = _LEGS[instrument]
+    if call is not None or section == "option":
         _need_option(cfg, f"a sweep of {instrument!r} along {axis}")
     shares_l = section == "state"
     boundary_l = None
@@ -323,10 +265,16 @@ def sweep_rows(cfg: RunConfig, instrument: str, axis: str,
     for value in np.linspace(lo, hi, n).tolist():
         try:
             point = _with_axis(cfg, axis, value)
-            job = _sweep_job(point, instrument, boundary_l)
-            if shares_l and job[-1]:  # L, 0 with no option leg
+            job = options._sweep_point(point.state, point.option, point.bond,
+                                       point.model, holds_bond, call,
+                                       boundary_l)
+            if job is None:
+                doc = price_instrument(point, instrument)
+                get = doc["diagnostics"].get
+                job = _Alone(doc["price"], get("z"), get("x"), get("w"), 0.0)
+            if shares_l and job[-1]:  # L, 0 with no live option leg
                 boundary_l = job[-1]
-            if isinstance(job, _Alone):
+            if len(job) == len(_Alone._fields):  # priced on its own
                 rows.append(_row(value, *job[:4]))
             else:
                 jobs.append(job)
@@ -336,7 +284,7 @@ def sweep_rows(cfg: RunConfig, instrument: str, axis: str,
             rows.append([repr(value), "", "", "", "", type(exc).__name__])
     if jobs:
         for (i, value), (z, x, *_), price, w in zip(
-                slots, jobs, *_sweep_prices(instrument, jobs)):
+                slots, jobs, *options._sweep_prices(jobs, holds_bond, call)):
             rows[i] = _row(value, price, z, x, w)
     return rows
 
@@ -454,21 +402,22 @@ def _verify_parity(cfg: RunConfig) -> list[dict]:
     return checks
 
 
+# verify suite -> the name of the function that makes its checks, looked up
+# in the module when the suite runs; --suite all runs them in this order
+_SUITES = {"fd": "_verify_fd", "mc-forward": "_verify_mc_forward",
+           "mc-spot": "_verify_mc_spot", "parity": "_verify_parity"}
+
+
 def run_verify(cfg: RunConfig, suite: str) -> dict:
-    suites = {"fd": _verify_fd, "mc-forward": _verify_mc_forward,
-              "mc-spot": _verify_mc_spot, "parity": _verify_parity}
-    if suite == "all":
-        selected = list(suites)
-    elif suite in suites:
-        selected = [suite]
-    else:
+    if suite not in (*_SUITES, "all"):
         raise ConfigError(f"unknown verify suite {suite!r}")
+    selected = list(_SUITES) if suite == "all" else [suite]
     # before any suite runs, so that --suite all fails without the oracles
     if "parity" in selected:
         _need_option(cfg, "the parity suite")
     checks = []
     for name in selected:
-        checks.extend(suites[name](cfg))
+        checks.extend(globals()[_SUITES[name]](cfg))
     return {"suite": suite, "checks": checks,
             "pass": bool(all(c["pass"] for c in checks))}
 
@@ -526,7 +475,7 @@ def cmd_sweep(instrument: str, config_path: str, axis: str,
 @main.command("verify")
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--suite", default="all", show_default=True,
-              type=click.Choice(("fd", "mc-forward", "mc-spot", "parity", "all")))
+              type=click.Choice((*_SUITES, "all")))
 @click.option("--seed", default=None, type=int,
               help="Override the config seed.")
 @click.option("--paths", default=None, type=int,
@@ -534,9 +483,9 @@ def cmd_sweep(instrument: str, config_path: str, axis: str,
 @click.option("--steps-per-year", default=None, type=int,
               help="Override the config step density.")
 @click.option("--workers", default=None, type=int,
-              help="Monte-Carlo worker threads, each with one more that "
-                   "draws its chunk's normals (results are independent of "
-                   "this).")
+              help="Monte-Carlo worker threads; each chunk draws its "
+                   "normals on the thread that steps it (results are "
+                   "independent of this).")
 def cmd_verify(config_path: str, suite: str,
                **overrides: Optional[int]) -> None:
     """Run oracle comparisons against the closed forms; exit 4 on failure."""

@@ -27,8 +27,9 @@ from statistics import NormalDist
 import numpy as np
 
 from . import analytics, model
-from .bond import (BondPriceResult, BondSpec, _bond_inputs, _straight_bond,
-                   _survival, _unit_value, bond_price, survival_curve)
+from .bond import (BondPriceResult, BondSpec, _bond_inputs, _bond_units,
+                   _straight_bond, _survival, _unit_value, bond_price,
+                   survival_curve)
 from .errors import DomainError, InvalidExercise, InvalidTenor, NoConvergence
 from .model import _LOG_HUGE
 
@@ -70,8 +71,9 @@ class _Array:
     """What a sweep evaluates with: numpy, elementwise over its points.
 
     Every per-point input is an array over the points, all of one shape.
-    A ratio beyond the float range is evaluated as _Scalar evaluates it; the
-    caller silences numpy's warnings on the way (over, divide, invalid).
+    A ratio beyond the float range is evaluated as _Scalar evaluates it;
+    _sweep_prices silences numpy's warnings on the way (over, divide,
+    invalid).
     """
 
     log, sqrt, minimum, maximum = np.log, np.sqrt, np.minimum, np.maximum
@@ -271,6 +273,10 @@ def _call_block(e, recovery, dl, a, b1, b2, b3, n, n2):
     return (recovery - e) * n(b2) + (1.0 - recovery) * (p2 + p3)
 
 
+# the block of an option leg, by whether it is the call
+_BLOCKS = {False: _put_block, True: _call_block}
+
+
 def _paper_put_block(e, recovery, dl, a, b1, b2, b3, n, n2):
     # the paper's four-term put, for the parity gap alone
     p1, p2, p3, p4 = n2((a, a, a, a), (b1, b2, -b1, -b3), (dl, dl, -dl, -dl))
@@ -294,17 +300,82 @@ def _option_value(block, z, v, b, e, recovery, d: dict, k=_Scalar):
 
 
 def _option_price(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
-                  params: model.ModelParams, call: bool) -> OptionPriceResult:
-    z, x, total, first, boundary_l = _option_inputs(state, spec, bond, params)
+                  params: model.ModelParams, call: bool,
+                  inputs: tuple | None = None) -> OptionPriceResult:
+    """The option from _option_inputs' values, found here where inputs is
+    None: its payoff at T1 where no variance remains before expiry, else
+    the closed form at state.v."""
+    if inputs is None:
+        inputs = _option_inputs(state, spec, bond, params)
+    z, x, total, first, boundary_l = inputs
     if first is None:
         price, d = _expiry_price(z, x, spec, bond, params, call), {}
     else:
         b = params.barrier_b
         d = _d_arguments(x, boundary_l, b, total, first)
-        price = _option_value(_call_block if call else _put_block, z, state.v,
-                              b, spec.exercise_e, params.recovery_r, d)
+        price = _option_value(_BLOCKS[call], z, state.v, b, spec.exercise_e,
+                              params.recovery_r, d)
     return OptionPriceResult(price=price, boundary_l=boundary_l, dvalues=d,
                              z=z, x=x, total_variance=total)
+
+
+def _sweep_point(state: model.MarketState, spec: OptionSpec | None,
+                 bond: BondSpec, params: model.ModelParams, holds_bond: bool,
+                 call: bool | None, boundary_l: float | None):
+    """One sweep point, checked as its price is and in the same order.
+
+    holds_bond and call are the instrument's: whether it holds the straight
+    bond, and whether its option leg is the call (True), the put (False) or
+    absent (None).  L is boundary_l where that is not None, else solved by
+    _option_inputs.  A point with a closed form is a record (z, x, v, B, R,
+    total, E, first, L) for _sweep_prices, total and first the variances
+    over [t, T] and [t, T1], and E, first and L 0 where it has no live
+    option leg.  Where no variance remains before T1 the point is priced
+    here, at its payoff there, by _bond_with_option or _option_price:
+    (price, z, x, w, L), w None for an option alone.  None: a zero-coupon
+    bond, or a bond at maturity, has no closed form here.
+    """
+    if call is not None and not (holds_bond and state.t > spec.expiry_T1):
+        inputs = _option_inputs(state, spec, bond, params, boundary_l)
+        z, x, total, first, boundary_l = inputs
+        if first is None and holds_bond:
+            price, straight, _ = _bond_with_option(state, spec, bond, params,
+                                                   call, inputs)
+            return price, z, x, straight.w, boundary_l
+        if first is None:
+            option = _option_price(state, spec, bond, params, call, inputs)
+            return option.price, z, x, None, boundary_l
+        leg = (spec.exercise_e, first, boundary_l)
+    elif holds_bond and (inputs := _bond_inputs(state, bond, params)):
+        (z, x, total), leg = inputs, (0.0, 0.0, 0.0)
+    else:
+        return None
+    return (z, x, state.v, params.barrier_b, params.recovery_r, total, *leg)
+
+
+def _sweep_prices(records: list, holds_bond: bool, call: bool | None
+                  ) -> tuple[list, list]:
+    """Price and straight-bond W of each _sweep_point record, in one array
+    pass: the straight bond where the instrument holds it, and _signed's
+    option leg where first > 0; W is None for an option alone."""
+    table = np.array(records)
+    z, x, v, b, recovery, total, e, first, boundary_l = table.T
+    price, w = np.zeros(len(records)), [None] * len(records)
+    if holds_bond:
+        units, w = _bond_units(x, b, recovery, total)
+        price, w = units * z, w.tolist()
+    live = first > 0.0  # the points with a live option leg
+    if live.any():
+        z, x, v, b, recovery, total, e, first, boundary_l = table[live].T
+        # x/B, v/B and (L/B)(x/B) may overflow, log (B/L)(B/x) be log 0 =
+        # -inf, and an image block of 0 meet v/B = inf
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            d = _d_arguments(x, boundary_l, b, total, first, _Array)
+            option = _option_value(_BLOCKS[call], z, v, b, e, recovery, d,
+                                   _Array)
+        # an option alone is 0 plus its price
+        price[live] = _signed(price[live], option, holds_bond and call)
+    return price.tolist(), w
 
 
 def put_price(state: model.MarketState, spec: OptionSpec, bond: BondSpec,
@@ -345,24 +416,29 @@ def put_call_parity_gap(state: model.MarketState, spec: OptionSpec,
 
 
 def _bond_with_option(state: model.MarketState, spec: OptionSpec,
-                      bond: BondSpec, params: model.ModelParams, call: bool
+                      bond: BondSpec, params: model.ModelParams, call: bool,
+                      inputs: tuple | None = None
                       ) -> tuple[float, BondPriceResult,
                                  OptionPriceResult | None]:
     """(price, straight bond, option) of the straight bond long the put or
     short the call; after T1, the straight bond and no option.
 
-    Up to T1 the option's terms are checked first, and the straight bond is
-    priced from the z, x and variance over [t, T] that the option carries.
+    Up to T1 the option is _option_price's, its terms checked first, and
+    the straight bond is priced from the z, x and variance over [t, T] that
+    the option carries.
     """
     if state.t > spec.expiry_T1:
         straight = bond_price(state, bond, params)
         return straight.price, straight, None
-    option = (call_price if call else put_price)(state, spec, bond, params)
+    option = _option_price(state, spec, bond, params, call, inputs)
     straight = _straight_bond(option.z, option.x, option.total_variance,
                               params)
-    price = (straight.price - option.price if call
-             else straight.price + option.price)
-    return price, straight, option
+    return _signed(straight.price, option.price, call), straight, option
+
+
+def _signed(straight, option, call: bool):
+    """straight + option, or for the call straight - option, elementwise."""
+    return straight - option if call else straight + option
 
 
 def puttable_bond_price(state: model.MarketState, spec: OptionSpec,

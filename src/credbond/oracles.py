@@ -120,7 +120,8 @@ class GridSolution:
         """G - 1 per mode at slice k, or at each slice of a range as rows."""
         counts = self.steps[k]
         e = np.expm1(counts @ self.log_factors)
-        return np.where((counts @ self.flips) % 2.0 == 1.0, -2.0 - e, e)
+        # G < 0 at an odd count of negative factors; the counts are integers
+        return np.where((counts @ self.flips).astype(int) & 1, -2.0 - e, e)
 
     def _surface(self, gains_less_one: np.ndarray) -> np.ndarray:
         """The slice whose modes are the payoff's times G, from G - 1."""

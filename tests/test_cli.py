@@ -495,6 +495,26 @@ class TestSweepMatchesPerPoint:
         lo, hi, _ = SWEEP_RANGES[axis]
         _assert_sweep_matches((instrument, axis, lo, hi, 21))
 
+    @pytest.mark.parametrize("instrument", cli.INSTRUMENTS)
+    # at v = 0.9901575393848463 and t = T1 the straight bond's W from the
+    # array form bond._bond_units is 1 ulp above bond._survival's
+    @pytest.mark.parametrize("v", [1.0, 0.9901575393848463])
+    def test_sweep_to_expiry_prices_its_last_point_as_price(self, instrument,
+                                                             v):
+        # the last point is t = T1 exactly, where an option leg is its payoff
+        # at T1, priced on the scalar path as price prices it: that row is
+        # price's to the byte (a zero-coupon bond's rows all are), and every
+        # row is within the array pass's 1e-15 Z
+        cfg = _bench_config()
+        cfg = dataclasses.replace(cfg, state=dataclasses.replace(cfg.state,
+                                                                 v=v))
+        sweep = (instrument, "t", 0.0, cfg.option.expiry_T1, 11)
+        rows = cli.sweep_rows(cfg, *sweep)
+        assert rows[-1][0] == repr(cfg.option.expiry_T1)
+        if instrument != "bond":  # a bond's last point is in the array pass
+            assert rows[-1] == _per_point_rows(cfg, *sweep)[-1]
+        _assert_sweep_matches(sweep, cfg)
+
     @pytest.mark.parametrize("instrument", ["put-option", "puttable"])
     @pytest.mark.parametrize("axis", ["V", "rho"])
     def test_high_correlation(self, monkeypatch, instrument, axis):
@@ -640,7 +660,8 @@ class TestRatiosBeyondTheFloatRange:
         v = cfg.state.v
         _assert_sweep_matches((instrument, "V", 0.1 * v, v, 3), cfg)
 
-    @pytest.mark.parametrize("instrument", ["put-option", "callable"])
+    @pytest.mark.parametrize("instrument", ["put-option", "callable",
+                                            "puttable", "call-option"])
     @pytest.mark.parametrize("axis,lo,hi,solves", [
         ("V", 0.1, 1.0, 1), ("r", 999.0, 1000.0, 1), ("E", 0.5, 0.9, 3)])
     def test_sweep_solves_l_once_at_the_expiry_payoff(
@@ -804,6 +825,12 @@ class TestCheckOrder:
 
 
 class TestVerify:
+    def test_suite_choices_are_the_suite_table_and_all(self):
+        # --suite offers the suites that run_verify runs, and all of them
+        suite = next(p for p in cli.cmd_verify.params if p.name == "suite")
+        assert tuple(suite.type.choices) == (*cli._SUITES, "all")
+        assert tuple(cli._SUITES) == ("fd", "mc-forward", "mc-spot", "parity")
+
     def test_parity_suite_passes(self, config_path):
         result = runner.invoke(main, ["verify", "--config", config_path,
                                       "--suite", "parity"])
